@@ -189,11 +189,9 @@ void BM_TraceSyntheticLoopsItersDeps(benchmark::State &State) {
 BENCHMARK(BM_TraceSyntheticLoopsItersDeps);
 
 //===--------------------------------------------------------------------===//
-// Execution-tier benchmarks (X12): the bytecode VM against the tree
-// walker on the dependence-tracking hot path. The interpreter is
-// constructed ONCE outside the timing loop, so bytecode compilation is
-// excluded and the numbers isolate execution. GADT_EXEC_TIER switches the
-// tier for A/B captures (see EXPERIMENTS.md X12 and compare_bench.py).
+// Execution benchmarks (X12): the bytecode VM on the dependence-tracking
+// hot path. The interpreter is constructed ONCE outside the timing loop,
+// so bytecode compilation is excluded and the numbers isolate execution.
 //===--------------------------------------------------------------------===//
 
 /// Dependence tracking down a deep call chain, warm interpreter: DepSet
@@ -286,20 +284,16 @@ void BM_BatchThroughputSerial(benchmark::State &State) {
 BENCHMARK(BM_BatchThroughputSerial);
 
 //===--------------------------------------------------------------------===//
-// Dispatch and background-compile benchmarks (X14): the threaded-dispatch
-// / superinstruction / optimizer work on a loop-heavy subject where the
-// dispatch loop itself is the cost, plus the cold-session latency contract
-// of the background compile lane. GADT_EXEC_TIER switches the tier for the
-// BM_LoopHeavy* A/B captures (BENCH_PR10_BASELINE.json was recorded with
-// GADT_EXEC_TIER=tree); BM_Dispatch* pin the tier and dispatch mode
-// explicitly so both captures measure the same configuration.
+// Dispatch benchmarks (X14): the threaded-dispatch / superinstruction /
+// optimizer work on a loop-heavy subject where the dispatch loop itself is
+// the cost.
 //===--------------------------------------------------------------------===//
 
 /// Hand-written tight-loop subject: straight-line arithmetic bodies inside
 /// nested while loops, dominated by exactly what the compile-time passes
 /// and fused opcodes target — constant subexpressions (scale factors and
-/// offsets written out longhand, folded once at compile time but
-/// re-evaluated by the tree walker on every trip), load+binop, binop+store
+/// offsets written out longhand, folded once at compile time instead of
+/// re-evaluated on every trip), load+binop, binop+store
 /// and cmp+branch pairs. No calls, no I/O until the final writeln —
 /// per-statement dispatch and expression evaluation are the entire cost,
 /// which is what this gate watches.
@@ -332,8 +326,8 @@ const char *LoopHeavySrc =
     "  writeln(s)\n"
     "end.";
 
-/// Warm interpreter on the Auto tier: the committed tree/bytecode A/B pair
-/// for the dispatch work (the X14 speedup claim is quoted from this name).
+/// Warm interpreter: the dispatch loop's gate (the X14 speedup claim is
+/// quoted from this name).
 void BM_LoopHeavy(benchmark::State &State) {
   auto Prog = compileOrDie(LoopHeavySrc);
   interp::Interpreter I(*Prog);
@@ -345,7 +339,7 @@ void BM_LoopHeavy(benchmark::State &State) {
 BENCHMARK(BM_LoopHeavy);
 
 /// Same subject with dependence tracking: the fused opcodes' batched DepSet
-/// merges against the tree walker's per-node bookkeeping.
+/// merges.
 void BM_LoopHeavyDeps(benchmark::State &State) {
   auto Prog = compileOrDie(LoopHeavySrc);
   interp::InterpOptions Opts;
@@ -357,67 +351,6 @@ void BM_LoopHeavyDeps(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_LoopHeavyDeps);
-
-/// The two dispatch strategies head to head on the same compiled code;
-/// tier and mode pinned so the ratio is dispatch alone, independent of the
-/// capture's GADT_EXEC_TIER / GADT_BC_DISPATCH environment.
-void runDispatchBench(benchmark::State &State, bytecode::DispatchMode Mode) {
-  auto Prog = compileOrDie(LoopHeavySrc);
-  interp::InterpOptions Opts;
-  Opts.Tier = interp::ExecTier::Bytecode;
-  interp::Interpreter I(*Prog, Opts);
-  bytecode::setDispatchMode(Mode);
-  for (auto _ : State) {
-    auto R = I.run();
-    benchmark::DoNotOptimize(R.Ok);
-  }
-  bytecode::setDispatchMode(bytecode::DispatchMode::Auto);
-}
-
-void BM_DispatchSwitch(benchmark::State &State) {
-  runDispatchBench(State, bytecode::DispatchMode::Switch);
-}
-BENCHMARK(BM_DispatchSwitch);
-
-/// Computed-goto threaded dispatch; on a toolchain without the extension
-/// this silently measures the switch loop again (ratio 1).
-void BM_DispatchThreaded(benchmark::State &State) {
-  runDispatchBench(State, bytecode::DispatchMode::Threaded);
-}
-BENCHMARK(BM_DispatchThreaded);
-
-/// Cold-session first-run latency while a background compile is still in
-/// flight: the session holds a pending (never-published) AsyncCode handle
-/// and must start on the tree walker immediately instead of compiling
-/// privately. The contract (EXPERIMENTS.md X14) is that this sits within
-/// noise of BM_BgCompileTreeColdRun below.
-void BM_BgCompilePendingColdRun(benchmark::State &State) {
-  auto Prog = compileOrDie(workload::Figure4Buggy);
-  auto Pending = std::make_shared<bytecode::AsyncCode>();
-  for (auto _ : State) {
-    interp::InterpOptions Opts;
-    Opts.Tier = interp::ExecTier::Bytecode;
-    Opts.CodeAsync = Pending;
-    interp::Interpreter I(*Prog, Opts);
-    auto R = I.run();
-    benchmark::DoNotOptimize(R.Ok);
-  }
-}
-BENCHMARK(BM_BgCompilePendingColdRun);
-
-/// The pure tree-walker cold run the pending-handle path is measured
-/// against.
-void BM_BgCompileTreeColdRun(benchmark::State &State) {
-  auto Prog = compileOrDie(workload::Figure4Buggy);
-  for (auto _ : State) {
-    interp::InterpOptions Opts;
-    Opts.Tier = interp::ExecTier::Tree;
-    interp::Interpreter I(*Prog, Opts);
-    auto R = I.run();
-    benchmark::DoNotOptimize(R.Ok);
-  }
-}
-BENCHMARK(BM_BgCompileTreeColdRun);
 
 void BM_TransformGotoProgram(benchmark::State &State) {
   auto Prog = compileOrDie(workload::Section6GlobalGoto);

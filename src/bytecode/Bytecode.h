@@ -6,33 +6,32 @@
 ///
 /// \file
 /// The compiled form of a Pascal-subset program: flat, slot-addressed
-/// register bytecode executed by bytecode/VM.cpp under the same tracing
-/// substrate (interp/ExecState.h) as the tree walker.
+/// register bytecode executed by bytecode/VM.cpp over the tracing substrate
+/// of interp/ExecState.h. The VM is the interpreter's only executor.
 ///
-/// Design notes (see DESIGN.md "Execution tiers"):
+/// Design notes (see DESIGN.md "Execution engine"):
 ///
 ///  - *Fused operands.* Every value-consuming instruction field is a 16-bit
 ///    operand that addresses a register, a frame cell ((hops, slot) in the
 ///    static-link chain — PR 3's storage layout), or a constant-pool entry.
-///    Fetching a cell operand performs the same observeRead the tree
-///    walker's VarRef evaluation would, so dynamic input sets and DepSet
-///    flows are identical; the compiler only fuses a cell operand where the
-///    fetch point coincides with the tree walker's evaluation order (it
-///    materializes the left operand into a register whenever the right
-///    operand's expression emits code of its own).
+///    Fetching a cell operand performs the observeRead of reading the
+///    variable, so dynamic input sets and DepSet flows follow the source
+///    evaluation order; the compiler only fuses a cell operand where the
+///    fetch point coincides with that order (it materializes the left
+///    operand into a register whenever the right operand's expression emits
+///    code of its own). Cells further than 7 static hops away or above slot
+///    2047 use the wide form: an index into CompiledProgram::WideCells.
 ///
 ///  - *Events are opcodes.* Unit enter/exit, per-iteration control-dep
 ///    pushes, step accounting and dependence merges are dedicated opcodes
 ///    (Step, LoopEnter, IterBegin, ...) that call into the shared
-///    ExecState, so a bytecode execution raises the exact event sequence
-///    the tree walker raises — including on runtime failure, where the VM
-///    unwinds loop and call units in the same order the recursive walker's
-///    stack unwinding produces.
+///    ExecState. On a runtime failure or a goto the VM unwinds loop and
+///    call units innermost first, raising their exit events.
 ///
-///  - *Fallback, not partiality.* The compiler either translates the whole
-///    program or reports it unsupported (non-local gotos, missing type
-///    annotations on hand-built ASTs, encoding overflows); the interpreter
-///    then runs the tree tier. There are no mixed-tier executions.
+///  - *Whole programs.* The compiler translates every analyzed program; it
+///    refuses only encodings that overflow (registers, constants, wide
+///    cells) and hand-built ASTs missing Sema annotations, and the
+///    interpreter reports such a program as a runtime error.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,10 +43,8 @@
 #include "support/SourceLoc.h"
 #include "support/Symbols.h"
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -63,11 +60,12 @@ namespace bytecode {
 //===----------------------------------------------------------------------===//
 
 /// A 16-bit operand: bits 15-14 select the addressing mode, the rest
-/// identify the register / (hops, slot) cell / constant.
+/// identify the register / (hops, slot) cell / constant / wide cell.
 constexpr uint16_t OpModeMask = 0xC000;
 constexpr uint16_t OpReg = 0x0000;   ///< frame-relative register index
 constexpr uint16_t OpCell = 0x4000;  ///< bits 13-11 hops, bits 10-0 slot
 constexpr uint16_t OpConst = 0x8000; ///< constant-pool index
+constexpr uint16_t OpWide = 0xC000;  ///< CompiledProgram::WideCells index
 
 constexpr unsigned CellHopsShift = 11;
 constexpr uint16_t CellSlotMask = 0x07FF;
@@ -83,6 +81,9 @@ inline uint16_t makeCellOperand(unsigned Hops, unsigned Slot) {
   return static_cast<uint16_t>(OpCell | (Hops << CellHopsShift) | Slot);
 }
 inline uint16_t makeConstOperand(uint16_t Idx) { return OpConst | Idx; }
+/// Whether \p O addresses a frame cell (narrow or wide): fetching it
+/// observes a read.
+inline bool isCellOperand(uint16_t O) { return (O & OpCell) != 0; }
 
 //===----------------------------------------------------------------------===//
 // Instructions
@@ -124,10 +125,12 @@ enum class Op : uint16_t {
   ForExit,     ///< popCtrl, exit loop unit, pop loop state
   // Calls.
   CallGuard,   ///< fail if the call-depth limit is hit; Aux = dbg. Emitted
-               ///< before argument evaluation — the tree walker refuses a
-               ///< too-deep call before evaluating its arguments.
+               ///< before argument evaluation — a too-deep call is refused
+               ///< before its arguments are evaluated.
   Call,        ///< invoke Sites[Aux]; A = dest reg or NoDest
   Ret,
+  Goto,        ///< jump to label (B | C << 16) of the activation A static
+               ///< hops up (NoGotoHops: none declares it); Aux = dbg
   // I/O.
   ReadFetch,   ///< reg[A] = next program input; Aux = dbg
   WriteVal,    ///< append fetch(A) to the output text
@@ -166,7 +169,7 @@ enum class Op : uint16_t {
   X(NeB) X(Lt) X(Le) X(Gt) X(Ge) X(AndB) X(OrB) X(NotB) X(NegI) X(Jmp)       \
   X(IfBr) X(PopCtrl) X(LoopEnter) X(WhileTest) X(IterBegin) X(IterEnd)       \
   X(RepeatTest) X(ForPrep) X(ForTest) X(ForIter) X(ForEnd) X(LoopExit)       \
-  X(ForExit) X(CallGuard) X(Call) X(Ret) X(ReadFetch) X(WriteVal)            \
+  X(ForExit) X(CallGuard) X(Call) X(Ret) X(Goto) X(ReadFetch) X(WriteVal)    \
   X(WriteNl) X(Nop) X(CmpBr) X(CmpWhile) X(BinStore) X(StepLoad) X(LoadBin)
 
 struct Instr {
@@ -176,6 +179,15 @@ struct Instr {
   uint16_t C = 0;
   uint32_t Aux = 0;
 };
+
+/// Goto's A field when no enclosing routine declares the label (hand-built
+/// ASTs); executing it is a runtime error.
+constexpr uint16_t NoGotoHops = 0xFFFF;
+
+inline int gotoLabel(const Instr &I) {
+  return static_cast<int>(static_cast<uint32_t>(I.B) |
+                          static_cast<uint32_t>(I.C) << 16);
+}
 
 //===----------------------------------------------------------------------===//
 // Side tables
@@ -224,10 +236,31 @@ struct LoopInfo {
   uint16_t VarOperand = 0;  ///< for-loops: loop-variable cell operand
 };
 
+/// A cell operand too far away for the narrow encoding.
+struct WideCell {
+  uint32_t Hops = 0;
+  uint32_t Slot = 0;
+};
+
+/// A label a goto can land on: a labeled statement that is an immediate
+/// child of a compound statement. A goto taken while its target activation
+/// is at pc P lands here when ScopeBegin <= P < ScopeEnd, the code range of
+/// that compound; otherwise it would jump into a structured statement.
+struct LabelInfo {
+  int Label = 0;
+  uint32_t Target = 0; ///< pc of the labeled statement
+  uint32_t ScopeBegin = 0, ScopeEnd = 0;
+  uint16_t LoopDepth = 0; ///< loops of the routine open at the label
+  uint16_t CtrlDepth = 0; ///< control-dependence pushes open at the label
+  const pascal::Stmt *Stmt = nullptr; ///< the labeled statement
+};
+
 struct CompiledRoutine {
   const pascal::RoutineDecl *Routine = nullptr;
   std::vector<Instr> Code;
   uint32_t NumRegs = 0;
+  /// Landing sites for gotos into this routine; pcs are routine-local.
+  std::vector<LabelInfo> Labels;
 };
 
 /// The side-table rows one routine's code owns. Every table is emitted
@@ -236,6 +269,7 @@ struct CompiledRoutine {
 /// run — the unit the incremental recompile splices.
 struct RoutineSegment {
   uint32_t ConstStart = 0, ConstCount = 0;
+  uint32_t WideStart = 0, WideCount = 0;
   uint32_t SiteStart = 0, SiteCount = 0;
   uint32_t ArgStart = 0, ArgCount = 0;
   uint32_t LoopStart = 0, LoopCount = 0;
@@ -273,6 +307,7 @@ struct CompiledProgram {
   bool Checked = false;
   std::vector<CompiledRoutine> Routines; ///< [0] = the main program
   std::vector<interp::Value> Consts;
+  std::vector<WideCell> WideCells; ///< targets of OpWide operands
   std::vector<CallSiteInfo> Sites;
   std::vector<ArgDesc> ArgPool; ///< flat storage indexed by CallSiteInfo
   std::vector<LoopInfo> Loops;
@@ -312,22 +347,18 @@ struct CodeRebuildStats {
 /// (passes only touch pure register/constant instructions — anything that
 /// observes a cell, raises a unit event or can fail is left alone), so
 /// these exist for differential testing and A/B measurement, not
-/// correctness. The default is read once from `GADT_BC_OPT` ("0"/"off"
-/// disables everything; unset/anything else enables).
+/// correctness. Everything is on by default.
 struct CompileOptions {
   /// Constant folding, dead-store elision, redundant-LoadChecked elision.
   bool Optimize = true;
   /// Superinstruction fusion (peephole over static pair frequencies).
   bool Fuse = true;
-
-  /// Process-wide default, from GADT_BC_OPT (cached).
-  static CompileOptions fromEnv();
 };
 
 /// Compiles \p P (which must have storage slots assigned) to bytecode.
-/// Returns null when the program uses a construct the bytecode tier does
-/// not support; \p WhyNot (optional) receives the first reason.
-/// The two-argument form uses CompileOptions::fromEnv().
+/// Returns null when the program overflows an encoding limit or lacks Sema
+/// annotations; \p WhyNot (optional) receives the first reason. The form
+/// without CompileOptions uses the defaults.
 std::shared_ptr<const CompiledProgram>
 compile(const pascal::Program &P, bool Checked, std::string *WhyNot = nullptr);
 std::shared_ptr<const CompiledProgram>
@@ -342,42 +373,6 @@ std::shared_ptr<const CompiledProgram>
 compileWithReuse(const pascal::Program &P, bool Checked,
                  const CodeReusePlan &Reuse, CodeRebuildStats *Stats,
                  std::string *WhyNot = nullptr);
-
-//===----------------------------------------------------------------------===//
-// Background compilation
-//===----------------------------------------------------------------------===//
-
-/// A compile completing on another thread. The producer (the runtime's
-/// compile lane) publishes exactly once; consumers (Interpreter::run via
-/// InterpOptions::CodeAsync) poll at unit boundaries with one acquire load
-/// and hot-swap to bytecode when the unit arrives. A published null means
-/// the compiler rejected the program — consumers stay on the tree tier.
-class AsyncCode {
-public:
-  bool ready() const { return ReadyFlag.load(std::memory_order_acquire); }
-
-  /// The compiled unit, or null while pending / after a failed compile.
-  std::shared_ptr<const CompiledProgram> get() const {
-    if (!ready())
-      return nullptr;
-    std::lock_guard<std::mutex> L(M);
-    return Code;
-  }
-
-  /// Producer side; call at most once.
-  void publish(std::shared_ptr<const CompiledProgram> C) {
-    {
-      std::lock_guard<std::mutex> L(M);
-      Code = std::move(C);
-    }
-    ReadyFlag.store(true, std::memory_order_release);
-  }
-
-private:
-  mutable std::mutex M;
-  std::shared_ptr<const CompiledProgram> Code;
-  std::atomic<bool> ReadyFlag{false};
-};
 
 } // namespace bytecode
 } // namespace gadt

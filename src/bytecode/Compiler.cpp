@@ -1,26 +1,29 @@
 //===- Compiler.cpp - AST -> register bytecode ----------------------------===//
 //
 // Translates a storage-slotted pascal::Program into the flat register form
-// of Bytecode.h. The hard requirement is *event equivalence* with the tree
-// walker: every cell read/write, dependence merge, unit event and step must
-// happen in the same order. Two rules carry that burden:
+// of Bytecode.h. The hard requirement is *event order*: every cell
+// read/write, dependence merge, unit event and step must happen in source
+// evaluation order. Two rules carry that burden:
 //
-//  1. Code for subexpressions is emitted in the tree walker's evaluation
-//     order (left before right, value before index in assignments, bounds
-//     before body in for loops).
+//  1. Code for subexpressions is emitted in evaluation order (left before
+//     right, value before index in assignments, bounds before body in for
+//     loops).
 //
 //  2. A cell operand may only be fused into a consuming instruction when no
-//     code runs between the tree walker's read point and the instruction.
+//     code runs between the variable's read point and the instruction.
 //     Concretely: for a binary node, if the right operand's expression
 //     emits instructions, the left operand is first materialized into a
 //     register (Op::Load performs its read at the correct point); purely
 //     operand-shaped right-hand sides (registers, cells, constants) fetch
 //     inside the consuming instruction, in left-to-right order.
 //
-// Unsupported constructs (gotos/labels, ASTs without Sema type annotations,
-// encoding overflows) reject the whole program — the interpreter then runs
-// the tree tier. Rejection is per-program, never per-routine: mixed-tier
-// executions would make the event streams impossible to reason about.
+// Gotos compile to Op::Goto plus one LabelInfo per labeled statement that
+// is an immediate child of a compound statement: the VM resolves a goto by
+// scope at run time, because a non-local goto lands wherever the target
+// activation happens to be suspended.
+//
+// A program that overflows an encoding limit or lacks Sema annotations is
+// rejected as a whole; the interpreter reports it as a runtime error.
 //
 //===----------------------------------------------------------------------===//
 
@@ -30,9 +33,7 @@
 #include "pascal/ASTMatch.h"
 #include "support/Casting.h"
 
-#include <cstdlib>
 #include <map>
-#include <string_view>
 #include <unordered_map>
 
 using namespace gadt;
@@ -42,8 +43,10 @@ using namespace gadt::pascal;
 size_t CompiledProgram::memoryBytes() const {
   size_t Bytes = sizeof(CompiledProgram);
   for (const CompiledRoutine &R : Routines)
-    Bytes += sizeof(CompiledRoutine) + R.Code.size() * sizeof(Instr);
+    Bytes += sizeof(CompiledRoutine) + R.Code.size() * sizeof(Instr) +
+             R.Labels.size() * sizeof(LabelInfo);
   Bytes += Consts.size() * sizeof(interp::Value);
+  Bytes += WideCells.size() * sizeof(WideCell);
   Bytes += Sites.size() * sizeof(CallSiteInfo);
   Bytes += ArgPool.size() * sizeof(ArgDesc);
   Bytes += Loops.size() * sizeof(LoopInfo);
@@ -82,7 +85,7 @@ public:
     if (!Prog.areSlotsAssigned())
       bail("program has no storage slots");
     // Pre-size the hash tables: incremental rehashing shows up in compile
-    // profiles, and compile latency is the cold-start cost of this tier.
+    // profiles, and compile latency is a cold session's start-up cost.
     RoutineIdx.reserve(64);
     ScalarConsts.reserve(64);
     indexRoutines(Prog.getMain());
@@ -148,6 +151,11 @@ private:
   std::vector<Instr> Code;
   uint16_t RegTop = 0;
   uint32_t NumRegs = 0;
+  std::vector<LabelInfo> Labels;
+  /// Loops open and control-dependence pushes outstanding at the current
+  /// emission point — what a goto landing here must unwind down to.
+  uint16_t LoopDepth = 0;
+  uint16_t CtrlDepth = 0;
 
   // Constant pools with dedup. The debug table is append-only: a dedup map
   // keyed on (loc, name) costs more at compile time than the duplicate
@@ -155,6 +163,7 @@ private:
   // construction pays before its first run.
   std::unordered_map<uint64_t, uint16_t> ScalarConsts;
   std::map<std::string, uint16_t> StrConsts;
+  std::unordered_map<uint64_t, uint16_t> WideIdx; ///< (hops, slot) -> index
   /// Staging area for call-site argument descriptors. Nested calls in
   /// argument position stage and flush in strict stack discipline, so one
   /// shared vector (saved/restored by high-water mark) replaces a heap
@@ -244,18 +253,24 @@ private:
     return Idx;
   }
 
-  /// Encodes direct frame addressing for \p D from the current routine.
+  /// Encodes direct frame addressing for \p D from the current routine;
+  /// cells beyond the narrow form's reach get a WideCells row.
   uint16_t cellOperand(const VarDecl *D) {
     uint32_t Hops = Cur->getStorageDepth() - D->getDepth();
-    if (Hops > MaxCellHops) {
-      bail("static nesting too deep for cell encoding");
+    if (Hops <= MaxCellHops && D->getSlot() <= MaxSlot)
+      return makeCellOperand(Hops, D->getSlot());
+    uint64_t Key = static_cast<uint64_t>(Hops) << 32 | D->getSlot();
+    auto It = WideIdx.find(Key);
+    if (It != WideIdx.end())
+      return OpWide | It->second;
+    if (Out->WideCells.size() > MaxRegOrConst) {
+      bail("wide cell table overflow");
       return 0;
     }
-    if (D->getSlot() > MaxSlot) {
-      bail("frame slot index too large for cell encoding");
-      return 0;
-    }
-    return makeCellOperand(Hops, D->getSlot());
+    uint16_t Idx = static_cast<uint16_t>(Out->WideCells.size());
+    Out->WideCells.push_back({Hops, D->getSlot()});
+    WideIdx.emplace(Key, Idx);
+    return OpWide | Idx;
   }
 
   //===------------------------------------------------------------------===//
@@ -385,8 +400,7 @@ private:
         return {};
       // Rule 2 (file comment): keep the left read ahead of any right-hand
       // code.
-      if (!L.IsReg && (L.Enc & OpModeMask) == OpCell &&
-          emitsCode(BE->getRHS()))
+      if (!L.IsReg && isCellOperand(L.Enc) && emitsCode(BE->getRHS()))
         L = materialize(L, BE->getLoc(), "");
       COperand R = compileExpr(BE->getRHS());
       if (!Ok)
@@ -446,9 +460,9 @@ private:
   }
 
   /// Compiles argument evaluation plus the Call instruction. Value
-  /// arguments are materialized into registers in parameter order (the
-  /// tree walker's evaluation order); reference arguments are resolved by
-  /// the VM at call time, which performs no reads.
+  /// arguments are materialized into registers in parameter order (their
+  /// evaluation order); reference arguments are resolved by the VM at call
+  /// time, which performs no reads.
   COperand compileCall(const RoutineDecl *Callee,
                        const std::vector<ExprPtr> &Args, const Stmt *CallStmt,
                        const Expr *CallExpr, SourceLoc Loc, bool WantResult) {
@@ -543,10 +557,22 @@ private:
     emit(Op::Step, 0, 0, 0, dbg(S->getLoc(), "", false, S));
 
     switch (S->getKind()) {
-    case Stmt::Kind::Compound:
-      for (const StmtPtr &Sub : cast<CompoundStmt>(S)->getBody())
+    case Stmt::Kind::Compound: {
+      // Labeled children are goto landing sites, reachable from anywhere
+      // inside this compound's code (nested compounds close their own).
+      uint32_t Begin = here();
+      size_t First = Labels.size();
+      for (const StmtPtr &Sub : cast<CompoundStmt>(S)->getBody()) {
+        if (const auto *LS = dyn_cast<LabeledStmt>(Sub.get()))
+          Labels.push_back(
+              {LS->getLabel(), here(), Begin, 0, LoopDepth, CtrlDepth, LS});
         compileStmt(Sub.get());
+      }
+      for (size_t K = First; K != Labels.size(); ++K)
+        if (!Labels[K].ScopeEnd)
+          Labels[K].ScopeEnd = here();
       return;
+    }
 
     case Stmt::Kind::Assign:
       compileAssign(cast<AssignStmt>(S));
@@ -558,6 +584,7 @@ private:
       if (!Ok)
         return;
       uint32_t Br = emit(Op::IfBr, Cond.Enc);
+      ++CtrlDepth;
       compileStmt(IS->getThen());
       if (IS->getElse()) {
         uint32_t JmpEnd = emit(Op::Jmp);
@@ -567,6 +594,7 @@ private:
       } else {
         patch(Br, here());
       }
+      --CtrlDepth;
       emit(Op::PopCtrl);
       return;
     }
@@ -589,8 +617,10 @@ private:
     }
 
     case Stmt::Kind::Goto:
+      compileGoto(cast<GotoStmt>(S));
+      return;
     case Stmt::Kind::Labeled:
-      bail("gotos/labels execute on the tree tier");
+      compileStmt(cast<LabeledStmt>(S)->getSub());
       return;
 
     case Stmt::Kind::Read:
@@ -621,9 +651,9 @@ private:
     COperand V = compileExpr(AS->getValue());
     if (!Ok)
       return;
-    // The value is evaluated before the index (tree-walker order); fused
-    // cell values must not let index code run first.
-    if (!V.IsReg && (V.Enc & OpModeMask) == OpCell && emitsCode(IE->getIndex()))
+    // The value is evaluated before the index; fused cell values must not
+    // let index code run first.
+    if (!V.IsReg && isCellOperand(V.Enc) && emitsCode(IE->getIndex()))
       V = materialize(V, AS->getLoc(), "");
     COperand Idx = compileExpr(IE->getIndex());
     if (!Ok)
@@ -639,6 +669,7 @@ private:
     uint32_t LoopIdx = addLoop(LoopInfo::Kind::While, WS, WS->getUnitName(),
                                WS->getLoc());
     emit(Op::LoopEnter, 0, 0, 0, LoopIdx);
+    ++LoopDepth;
     uint32_t Top = here();
     RegTop = 0;
     COperand Cond = compileExpr(WS->getCond());
@@ -646,9 +677,12 @@ private:
       return;
     uint32_t Test = emit(Op::WhileTest, Cond.Enc);
     emit(Op::IterBegin, 0, 0, 0, LoopIdx);
+    ++CtrlDepth;
     compileStmt(WS->getBody());
+    --CtrlDepth;
     emit(Op::IterEnd, 0, 0, 0, Top);
     patch(Test, here());
+    --LoopDepth;
     emit(Op::LoopExit, 0, 0, 0, LoopIdx);
   }
 
@@ -656,16 +690,20 @@ private:
     uint32_t LoopIdx = addLoop(LoopInfo::Kind::Repeat, RS, RS->getUnitName(),
                                RS->getLoc());
     emit(Op::LoopEnter, 0, 0, 0, LoopIdx);
+    ++LoopDepth;
     uint32_t Top = here();
     emit(Op::IterBegin, 0, 0, 0, LoopIdx);
+    ++CtrlDepth;
     for (const StmtPtr &Sub : RS->getBody())
       compileStmt(Sub.get());
+    --CtrlDepth;
     emit(Op::IterEnd, 0, 0, 0, here() + 1); // fall through to the test
     RegTop = 0;
     COperand Cond = compileExpr(RS->getCond());
     if (!Ok)
       return;
     emit(Op::RepeatTest, Cond.Enc, 0, 0, Top);
+    --LoopDepth;
     emit(Op::LoopExit, 0, 0, 0, LoopIdx);
   }
 
@@ -680,12 +718,12 @@ private:
     if (!Ok)
       return;
     emit(Op::LoopEnter, 0, 0, 0, LoopIdx);
+    ++LoopDepth;
     RegTop = 0;
     COperand From = compileExpr(FS->getFrom());
     if (!Ok)
       return;
-    if (!From.IsReg && (From.Enc & OpModeMask) == OpCell &&
-        emitsCode(FS->getTo()))
+    if (!From.IsReg && isCellOperand(From.Enc) && emitsCode(FS->getTo()))
       From = materialize(From, FS->getLoc(), "");
     COperand To = compileExpr(FS->getTo());
     if (!Ok)
@@ -693,9 +731,12 @@ private:
     emit(Op::ForPrep, From.Enc, To.Enc, 0, LoopIdx);
     uint32_t Test = emit(Op::ForTest, 0, 0, 0, 0);
     emit(Op::ForIter, 0, 0, 0, LoopIdx);
+    ++CtrlDepth;
     compileStmt(FS->getBody());
+    --CtrlDepth;
     emit(Op::ForEnd, 0, 0, 0, Test);
     patch(Test, here());
+    --LoopDepth;
     emit(Op::ForExit, 0, 0, 0, LoopIdx);
   }
 
@@ -737,6 +778,22 @@ private:
       emit(Op::WriteNl);
   }
 
+  /// A goto names its label and how many static links up the declaring
+  /// routine's activation sits; the VM finds the landing site at run time.
+  void compileGoto(const GotoStmt *GS) {
+    uint16_t Hops = NoGotoHops;
+    uint16_t H = 0;
+    for (const RoutineDecl *R = Cur; R; R = R->getParent(), ++H)
+      if (R == GS->getTargetRoutine()) {
+        Hops = H;
+        break;
+      }
+    auto Label = static_cast<uint32_t>(GS->getLabel());
+    emit(Op::Goto, Hops, static_cast<uint16_t>(Label & 0xFFFF),
+         static_cast<uint16_t>(Label >> 16),
+         dbg(GS->getLoc(), "", false, GS));
+  }
+
   uint32_t addLoop(LoopInfo::Kind K, const Stmt *S, const std::string &Name,
                    SourceLoc Loc) {
     LoopInfo LI;
@@ -755,24 +812,25 @@ private:
   void compileRoutine(size_t Idx) {
     Cur = RoutineList[Idx];
     Code.clear();
+    Labels.clear();
     RegTop = 0;
     NumRegs = 0;
+    LoopDepth = 0;
+    CtrlDepth = 0;
     // Side tables are emitted contiguously per routine — the segment the
     // incremental recompile splices. The const dedup maps reset so a
     // routine's constants land inside its own run (the cost is duplicate
     // pool entries across routines, bounded by the per-program pool cap).
     ScalarConsts.clear();
     StrConsts.clear();
+    WideIdx.clear();
     RoutineSegment Seg;
     Seg.ConstStart = static_cast<uint32_t>(Out->Consts.size());
+    Seg.WideStart = static_cast<uint32_t>(Out->WideCells.size());
     Seg.SiteStart = static_cast<uint32_t>(Out->Sites.size());
     Seg.ArgStart = static_cast<uint32_t>(Out->ArgPool.size());
     Seg.LoopStart = static_cast<uint32_t>(Out->Loops.size());
     Seg.DebugStart = static_cast<uint32_t>(Out->Debug.size());
-    if (Cur->getNumSlots() > MaxSlot + 1) {
-      bail("routine frame too large for cell encoding");
-      return;
-    }
     if (Cur->getBody())
       compileStmt(Cur->getBody());
     emit(Op::Ret);
@@ -783,8 +841,10 @@ private:
     // routine's segment (operands encode absolute pool indices; replay
     // shifts them per segment).
     optimizeRoutine(Code, NumRegs, Out->Consts, Seg.ConstStart, Out->Sites,
-                    Out->ArgPool, COpts, Out->Opt);
+                    Out->ArgPool, COpts, Out->Opt, &Labels);
     Seg.ConstCount = static_cast<uint32_t>(Out->Consts.size()) - Seg.ConstStart;
+    Seg.WideCount =
+        static_cast<uint32_t>(Out->WideCells.size()) - Seg.WideStart;
     Seg.SiteCount = static_cast<uint32_t>(Out->Sites.size()) - Seg.SiteStart;
     Seg.ArgCount = static_cast<uint32_t>(Out->ArgPool.size()) - Seg.ArgStart;
     Seg.LoopCount = static_cast<uint32_t>(Out->Loops.size()) - Seg.LoopStart;
@@ -793,6 +853,7 @@ private:
     CR.Routine = Cur;
     CR.Code = std::move(Code);
     CR.NumRegs = NumRegs;
+    CR.Labels = std::move(Labels);
     Out->Routines.push_back(std::move(CR));
     Out->Segments.push_back(Seg);
   }
@@ -810,22 +871,31 @@ private:
            Reuse->Replay.size() == O->Routines.size();
   }
 
-  /// Shifts a fused operand's constant-pool index by \p Delta; register and
-  /// cell operands pass through untouched.
-  static bool shiftConstOperand(uint16_t &F, int64_t Delta) {
-    if ((F & OpModeMask) != OpConst)
+  /// How far a replayed routine's pool rows moved: its constant-pool and
+  /// wide-cell indices shift by these deltas.
+  struct PoolShift {
+    int64_t Const = 0;
+    int64_t Wide = 0;
+  };
+
+  /// Shifts a fused operand's constant-pool or wide-cell index; register
+  /// and narrow cell operands pass through untouched.
+  static bool shiftOperand(uint16_t &F, const PoolShift &D) {
+    uint16_t Mode = F & OpModeMask;
+    if (Mode != OpConst && Mode != OpWide)
       return true;
-    int64_t Idx = static_cast<int64_t>(F & ~OpModeMask) + Delta;
+    int64_t Idx = static_cast<int64_t>(F & ~OpModeMask) +
+                  (Mode == OpConst ? D.Const : D.Wide);
     if (Idx < 0 || Idx > MaxRegOrConst)
       return false;
-    F = static_cast<uint16_t>(OpConst | static_cast<uint16_t>(Idx));
+    F = static_cast<uint16_t>(Mode | static_cast<uint16_t>(Idx));
     return true;
   }
 
   /// Rebases one instruction from the old program's side-table layout onto
   /// the new one. Jump targets (Jmp/IfBr/WhileTest/IterEnd/RepeatTest/
   /// ForTest/ForEnd Aux) are routine-local pcs and need no shift.
-  static bool relinkInstr(Instr &In, int64_t ConstD, int64_t SiteD,
+  static bool relinkInstr(Instr &In, const PoolShift &P, int64_t SiteD,
                           int64_t LoopD, int64_t DbgD) {
     auto ShiftAux = [&In](int64_t Delta) {
       In.Aux = static_cast<uint32_t>(static_cast<int64_t>(In.Aux) + Delta);
@@ -834,32 +904,29 @@ private:
     case Op::Step:
     case Op::CallGuard:
     case Op::ReadFetch:
+    case Op::Goto: // A/B/C are hops and the label, not operands
       ShiftAux(DbgD);
       return true;
     case Op::Load:
     case Op::NotB:
     case Op::NegI:
-      return shiftConstOperand(In.B, ConstD);
+      return shiftOperand(In.B, P);
     case Op::LoadChecked:
       ShiftAux(DbgD);
-      return shiftConstOperand(In.B, ConstD);
+      return shiftOperand(In.B, P);
     case Op::Store:
-      return shiftConstOperand(In.A, ConstD) &&
-             shiftConstOperand(In.B, ConstD);
+      return shiftOperand(In.A, P) && shiftOperand(In.B, P);
     case Op::LoadIdx:
       ShiftAux(DbgD);
-      return shiftConstOperand(In.B, ConstD) &&
-             shiftConstOperand(In.C, ConstD);
+      return shiftOperand(In.B, P) && shiftOperand(In.C, P);
     case Op::StoreIdx:
       ShiftAux(DbgD);
-      return shiftConstOperand(In.A, ConstD) &&
-             shiftConstOperand(In.B, ConstD) &&
-             shiftConstOperand(In.C, ConstD);
+      return shiftOperand(In.A, P) && shiftOperand(In.B, P) &&
+             shiftOperand(In.C, P);
     case Op::DivOp:
     case Op::ModOp:
       ShiftAux(DbgD);
-      return shiftConstOperand(In.B, ConstD) &&
-             shiftConstOperand(In.C, ConstD);
+      return shiftOperand(In.B, P) && shiftOperand(In.C, P);
     case Op::Add:
     case Op::Sub:
     case Op::Mul:
@@ -873,14 +940,13 @@ private:
     case Op::Ge:
     case Op::AndB:
     case Op::OrB:
-      return shiftConstOperand(In.B, ConstD) &&
-             shiftConstOperand(In.C, ConstD);
+      return shiftOperand(In.B, P) && shiftOperand(In.C, P);
     case Op::IfBr:
     case Op::WhileTest:
     case Op::RepeatTest:
-      return shiftConstOperand(In.A, ConstD); // Aux = routine-local pc
+      return shiftOperand(In.A, P); // Aux = routine-local pc
     case Op::WriteVal:
-      return shiftConstOperand(In.A, ConstD);
+      return shiftOperand(In.A, P);
     case Op::LoopEnter:
     case Op::IterBegin:
     case Op::ForIter:
@@ -890,8 +956,7 @@ private:
       return true;
     case Op::ForPrep:
       ShiftAux(LoopD);
-      return shiftConstOperand(In.A, ConstD) &&
-             shiftConstOperand(In.B, ConstD);
+      return shiftOperand(In.A, P) && shiftOperand(In.B, P);
     case Op::Call:
       ShiftAux(SiteD);
       return true;
@@ -907,18 +972,15 @@ private:
       return true;
     case Op::CmpBr:    // A = cmp kind, Aux = routine-local pc
     case Op::CmpWhile:
-      return shiftConstOperand(In.B, ConstD) &&
-             shiftConstOperand(In.C, ConstD);
+      return shiftOperand(In.B, P) && shiftOperand(In.C, P);
     case Op::BinStore: // Aux = binop kind
-      return shiftConstOperand(In.A, ConstD) &&
-             shiftConstOperand(In.B, ConstD) &&
-             shiftConstOperand(In.C, ConstD);
+      return shiftOperand(In.A, P) && shiftOperand(In.B, P) &&
+             shiftOperand(In.C, P);
     case Op::StepLoad:
       ShiftAux(DbgD);
-      return shiftConstOperand(In.B, ConstD);
+      return shiftOperand(In.B, P);
     case Op::LoadBin: // Aux = binop kind | operand-side flag
-      return shiftConstOperand(In.B, ConstD) &&
-             shiftConstOperand(In.C, ConstD);
+      return shiftOperand(In.B, P) && shiftOperand(In.C, P);
     }
     return false;
   }
@@ -939,16 +1001,20 @@ private:
 
     RoutineSegment Seg;
     Seg.ConstStart = static_cast<uint32_t>(Out->Consts.size());
+    Seg.WideStart = static_cast<uint32_t>(Out->WideCells.size());
     Seg.SiteStart = static_cast<uint32_t>(Out->Sites.size());
     Seg.ArgStart = static_cast<uint32_t>(Out->ArgPool.size());
     Seg.LoopStart = static_cast<uint32_t>(Out->Loops.size());
     Seg.DebugStart = static_cast<uint32_t>(Out->Debug.size());
     Seg.ConstCount = OS.ConstCount;
+    Seg.WideCount = OS.WideCount;
     Seg.SiteCount = OS.SiteCount;
     Seg.ArgCount = OS.ArgCount;
     Seg.LoopCount = OS.LoopCount;
     Seg.DebugCount = OS.DebugCount;
-    const int64_t ConstD = static_cast<int64_t>(Seg.ConstStart) - OS.ConstStart;
+    const PoolShift Shift{
+        static_cast<int64_t>(Seg.ConstStart) - OS.ConstStart,
+        static_cast<int64_t>(Seg.WideStart) - OS.WideStart};
     const int64_t SiteD = static_cast<int64_t>(Seg.SiteStart) - OS.SiteStart;
     const int64_t ArgD = static_cast<int64_t>(Seg.ArgStart) - OS.ArgStart;
     const int64_t LoopD = static_cast<int64_t>(Seg.LoopStart) - OS.LoopStart;
@@ -961,6 +1027,14 @@ private:
     }
     Out->Consts.insert(Out->Consts.end(), O.Consts.begin() + OS.ConstStart,
                        O.Consts.begin() + OS.ConstStart + OS.ConstCount);
+    if (static_cast<size_t>(Seg.WideStart) + OS.WideCount >
+        static_cast<size_t>(MaxRegOrConst) + 1) {
+      bail("wide cell table overflow");
+      return false;
+    }
+    Out->WideCells.insert(Out->WideCells.end(),
+                          O.WideCells.begin() + OS.WideStart,
+                          O.WideCells.begin() + OS.WideStart + OS.WideCount);
 
     for (uint32_t S = OS.SiteStart; S != OS.SiteStart + OS.SiteCount; ++S) {
       CallSiteInfo NS = O.Sites[S];
@@ -994,13 +1068,15 @@ private:
         if (!AD.Param)
           return false;
       }
+      if (AD.IsRef && !shiftOperand(AD.Operand, Shift))
+        return false;
       Out->ArgPool.push_back(std::move(AD));
     }
 
     for (uint32_t L = OS.LoopStart; L != OS.LoopStart + OS.LoopCount; ++L) {
       LoopInfo LI = O.Loops[L];
       const Stmt *NS = M.stmt(LI.Stmt);
-      if (!NS)
+      if (!NS || !shiftOperand(LI.VarOperand, Shift))
         return false;
       LI.Stmt = NS;
       LI.Loc = NS->getLoc();
@@ -1056,8 +1132,14 @@ private:
     CR.NumRegs = OCR.NumRegs;
     CR.Code = OCR.Code;
     for (Instr &In : CR.Code)
-      if (!relinkInstr(In, ConstD, SiteD, LoopD, DbgD))
+      if (!relinkInstr(In, Shift, SiteD, LoopD, DbgD))
         return false;
+    CR.Labels = OCR.Labels;
+    for (LabelInfo &L : CR.Labels) {
+      L.Stmt = M.stmt(L.Stmt);
+      if (!L.Stmt)
+        return false;
+    }
     Out->Routines.push_back(std::move(CR));
     Out->Segments.push_back(Seg);
     return true;
@@ -1066,24 +1148,9 @@ private:
 
 } // namespace
 
-CompileOptions CompileOptions::fromEnv() {
-  static const CompileOptions Cached = [] {
-    CompileOptions O;
-    if (const char *E = std::getenv("GADT_BC_OPT")) {
-      std::string_view V(E);
-      if (V == "0" || V == "off") {
-        O.Optimize = false;
-        O.Fuse = false;
-      }
-    }
-    return O;
-  }();
-  return Cached;
-}
-
 std::shared_ptr<const CompiledProgram>
 bytecode::compile(const Program &P, bool Checked, std::string *WhyNot) {
-  return Compiler(P, Checked, CompileOptions::fromEnv()).run(WhyNot);
+  return Compiler(P, Checked, CompileOptions()).run(WhyNot);
 }
 
 std::shared_ptr<const CompiledProgram>
@@ -1096,7 +1163,7 @@ std::shared_ptr<const CompiledProgram>
 bytecode::compileWithReuse(const Program &P, bool Checked,
                            const CodeReusePlan &Reuse, CodeRebuildStats *Stats,
                            std::string *WhyNot) {
-  const CompileOptions Opts = CompileOptions::fromEnv();
+  const CompileOptions Opts;
   Compiler C(P, Checked, Opts, &Reuse);
   auto CP = C.run(WhyNot);
   if (!CP && C.replayFailed()) {

@@ -16,7 +16,7 @@ using namespace gadt::interp;
 namespace {
 
 bool isReg(uint16_t O) { return (O & OpModeMask) == OpReg; }
-bool isCell(uint16_t O) { return (O & OpModeMask) == OpCell; }
+bool isCell(uint16_t O) { return isCellOperand(O); }
 bool isConst(uint16_t O) { return (O & OpModeMask) == OpConst; }
 
 /// Bool-producing comparisons/logic ops — the fusible branch feeders.
@@ -66,10 +66,17 @@ struct OptScratch {
   std::vector<uint32_t> NewPC;                      ///< compaction remap
 };
 
-/// Marks every instruction index that is the target of a branch (into
-/// \p T, resized to fit). One extra slot for end-of-code targets.
-void branchTargets(const std::vector<Instr> &Code, std::vector<char> &T) {
+/// Marks every instruction index that is the target of a branch or a goto
+/// landing site (into \p T, resized to fit). One extra slot for
+/// end-of-code targets.
+void branchTargets(const std::vector<Instr> &Code,
+                   const std::vector<LabelInfo> *Labels,
+                   std::vector<char> &T) {
   T.assign(Code.size() + 1, 0);
+  if (Labels)
+    for (const LabelInfo &L : *Labels)
+      if (L.Target < T.size())
+        T[L.Target] = 1;
   for (const Instr &I : Code) {
     switch (I.Code) {
     case Op::Jmp:
@@ -91,9 +98,9 @@ void branchTargets(const std::vector<Instr> &Code, std::vector<char> &T) {
 }
 
 /// Allocating convenience form for one-shot callers (staticPairFrequencies).
-std::vector<char> branchTargets(const std::vector<Instr> &Code) {
+std::vector<char> branchTargets(const CompiledRoutine &CR) {
   std::vector<char> T;
-  branchTargets(Code, T);
+  branchTargets(CR.Code, &CR.Labels, T);
   return T;
 }
 
@@ -423,6 +430,7 @@ uint32_t elideRedundantChecked(std::vector<Instr> &Code, OptScratch &S) {
     case Op::LoopExit:
     case Op::ForExit:
     case Op::Jmp:
+    case Op::Goto:
       Avail.clear();
       break;
     // Plain register writers invalidate the cached copy only.
@@ -728,8 +736,10 @@ uint32_t elideOverwrittenWrites(std::vector<Instr> &Code, uint32_t NumRegs,
 // Superinstruction fusion
 //===----------------------------------------------------------------------===//
 
-uint32_t fuseSuperinstructions(std::vector<Instr> &Code, OptScratch &S) {
-  branchTargets(Code, S.Targets);
+uint32_t fuseSuperinstructions(std::vector<Instr> &Code,
+                               const std::vector<LabelInfo> *Labels,
+                               OptScratch &S) {
+  branchTargets(Code, Labels, S.Targets);
   const std::vector<char> &Targets = S.Targets;
   uint32_t Fused = 0;
   for (size_t PC = 0; PC + 1 < Code.size(); ++PC) {
@@ -807,9 +817,11 @@ uint32_t fuseSuperinstructions(std::vector<Instr> &Code, OptScratch &S) {
 // Compaction
 //===----------------------------------------------------------------------===//
 
-/// Strips Nop placeholders and remaps branch targets. A target pointing at
-/// a stripped slot lands on the next surviving instruction.
-void compact(std::vector<Instr> &Code, OptScratch &S) {
+/// Strips Nop placeholders and remaps branch targets and goto landing
+/// sites. A target pointing at a stripped slot lands on the next surviving
+/// instruction.
+void compact(std::vector<Instr> &Code, std::vector<LabelInfo> *Labels,
+             OptScratch &S) {
   S.NewPC.resize(Code.size() + 1);
   std::vector<uint32_t> &NewPC = S.NewPC;
   uint32_t N = 0;
@@ -844,6 +856,12 @@ void compact(std::vector<Instr> &Code, OptScratch &S) {
     Code[W++] = In;
   }
   Code.resize(W);
+  if (Labels)
+    for (LabelInfo &L : *Labels) {
+      L.Target = NewPC[L.Target];
+      L.ScopeBegin = NewPC[L.ScopeBegin];
+      L.ScopeEnd = NewPC[L.ScopeEnd];
+    }
 }
 
 } // namespace
@@ -852,7 +870,8 @@ void bytecode::optimizeRoutine(std::vector<Instr> &Code, uint32_t NumRegs,
                                std::vector<Value> &Consts, size_t ConstBase,
                                const std::vector<CallSiteInfo> &Sites,
                                const std::vector<ArgDesc> &ArgPool,
-                               const CompileOptions &Opts, OptStats &Stats) {
+                               const CompileOptions &Opts, OptStats &Stats,
+                               std::vector<LabelInfo> *Labels) {
   // One scratch per compiling thread: routine bodies are often tiny, and
   // re-allocating the pass buffers per routine would dominate the passes.
   static thread_local OptScratch S;
@@ -860,7 +879,7 @@ void bytecode::optimizeRoutine(std::vector<Instr> &Code, uint32_t NumRegs,
     // One branch-target map serves folding and checked-load elision: both
     // only rewrite instructions in place (Nops included), so instruction
     // numbering stays valid until the compaction below.
-    branchTargets(Code, S.Targets);
+    branchTargets(Code, Labels, S.Targets);
     Stats.Folded += foldConstants(Code, NumRegs, Consts, ConstBase, S);
     uint32_t Chk = elideRedundantChecked(Code, S);
     // Overwritten-before-read first: each elision it makes can turn a
@@ -873,13 +892,13 @@ void bytecode::optimizeRoutine(std::vector<Instr> &Code, uint32_t NumRegs,
     // Folding rewrites in place and never leaves a Nop behind — only the
     // elision passes do, so a routine they left untouched needs no sweep.
     if (Chk + Over + Dead)
-      compact(Code, S);
+      compact(Code, Labels, S);
   }
   if (Opts.Fuse) {
-    uint32_t Fused = fuseSuperinstructions(Code, S);
+    uint32_t Fused = fuseSuperinstructions(Code, Labels, S);
     Stats.Fused += Fused;
     if (Fused)
-      compact(Code, S);
+      compact(Code, Labels, S);
   }
 }
 
@@ -887,7 +906,7 @@ std::vector<std::pair<std::pair<Op, Op>, uint32_t>>
 bytecode::staticPairFrequencies(const CompiledProgram &CP) {
   std::unordered_map<uint32_t, uint32_t> Counts;
   for (const CompiledRoutine &CR : CP.Routines) {
-    std::vector<char> Targets = branchTargets(CR.Code);
+    std::vector<char> Targets = branchTargets(CR);
     for (size_t I = 0; I + 1 < CR.Code.size(); ++I) {
       if (Targets[I + 1])
         continue;

@@ -11,7 +11,7 @@
 /// register/constant data flow are touched — anything that observes a
 /// frame cell (observeRead/observeWrite), raises a unit event, counts a
 /// step or can fail at runtime is a barrier the passes refuse to cross or
-/// remove. See DESIGN.md "Execution tiers" for the argument.
+/// remove. See DESIGN.md "Execution engine" for the argument.
 ///
 /// Pipeline (each stage gated by CompileOptions):
 ///  1. Constant folding — a block-local propagation lattice over registers
@@ -30,7 +30,8 @@
 ///     opcode when the second instruction is not a branch target and the
 ///     linking register is a statement-local temporary.
 /// A compaction step strips the Nop placeholders and remaps branch
-/// targets.
+/// targets. Goto landing sites (LabelInfo) count as branch targets and are
+/// remapped with them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,13 +49,15 @@ namespace bytecode {
 /// Runs the middle-end over one routine's freshly compiled code. Folded
 /// constants are appended to \p Consts and stay inside the routine's open
 /// segment (the caller records the segment count afterwards); \p Sites /
-/// \p ArgPool are read for register liveness at call sites. Accumulates
-/// into \p Stats.
+/// \p ArgPool are read for register liveness at call sites; \p Labels
+/// (optional) are the routine's goto landing sites, whose pcs are kept in
+/// step with the code. Accumulates into \p Stats.
 void optimizeRoutine(std::vector<Instr> &Code, uint32_t NumRegs,
                      std::vector<interp::Value> &Consts, size_t ConstBase,
                      const std::vector<CallSiteInfo> &Sites,
                      const std::vector<ArgDesc> &ArgPool,
-                     const CompileOptions &Opts, OptStats &Stats);
+                     const CompileOptions &Opts, OptStats &Stats,
+                     std::vector<LabelInfo> *Labels = nullptr);
 
 /// Static (first, second) opcode adjacency frequencies over a compiled
 /// program, most frequent first. Pairs whose second instruction is a

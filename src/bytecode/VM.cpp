@@ -1,26 +1,22 @@
 //===- VM.cpp - Bytecode dispatch loop ------------------------------------===//
 //
-// Executes bytecode::CompiledProgram over interp::ExecState. Every handler
-// is a transliteration of the corresponding tree-walker step (see
-// interp/Interpreter.cpp) — reads, writes, dependence merges and unit
-// events happen in the same order, which keeps transcripts byte-identical.
+// Executes bytecode::CompiledProgram over interp::ExecState. Handlers call
+// into the shared substrate for every observable effect — reads, writes,
+// dependence merges and unit events happen in source evaluation order.
 //
 // On a runtime failure the VM unwinds its frame stack top-down, raising the
-// same iteration/loop/call exit events the recursive walker's early returns
-// produce (the walker still runs every exitLoopUnit/finishCallUnit on its
-// way out).
+// iteration, loop and call exit events of everything the failure abandons.
+// A goto unwinds the same way down to the activation declaring its label,
+// except that the units it leaves finish normally, and then lands on the
+// label (Goto handler, takeGoto below).
 //
 //===----------------------------------------------------------------------===//
 
 #include "bytecode/VM.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <string_view>
-
-// Computed-goto threaded dispatch needs the GNU address-of-label extension
-// (`&&label` + `goto *p`); GCC and Clang both provide it. Elsewhere the
-// switch dispatcher is the only backend and Threaded mode degrades to it.
+// Threaded dispatch needs the GNU address-of-label extension (`&&label` +
+// `goto *p`); GCC and Clang both provide it. Elsewhere the switch loop is
+// the dispatcher.
 #if defined(__GNUC__) || defined(__clang__)
 #define GADT_COMPUTED_GOTO 1
 #endif
@@ -43,7 +39,7 @@ struct LoopState {
   int64_t I = 0;
   int64_t Limit = 0;
   /// Ctrl-stack depths to restore when unwinding out of an iteration /
-  /// out of the loop (mirrors where the tree walker's popCtrl calls sit).
+  /// out of the loop (where the loop's own pops would have left them).
   uint32_t CtrlIterDepth = 0;
   uint32_t CtrlLoopDepth = 0;
 };
@@ -67,9 +63,9 @@ struct VMFrame {
 namespace gadt {
 namespace bytecode {
 
-/// Stacks reused across runs (capacity stays warm, mirroring the pooled
-/// cell arena). Frames/activations are indexed, never popped, so their
-/// vectors keep their capacity and the activation pointers stay stable.
+/// Stacks reused across runs (capacity stays warm, like the pooled cell
+/// arena). Frames/activations are indexed, never popped, so their vectors
+/// keep their capacity and the activation pointers stay stable.
 struct VMState {
   std::vector<Value> Regs;
   std::vector<VMFrame> Frames;
@@ -77,17 +73,29 @@ struct VMState {
   std::vector<std::unique_ptr<Activation>> ActPool;
   std::vector<LoopState> Loops;
   std::vector<CellRef> RefScratch;
+  /// call(): the main program and the callee's lexical ancestors. They are
+  /// static-chain targets only, never VM frames.
+  std::vector<std::unique_ptr<Activation>> ChainPool;
+  /// Set while call() runs: frame 0 is the routine under test.
+  bool RoutineEntry = false;
+  /// call(): a goto targeted a ChainPool activation and left the routine
+  /// under test; the loc is the goto's.
+  bool Escaped = false;
+  SourceLoc EscapeLoc;
 
   VMFrame &frameAt(size_t I) {
     if (Frames.size() <= I)
       Frames.resize(I + 1);
     return Frames[I];
   }
-  Activation &actAt(size_t I) {
-    while (ActPool.size() <= I)
-      ActPool.push_back(std::make_unique<Activation>());
-    return *ActPool[I];
+  static Activation &at(std::vector<std::unique_ptr<Activation>> &Pool,
+                        size_t I) {
+    while (Pool.size() <= I)
+      Pool.push_back(std::make_unique<Activation>());
+    return *Pool[I];
   }
+  Activation &actAt(size_t I) { return at(ActPool, I); }
+  Activation &chainAt(size_t I) { return at(ChainPool, I); }
 };
 
 VMState *createVMState() { return new VMState(); }
@@ -98,12 +106,20 @@ void destroyVMState(VMState *VS) { delete VS; }
 
 namespace {
 
-/// Resolves a cell operand against \p A's static chain. Does not observe.
-/// Failures here mirror the tree walker's getCell "internal:" error — they
-/// cannot occur for analyzed programs.
-CellRef resolveCell(ExecState &S, Activation *A, uint16_t Operand) {
-  unsigned Hops = (Operand >> CellHopsShift) & MaxCellHops;
-  unsigned Slot = Operand & CellSlotMask;
+/// Resolves a cell operand (narrow or wide) against \p A's static chain.
+/// Does not observe. The "internal:" failure cannot occur for analyzed
+/// programs.
+CellRef resolveCell(ExecState &S, const CompiledProgram &CP, Activation *A,
+                    uint16_t Operand) {
+  unsigned Hops, Slot;
+  if ((Operand & OpModeMask) == OpCell) [[likely]] {
+    Hops = (Operand >> CellHopsShift) & MaxCellHops;
+    Slot = Operand & CellSlotMask;
+  } else {
+    const WideCell &W = CP.WideCells[Operand & ~OpModeMask];
+    Hops = W.Hops;
+    Slot = W.Slot;
+  }
   Activation *Cur = A;
   for (; Hops && Cur; --Hops)
     Cur = Cur->StaticLink;
@@ -121,8 +137,8 @@ CellRef resolveCell(ExecState &S, Activation *A, uint16_t Operand) {
 }
 
 /// Fetches a source operand: a register, a constant, or a frame cell (the
-/// cell path performs the observeRead the tree walker's VarRef evaluation
-/// would). Returns null after a resolution failure.
+/// cell path performs the observeRead of reading the variable). Returns
+/// null after a resolution failure.
 const Value *fetchSrc(ExecState &S, const CompiledProgram &CP,
                       Activation *Act, Value *Regs, uint16_t Operand) {
   switch (Operand & OpModeMask) {
@@ -131,7 +147,7 @@ const Value *fetchSrc(ExecState &S, const CompiledProgram &CP,
   case OpConst:
     return &CP.Consts[Operand & ~OpModeMask];
   default: {
-    CellRef H = resolveCell(S, Act, Operand);
+    CellRef H = resolveCell(S, CP, Act, Operand);
     if (H == NoCell)
       return nullptr;
     S.observeRead(H);
@@ -140,11 +156,11 @@ const Value *fetchSrc(ExecState &S, const CompiledProgram &CP,
   }
 }
 
-/// Raises the exit events a failure abandons in the current frame:
-/// innermost loops first, iteration before loop, with the control stack
-/// truncated to where each tree-walker popCtrl would have left it.
-void unwindLoops(ExecState &S, VMState &VS, VMFrame &F) {
-  while (VS.Loops.size() > F.LoopBase) {
+/// Exits the loops of frame \p F above loop-stack height \p Floor:
+/// innermost first, iteration before loop, with the control stack
+/// truncated to where each loop's own pops would have left it.
+void unwindLoops(ExecState &S, VMState &VS, VMFrame &F, size_t Floor) {
+  while (VS.Loops.size() > Floor) {
     LoopState &LS = VS.Loops.back();
     Activation &A = *F.Act;
     if (S.Opts.TrackDeps && A.CtrlStack.size() > LS.CtrlIterDepth)
@@ -157,22 +173,92 @@ void unwindLoops(ExecState &S, VMState &VS, VMFrame &F) {
   }
 }
 
-/// Unwind after a failure: finish abandoned loops and calls exactly as the
-/// recursive walker's early returns would, innermost first. Leaves Depth at
-/// 1 — run() closes the root unit.
-void unwindAll(ExecState &S, VMState &VS, VMFrame *F) {
-  for (;;) {
-    unwindLoops(S, VS, *F);
-    if (VS.Depth == 1)
-      return;
-    --S.CallDepth;
-    Value Result;
-    S.finishCallUnit(*F->Act, F->Callee, std::move(F->EntryInputs), F->NodeId,
-                     F->CallerAct, nullptr, &Result);
-    S.freeActivationCells(*F->Act);
-    --VS.Depth;
-    F = &VS.Frames[VS.Depth - 1];
+/// Leaves the top call frame (Depth > 1): exits its loops, closes its unit
+/// and frees its cells. The call's result is discarded.
+void popFrame(ExecState &S, VMState &VS) {
+  VMFrame &F = VS.Frames[VS.Depth - 1];
+  unwindLoops(S, VS, F, F.LoopBase);
+  --S.CallDepth;
+  Value Result;
+  S.finishCallUnit(*F.Act, F.Callee, std::move(F.EntryInputs), F.NodeId,
+                   F.CallerAct, nullptr, &Result);
+  S.freeActivationCells(*F.Act);
+  --VS.Depth;
+}
+
+/// Unwind after a failure: finish abandoned loops and calls innermost
+/// first. Leaves Depth at 1 with frame 0's loops exited — the entry point
+/// closes frame 0's unit.
+void unwindAll(ExecState &S, VMState &VS) {
+  while (VS.Depth > 1)
+    popFrame(S, VS);
+  unwindLoops(S, VS, VS.Frames[0], 0);
+}
+
+/// The landing site of \p Label for a goto taken while its target frame
+/// is at \p At: the label of the innermost compound enclosing \p At.
+const LabelInfo *findLanding(const CompiledRoutine &CR, int Label,
+                             uint32_t At) {
+  const LabelInfo *Best = nullptr;
+  for (const LabelInfo &L : CR.Labels)
+    if (L.Label == Label && L.ScopeBegin <= At && At < L.ScopeEnd &&
+        (!Best || L.ScopeBegin > Best->ScopeBegin))
+      Best = &L;
+  return Best;
+}
+
+/// Executes goto \p I from the top frame, whose PC is already saved past
+/// the goto. Unwinds to the frame of the activation declaring the label —
+/// the units it leaves finish normally — exits the loops the label lies
+/// outside of and lands on the label, counting the landing as a step. A
+/// goto that cannot land (its label does not enclose the target frame's
+/// position) is a runtime error. Returns false when the target is not a
+/// VM frame (call(): the goto escapes the routine under test).
+bool takeGoto(ExecState &S, const CompiledProgram &CP, VMState &VS,
+              const Instr &I) {
+  const SourceLoc &Loc = CP.Debug[I.Aux].Loc;
+  const int Label = gotoLabel(I);
+  Activation *Target =
+      I.A == NoGotoHops ? nullptr : VS.Frames[VS.Depth - 1].Act;
+  for (unsigned Hops = I.A; Target && Hops; --Hops)
+    Target = Target->StaticLink;
+  if (!Target) {
+    S.fail(Loc, "internal: no activation declares label " +
+                    std::to_string(Label));
+    return true;
   }
+  size_t T = VS.Depth;
+  while (T > 0 && VS.Frames[T - 1].Act != Target)
+    --T;
+  while (VS.Depth > std::max<size_t>(T, 1)) {
+    popFrame(S, VS);
+    if (S.Failed)
+      return true; // a strict-mode result check failed on the way out
+  }
+  VMFrame &F = VS.Frames[VS.Depth - 1];
+  if (T == 0) {
+    unwindLoops(S, VS, F, F.LoopBase);
+    VS.Escaped = true;
+    VS.EscapeLoc = Loc;
+    return false;
+  }
+  const LabelInfo *L =
+      findLanding(CP.Routines[F.RoutineIdx], Label, F.PC - 1);
+  if (!L) {
+    S.fail(Loc, VS.Depth == 1 && !VS.RoutineEntry
+                    ? "goto " + std::to_string(Label) +
+                          " escaped the main program"
+                    : "goto " + std::to_string(Label) +
+                          " jumps into a structured statement (not "
+                          "supported)");
+    return true;
+  }
+  unwindLoops(S, VS, F, F.LoopBase + L->LoopDepth);
+  if (S.Opts.TrackDeps && F.Act->CtrlStack.size() > L->CtrlDepth)
+    F.Act->CtrlStack.resize(L->CtrlDepth);
+  if (S.countStep(L->Stmt->getLoc()))
+    F.PC = L->Target;
+  return true;
 }
 
 /// Evaluates a fused comparison kind (the A field of CmpBr/CmpWhile).
@@ -236,43 +322,6 @@ constexpr bool opsMatch() {
 }
 static_assert(opsMatch(), "GADT_BC_OPS is out of sync with enum Op");
 
-template <bool TrackDeps>
-void dispatchSwitch(ExecState &S, const CompiledProgram &CP, VMState &VS) {
-  VMFrame *F = &VS.Frames[VS.Depth - 1];
-  const Instr *Code = CP.Routines[F->RoutineIdx].Code.data();
-  uint32_t PC = F->PC;
-  Value *Regs = VS.Regs.data() + F->RegBase;
-  Activation *Act = F->Act;
-
-  auto reload = [&] {
-    F = &VS.Frames[VS.Depth - 1];
-    Code = CP.Routines[F->RoutineIdx].Code.data();
-    PC = F->PC;
-    Regs = VS.Regs.data() + F->RegBase;
-    Act = F->Act;
-  };
-
-  for (;;) {
-    if (S.Failed) [[unlikely]] {
-      unwindAll(S, VS, F);
-      return;
-    }
-
-    const Instr &I = Code[PC++];
-    switch (I.Code) {
-// clang-format off
-#define GADT_OP(name) case Op::name: {
-#define GADT_OP_END } break;
-#define GADT_NEXT break
-// clang-format on
-#include "bytecode/VMOps.inc"
-#undef GADT_OP
-#undef GADT_OP_END
-#undef GADT_NEXT
-    }
-  }
-}
-
 #ifdef GADT_COMPUTED_GOTO
 
 /// Threaded dispatch: every handler ends by fetching the next instruction
@@ -281,7 +330,7 @@ void dispatchSwitch(ExecState &S, const CompiledProgram &CP, VMState &VS) {
 /// (correlated with the instruction stream) instead of the single shared
 /// jump a switch loop funnels everything through.
 template <bool TrackDeps>
-void dispatchThreaded(ExecState &S, const CompiledProgram &CP, VMState &VS) {
+void dispatch(ExecState &S, const CompiledProgram &CP, VMState &VS) {
   VMFrame *F = &VS.Frames[VS.Depth - 1];
   const Instr *Code = CP.Routines[F->RoutineIdx].Code.data();
   uint32_t PC = F->PC;
@@ -327,89 +376,88 @@ void dispatchThreaded(ExecState &S, const CompiledProgram &CP, VMState &VS) {
 #undef GADT_DISPATCH
 
 GadtFail:
-  unwindAll(S, VS, F);
+  unwindAll(S, VS);
+}
+
+#else // !GADT_COMPUTED_GOTO
+
+template <bool TrackDeps>
+void dispatch(ExecState &S, const CompiledProgram &CP, VMState &VS) {
+  VMFrame *F = &VS.Frames[VS.Depth - 1];
+  const Instr *Code = CP.Routines[F->RoutineIdx].Code.data();
+  uint32_t PC = F->PC;
+  Value *Regs = VS.Regs.data() + F->RegBase;
+  Activation *Act = F->Act;
+
+  auto reload = [&] {
+    F = &VS.Frames[VS.Depth - 1];
+    Code = CP.Routines[F->RoutineIdx].Code.data();
+    PC = F->PC;
+    Regs = VS.Regs.data() + F->RegBase;
+    Act = F->Act;
+  };
+
+  for (;;) {
+    if (S.Failed) [[unlikely]] {
+      unwindAll(S, VS);
+      return;
+    }
+
+    const Instr &I = Code[PC++];
+    switch (I.Code) {
+// clang-format off
+#define GADT_OP(name) case Op::name: {
+#define GADT_OP_END } break;
+#define GADT_NEXT break
+// clang-format on
+#include "bytecode/VMOps.inc"
+#undef GADT_OP
+#undef GADT_OP_END
+#undef GADT_NEXT
+    }
+  }
 }
 
 #endif // GADT_COMPUTED_GOTO
 
-std::atomic<DispatchMode> GDispatchMode{DispatchMode::Auto};
-
-DispatchMode envDispatchMode() {
-  static const DispatchMode M = [] {
-    if (const char *E = std::getenv("GADT_BC_DISPATCH")) {
-      std::string_view V(E);
-      if (V == "switch")
-        return DispatchMode::Switch;
-      if (V == "threaded")
-        return DispatchMode::Threaded;
-    }
-#ifdef GADT_COMPUTED_GOTO
-    return DispatchMode::Threaded;
-#else
-    return DispatchMode::Switch;
-#endif
-  }();
-  return M;
+/// Points frame 0 at routine \p Idx and runs the dispatch loop until frame
+/// 0 returns, fails, or a goto escapes it.
+void runFrame0(ExecState &S, const CompiledProgram &CP, VMState &VS,
+               uint32_t Idx, Activation &Act, uint32_t NodeId) {
+  VMFrame &F = VS.frameAt(0);
+  F.RoutineIdx = Idx;
+  F.PC = 0;
+  F.RegBase = 0;
+  F.Dest = NoDest;
+  F.Act = &Act;
+  F.CallerAct = nullptr;
+  F.LoopBase = 0;
+  F.Callee = CP.Routines[Idx].Routine;
+  F.NodeId = NodeId;
+  F.EntryInputs.clear();
+  if (VS.Regs.size() < CP.Routines[Idx].NumRegs)
+    VS.Regs.resize(CP.Routines[Idx].NumRegs);
+  if (S.Opts.TrackDeps)
+    dispatch<true>(S, CP, VS);
+  else
+    dispatch<false>(S, CP, VS);
 }
 
 } // namespace
-
-void bytecode::setDispatchMode(DispatchMode M) {
-  GDispatchMode.store(M, std::memory_order_relaxed);
-}
-
-DispatchMode bytecode::dispatchMode() {
-  DispatchMode M = GDispatchMode.load(std::memory_order_relaxed);
-  if (M == DispatchMode::Auto)
-    M = envDispatchMode();
-#ifndef GADT_COMPUTED_GOTO
-  M = DispatchMode::Switch;
-#endif
-  return M;
-}
 
 ExecResult bytecode::run(ExecState &S, const CompiledProgram &CP,
                          VMState &VS) {
   S.reset();
   VS.Depth = 1;
   VS.Loops.clear();
+  VS.RoutineEntry = false;
+  VS.Escaped = false;
   ExecResult Res;
 
   Activation &Main = VS.actAt(0);
   S.setUpMainActivation(Main);
   uint32_t RootId = S.enterRoot(Main);
-
-  VMFrame &MF = VS.frameAt(0);
-  MF.RoutineIdx = 0;
-  MF.PC = 0;
-  MF.RegBase = 0;
-  MF.Dest = NoDest;
-  MF.Act = &Main;
-  MF.CallerAct = nullptr;
-  MF.LoopBase = 0;
-  MF.Callee = CP.Routines[0].Routine;
-  MF.NodeId = RootId;
-  MF.EntryInputs.clear();
-  if (VS.Regs.size() < CP.Routines[0].NumRegs)
-    VS.Regs.resize(CP.Routines[0].NumRegs);
-
-#ifdef GADT_COMPUTED_GOTO
-  if (dispatchMode() == DispatchMode::Threaded) {
-    if (S.Opts.TrackDeps)
-      dispatchThreaded<true>(S, CP, VS);
-    else
-      dispatchThreaded<false>(S, CP, VS);
-  } else if (S.Opts.TrackDeps) {
-    dispatchSwitch<true>(S, CP, VS);
-  } else {
-    dispatchSwitch<false>(S, CP, VS);
-  }
-#else
-  if (S.Opts.TrackDeps)
-    dispatchSwitch<true>(S, CP, VS);
-  else
-    dispatchSwitch<false>(S, CP, VS);
-#endif
+  runFrame0(S, CP, VS, 0, Main, RootId);
 
   S.exitRoot(RootId, Main, Res);
   Res.Ok = !S.Failed;
@@ -419,4 +467,122 @@ ExecResult bytecode::run(ExecState &S, const CompiledProgram &CP,
   Res.UnitsExecuted = S.NodeCounter;
   S.flushPoolStats();
   return Res;
+}
+
+CallOutcome bytecode::call(ExecState &S, const CompiledProgram &CP,
+                           VMState &VS, const pascal::RoutineDecl *Callee,
+                           std::vector<Value> Args,
+                           const std::vector<Binding> &Presets) {
+  S.reset();
+  VS.Depth = 1;
+  VS.Loops.clear();
+  VS.RoutineEntry = true;
+  VS.Escaped = false;
+  CallOutcome Out;
+  uint32_t Idx = 0;
+  while (Idx != CP.Routines.size() && CP.Routines[Idx].Routine != Callee)
+    ++Idx;
+  if (Idx == CP.Routines.size()) {
+    Out.Error = {SourceLoc(), "no compiled code for routine '" +
+                                  Callee->getName() + "'"};
+    return Out;
+  }
+
+  // Frames for the static chain from main down to the callee's parent,
+  // default-initialized, so test cases can invoke nested routines directly.
+  Activation &Main = VS.chainAt(0);
+  S.setUpMainActivation(Main);
+  std::vector<const pascal::RoutineDecl *> Path;
+  for (const pascal::RoutineDecl *R = Callee->getParent();
+       R && R != S.Prog.getMain(); R = R->getParent())
+    Path.push_back(R);
+  Activation *Link = &Main;
+  for (size_t K = 0; K != Path.size(); ++K) {
+    const pascal::RoutineDecl *R = Path[Path.size() - 1 - K];
+    Activation &A = VS.chainAt(K + 1);
+    A.R = R;
+    A.StaticLink = Link;
+    A.Watermark = S.CellSerial + 1;
+    A.Slots.assign(R->getNumSlots(), NoCell);
+    A.CtrlStack.clear();
+    for (const auto &L : R->getLocals())
+      A.Slots[L->getSlot()] =
+          S.newCell(L.get(), S.initialValue(L->getType()));
+    for (const auto &P : R->getParams())
+      A.Slots[P->getSlot()] = S.newCell(P.get(), defaultValue(P->getType()));
+    Link = &A;
+  }
+
+  // Global presets by name, innermost scope first.
+  for (const Binding &Preset : Presets) {
+    bool Applied = false;
+    for (Activation *Cur = Link; Cur && !Applied; Cur = Cur->StaticLink) {
+      const auto &Decls = Cur->R->getSlotDecls();
+      for (size_t I = 0, N = Decls.size(); I != N && !Applied; ++I)
+        if (Cur->Slots[I] != NoCell && Decls[I]->getName() == Preset.Name) {
+          S.Arena[Cur->Slots[I]].V = Preset.V;
+          Applied = true;
+        }
+    }
+  }
+
+  uint64_t Watermark = S.CellSerial + 1;
+  Activation &Act = VS.actAt(0);
+  Act.R = Callee;
+  Act.StaticLink = Link;
+  Act.Watermark = Watermark;
+  Act.Slots.assign(Callee->getNumSlots(), NoCell);
+  Act.CtrlStack.clear();
+  std::vector<Binding> EntryInputs;
+  const auto &Params = Callee->getParams();
+  for (size_t I = 0, N = Params.size(); I != N; ++I) {
+    const pascal::VarDecl *Param = Params[I].get();
+    Value V = Args[I].isUnset() ? defaultValue(Param->getType())
+                                : std::move(Args[I]);
+    if (S.Listener && !Param->isReference())
+      EntryInputs.push_back({Param->getName(), V});
+    Act.Slots[Param->getSlot()] = S.newCell(Param, std::move(V));
+  }
+  for (const auto &L : Callee->getLocals())
+    Act.Slots[L->getSlot()] =
+        S.newCell(L.get(), S.initialValue(L->getType()));
+  if (Callee->isFunction()) {
+    const pascal::VarDecl *RV = Callee->getResultVar();
+    Act.Slots[RV->getSlot()] =
+        S.newCell(RV, S.initialValue(Callee->getReturnType()));
+  }
+
+  uint32_t NodeId = S.beginCallUnit(Act, Callee, nullptr, nullptr,
+                                    Callee->getLoc(), Watermark);
+  ++S.CallDepth;
+  runFrame0(S, CP, VS, Idx, Act, NodeId);
+  --S.CallDepth;
+
+  std::vector<Binding> Outputs;
+  Value Result;
+  S.finishCallUnit(Act, Callee, std::move(EntryInputs), NodeId, nullptr,
+                   &Outputs, &Result);
+  if (VS.Escaped)
+    S.fail(VS.EscapeLoc, "non-local goto escaped the routine under test");
+
+  Out.Ok = !S.Failed;
+  Out.Error = S.Error;
+  Out.Output = S.Output;
+  // The trace-shaped outputs (written params, global effects, result),
+  // augmented with unwritten var parameters so checkers see the full
+  // post-state.
+  Out.Outputs = std::move(Outputs);
+  for (const auto &Param : Params) {
+    if (!Param->isReference())
+      continue;
+    bool Present = false;
+    for (const Binding &B : Out.Outputs)
+      if (B.Name == Param->getName())
+        Present = true;
+    if (!Present)
+      Out.Outputs.push_back(
+          {Param->getName(), S.Arena[Act.Slots[Param->getSlot()]].V});
+  }
+  S.flushPoolStats();
+  return Out;
 }

@@ -6,8 +6,13 @@
 ///
 /// \file
 /// The register VM executing bytecode::CompiledProgram over the shared
-/// interp::ExecState substrate. Internal to the interpreter — the public
-/// surface is InterpOptions::Tier.
+/// interp::ExecState substrate — the interpreter's only executor. Internal
+/// to interp::Interpreter, whose public surface (run, callRoutine,
+/// InterpOptions::Code) is the way in.
+///
+/// The dispatch loop is chosen at build time: threaded (computed-goto
+/// label tables) where the compiler supports `&&label`, a switch loop
+/// otherwise.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,32 +27,27 @@ namespace bytecode {
 
 /// Reusable VM stacks (register file, frame stack, activation pool). Owned
 /// by the Interpreter and carried across runs so repeated executions reuse
-/// warmed allocations, mirroring the tree walker's pooled cells.
+/// warmed allocations, like the pooled cells.
 struct VMState;
 
 VMState *createVMState();
 void destroyVMState(VMState *);
 
-/// How the VM's inner loop is driven. Threaded uses computed-goto label
-/// tables (GCC/Clang `&&label`); on compilers without the extension it
-/// degrades to Switch. Auto defers to the GADT_BC_DISPATCH environment
-/// variable ("switch" / "threaded") and defaults to Threaded where
-/// supported.
-enum class DispatchMode : uint8_t { Auto, Switch, Threaded };
-
-/// Process-wide dispatch-mode override; Auto (the initial value) restores
-/// env-driven selection. Thread-safe; takes effect at the next run().
-void setDispatchMode(DispatchMode M);
-
-/// The effective mode the next run() will use — never Auto, and never
-/// Threaded on a toolchain without computed goto.
-DispatchMode dispatchMode();
-
-/// Executes the whole program. \p S must be freshly reset by the caller's
-/// entry point *except* for Arena/FreeList pool state; this mirrors
-/// the tree walker's run() and produces an identical event stream.
+/// Executes the whole program: resets \p S (keeping Arena/FreeList pool
+/// capacity), runs the main program as the root unit and returns its
+/// result.
 interp::ExecResult run(interp::ExecState &S, const CompiledProgram &CP,
                        VMState &VS);
+
+/// Executes \p Callee directly (see interp::Interpreter::callRoutine):
+/// resets \p S, builds the static chain from the main program down to the
+/// callee's parent with default-initialized frames, applies \p Presets to
+/// those frames by name (innermost scope first), and runs the callee as the
+/// only unit. \p Args holds one value per parameter.
+interp::CallOutcome call(interp::ExecState &S, const CompiledProgram &CP,
+                         VMState &VS, const pascal::RoutineDecl *Callee,
+                         std::vector<interp::Value> Args,
+                         const std::vector<interp::Binding> &Presets);
 
 } // namespace bytecode
 } // namespace gadt

@@ -70,10 +70,9 @@ BugReport GADTSession::debug(Oracle &UserOracle, std::vector<int64_t> Input) {
   IOpts.TraceLoops = Opts.TraceLoops;
   IOpts.TraceIterations = Opts.TraceIterations;
   IOpts.TrackDeps = Opts.Debugger.Slicing == SliceMode::Dynamic;
-  // Shared compiled bytecode (null when unsupported → the interpreter
-  // falls back to the tree tier, or compiles privately on first run).
+  // Shared compiled bytecode (when null the interpreter compiles
+  // privately on its first run).
   IOpts.Code = Artifacts ? Artifacts->Code : nullptr;
-  IOpts.CodeAsync = Artifacts ? Artifacts->CodeAsync : nullptr;
   LastTree = trace::buildExecTree(*Prepared, IOpts, std::move(Input),
                                   &LastRun);
   if (!LastRun.Ok) {

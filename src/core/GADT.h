@@ -73,16 +73,10 @@ struct SessionArtifacts {
   /// Shared static-slice memo over \c Sdg; may be null.
   SliceProvider Slices;
   /// Bytecode compiled from \c Prepared (src/bytecode); null when the
-  /// program is unsupported by the bytecode tier or the artifacts were
-  /// prepared without the shared code cache. Sessions hand this to the
-  /// interpreter so repeated runs skip compilation.
+  /// compiler rejected the program or the artifacts were prepared without
+  /// the shared code cache. Sessions hand this to the interpreter so
+  /// repeated runs skip compilation.
   std::shared_ptr<const bytecode::CompiledProgram> Code;
-  /// Background compilation in flight for \c Prepared (the runtime's
-  /// compile lane); set instead of \c Code when the artifacts were
-  /// prepared with background compilation on and the compile had not
-  /// finished yet. Sessions start on the tree walker and hot-swap when it
-  /// publishes.
-  std::shared_ptr<bytecode::AsyncCode> CodeAsync;
 };
 
 /// One debugging session over one subject program. The session owns the

@@ -2,8 +2,6 @@
 
 #include "core/ReferenceOracle.h"
 
-#include "interp/Interpreter.h"
-
 #include <set>
 
 using namespace gadt;
@@ -24,7 +22,20 @@ const RoutineDecl *findByName(const RoutineDecl *Root,
   return nullptr;
 }
 
+interp::InterpOptions withCode(
+    std::shared_ptr<const bytecode::CompiledProgram> Code) {
+  interp::InterpOptions Opts;
+  Opts.Code = std::move(Code);
+  return Opts;
+}
+
 } // namespace
+
+IntendedProgramOracle::IntendedProgramOracle(
+    const Program &Intended,
+    std::shared_ptr<const bytecode::CompiledProgram> Code, std::string Source)
+    : Intended(Intended), Replayer(Intended, withCode(std::move(Code))),
+      Source(std::move(Source)) {}
 
 Judgement IntendedProgramOracle::judge(const ExecNode &N) {
   if (N.getKind() != UnitKind::Call || !N.getRoutine())
@@ -47,8 +58,8 @@ Judgement IntendedProgramOracle::judge(const ExecNode &N) {
     if (!ParamNames.count(In.Name))
       Presets.push_back(In);
 
-  Interpreter I(Intended);
-  CallOutcome Out = I.callRoutine(N.getName(), std::move(Args), Presets);
+  CallOutcome Out =
+      Replayer.callRoutine(N.getName(), std::move(Args), Presets);
   if (!Out.Ok)
     return Judgement::dontKnow();
   ++Queries;

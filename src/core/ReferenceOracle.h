@@ -19,20 +19,28 @@
 #define GADT_CORE_REFERENCEORACLE_H
 
 #include "core/Oracle.h"
+#include "interp/Interpreter.h"
 #include "pascal/AST.h"
+
+#include <memory>
 
 namespace gadt {
 namespace core {
 
 /// Judges call units against a reference program containing routines with
 /// the same names and signatures. Loop and iteration units are answered
-/// DontKnow (they have no callable counterpart).
+/// DontKnow (they have no callable counterpart). Every query replays on one
+/// Interpreter kept for the oracle's lifetime, so the intended program is
+/// compiled at most once per oracle — and not at all when \p Code, the
+/// intended program's bytecode (e.g. from the RuntimeContext code cache),
+/// is supplied.
 class IntendedProgramOracle : public Oracle {
 public:
   /// \p Intended is not owned and must outlive the oracle.
-  explicit IntendedProgramOracle(const pascal::Program &Intended,
-                                 std::string Source = "user")
-      : Intended(Intended), Source(std::move(Source)) {}
+  explicit IntendedProgramOracle(
+      const pascal::Program &Intended,
+      std::shared_ptr<const bytecode::CompiledProgram> Code = nullptr,
+      std::string Source = "user");
 
   Judgement judge(const trace::ExecNode &N) override;
 
@@ -42,6 +50,7 @@ public:
 
 private:
   const pascal::Program &Intended;
+  interp::Interpreter Replayer;
   std::string Source;
   unsigned Queries = 0;
 };

@@ -5,17 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The execution substrate shared by the tree-walking interpreter and the
-/// bytecode VM: the pooled cell arena, activation records, unit-frame
-/// observation (dynamic input/output sets), dependence bookkeeping and the
-/// unit enter/exit event protocol.
+/// The execution substrate under the bytecode VM: the pooled cell arena,
+/// activation records, unit-frame observation (dynamic input/output sets),
+/// dependence bookkeeping and the unit enter/exit event protocol.
 ///
-/// Both tiers funnel every observable effect — cell reads/writes, DepSet
-/// merges, listener events, step/limit accounting — through this one
-/// struct, which is what makes their transcripts byte-identical: a tier can
-/// only differ in *how* it walks the program, never in *what* an execution
-/// records. The tree walker (interp/Interpreter.cpp) remains the oracle;
-/// the register VM (bytecode/VM.cpp) is the fast path.
+/// The VM (bytecode/VM.cpp) funnels every observable effect — cell
+/// reads/writes, DepSet merges, listener events, step/limit accounting —
+/// through this one struct, so *what* an execution records is defined here
+/// and the VM only decides *when*.
 ///
 /// This is an internal header: everything here is an implementation detail
 /// of interp::Interpreter and may change freely.
@@ -93,8 +90,7 @@ struct UnitFrame {
 };
 
 /// All state one execution carries, plus every operation whose effects are
-/// observable across tiers. Both executors derive from (or hold) one of
-/// these; see the file comment.
+/// observable; see the file comment.
 struct ExecState {
   const pascal::Program &Prog;
   InterpOptions Opts;
@@ -284,22 +280,8 @@ struct ExecState {
   }
 
   //===--------------------------------------------------------------------===//
-  // Name / cell resolution
+  // Names of cells
   //===--------------------------------------------------------------------===//
-
-  CellRef getCell(Activation &A, const pascal::VarDecl *D, SourceLoc Loc) {
-    Activation *Cur = &A;
-    for (uint32_t Hops = Cur->R->getStorageDepth() - D->getDepth();
-         Hops && Cur; --Hops)
-      Cur = Cur->StaticLink;
-    if (Cur && D->getSlot() < Cur->Slots.size()) {
-      CellRef H = Cur->Slots[D->getSlot()];
-      if (H != NoCell)
-        return H;
-    }
-    fail(Loc, "internal: no storage for variable '" + D->getName() + "'");
-    return NoCell;
-  }
 
   /// The parameter declaration whose frame slot holds \p H, or null. When
   /// two reference parameters alias one cell, the last one wins (matching
@@ -349,7 +331,7 @@ struct ExecState {
   }
 
   /// Move form for callers holding a freshly merged condition set (the
-  /// VM's fused compare-and-branch builds one it does not need back).
+  /// fused compare-and-branch builds one it does not need back).
   void pushCtrl(Activation &A, DepSet &&CondDeps) {
     if (!Opts.TrackDeps)
       return;

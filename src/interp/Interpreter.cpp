@@ -7,11 +7,6 @@
 #include "interp/ExecState.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
-#include "support/Casting.h"
-
-#include <algorithm>
-#include <cstdlib>
-#include <string_view>
 
 using namespace gadt;
 using namespace gadt::interp;
@@ -41,745 +36,54 @@ Value gadt::interp::defaultValue(const Type *Ty) {
 }
 
 struct Interpreter::Impl : ExecState {
-  /// Non-local goto in flight (tree tier only; the bytecode compiler
-  /// rejects programs with gotos).
-  struct {
-    bool Active = false;
-    int Label = 0;
-    Activation *Target = nullptr;
-    SourceLoc Loc;
-  } Goto;
-
-  // Bytecode tier: lazily compiled code (when none was injected through
-  // InterpOptions::Code) and the VM's reusable stacks.
+  /// Code compiled by this interpreter when none was injected through
+  /// InterpOptions::Code (or the injected unit does not match).
   std::shared_ptr<const bytecode::CompiledProgram> OwnCode;
   bool CompileAttempted = false;
+  std::string CompileError;
   bytecode::VMState *VS = nullptr;
-  // Hot-swap: code adopted from InterpOptions::CodeAsync once the
-  // background compile published. Adopted exactly once per Interpreter.
-  std::shared_ptr<const bytecode::CompiledProgram> BgCode;
-  bool BgAdopted = false;
 
-  Impl(const Program &Prog, InterpOptions Opts)
-      : ExecState(Prog, Opts) {}
+  Impl(const Program &Prog, InterpOptions Opts) : ExecState(Prog, Opts) {}
   ~Impl() {
     if (VS)
       bytecode::destroyVMState(VS);
   }
 
-  void resetRun() {
-    reset();
-    Goto.Active = false;
-  }
-
-  //===--------------------------------------------------------------------===//
-  // Expression evaluation
-  //===--------------------------------------------------------------------===//
-
-  Value evalExpr(Activation &A, const Expr *E) {
-    if (Failed)
-      return Value();
-    switch (E->getKind()) {
-    case Expr::Kind::IntLiteral:
-      return Value::makeInt(cast<IntLiteralExpr>(E)->getValue());
-    case Expr::Kind::BoolLiteral:
-      return Value::makeBool(cast<BoolLiteralExpr>(E)->getValue());
-    case Expr::Kind::StringLiteral:
-      return Value::makeStr(cast<StringLiteralExpr>(E)->getValue());
-
-    case Expr::Kind::ArrayLiteral: {
-      const auto *AL = cast<ArrayLiteralExpr>(E);
-      ArrayVal Arr;
-      Arr.Lo = 1;
-      Arr.Hi = static_cast<int64_t>(AL->getElements().size());
-      DepSet Deps;
-      for (const ExprPtr &Elem : AL->getElements()) {
-        Value V = evalExpr(A, Elem.get());
-        if (Failed)
-          return Value();
-        Arr.Elems.push_back(V.asInt());
-        if (Opts.TrackDeps)
-          Deps.mergeWith(V.deps());
-      }
-      Value Out = Value::makeArray(std::move(Arr));
-      Out.deps() = std::move(Deps);
-      return Out;
-    }
-
-    case Expr::Kind::VarRef: {
-      const auto *VR = cast<VarRefExpr>(E);
-      CellRef C = getCell(A, VR->getDecl(), VR->getLoc());
-      if (C == NoCell)
-        return Value();
-      if (Opts.DetectUninitialized && Arena[C].V.isUnset()) {
-        fail(VR->getLoc(), "variable '" + VR->getName() +
-                               "' is used before it is assigned");
-        return Value();
-      }
-      observeRead(C);
-      return Arena[C].V;
-    }
-
-    case Expr::Kind::Index: {
-      const auto *IE = cast<IndexExpr>(E);
-      const auto *BaseRef = cast<VarRefExpr>(IE->getBase());
-      CellRef C = getCell(A, BaseRef->getDecl(), BaseRef->getLoc());
-      if (C == NoCell)
-        return Value();
-      Value Idx = evalExpr(A, IE->getIndex());
-      if (Failed)
-        return Value();
-      observeRead(C);
-      const ArrayVal &Arr = Arena[C].V.asArray();
-      if (!Arr.inBounds(Idx.asInt())) {
-        fail(IE->getLoc(), "array index " + std::to_string(Idx.asInt()) +
-                               " out of bounds [" + std::to_string(Arr.Lo) +
-                               ".." + std::to_string(Arr.Hi) + "] for '" +
-                               BaseRef->getName() + "'");
-        return Value();
-      }
-      Value Out = Value::makeInt(Arr.at(Idx.asInt()));
-      if (Opts.TrackDeps) {
-        Out.deps().mergeWith(Arena[C].V.deps());
-        Out.deps().mergeWith(Idx.deps());
-      }
-      return Out;
-    }
-
-    case Expr::Kind::Call: {
-      const auto *CE = cast<CallExpr>(E);
-      return performCall(A, CE->getCallee(), CE->getArgs(), nullptr, CE,
-                         CE->getLoc());
-    }
-
-    case Expr::Kind::Unary: {
-      const auto *UE = cast<UnaryExpr>(E);
-      Value Op = evalExpr(A, UE->getOperand());
-      if (Failed)
-        return Value();
-      Value Out = UE->getOp() == UnaryOp::Neg ? Value::makeInt(-Op.asInt())
-                                              : Value::makeBool(!Op.asBool());
-      if (Opts.TrackDeps)
-        Out.deps() = Op.deps();
-      return Out;
-    }
-
-    case Expr::Kind::Binary: {
-      const auto *BE = cast<BinaryExpr>(E);
-      Value L = evalExpr(A, BE->getLHS());
-      if (Failed)
-        return Value();
-      Value R = evalExpr(A, BE->getRHS());
-      if (Failed)
-        return Value();
-      Value Out = applyBinary(BE, L, R);
-      if (Failed)
-        return Value();
-      if (Opts.TrackDeps) {
-        Out.deps().mergeWith(L.deps());
-        Out.deps().mergeWith(R.deps());
-      }
-      return Out;
-    }
-    }
-    return Value();
-  }
-
-  Value applyBinary(const BinaryExpr *BE, const Value &L, const Value &R) {
-    switch (BE->getOp()) {
-    case BinaryOp::Add:
-      return Value::makeInt(L.asInt() + R.asInt());
-    case BinaryOp::Sub:
-      return Value::makeInt(L.asInt() - R.asInt());
-    case BinaryOp::Mul:
-      return Value::makeInt(L.asInt() * R.asInt());
-    case BinaryOp::Div:
-      if (R.asInt() == 0) {
-        fail(BE->getLoc(), "division by zero");
-        return Value();
-      }
-      return Value::makeInt(L.asInt() / R.asInt());
-    case BinaryOp::Mod:
-      if (R.asInt() == 0) {
-        fail(BE->getLoc(), "modulo by zero");
-        return Value();
-      }
-      return Value::makeInt(L.asInt() % R.asInt());
-    case BinaryOp::Eq:
-      return Value::makeBool(L.isBool() ? L.asBool() == R.asBool()
-                                        : L.asInt() == R.asInt());
-    case BinaryOp::Ne:
-      return Value::makeBool(L.isBool() ? L.asBool() != R.asBool()
-                                        : L.asInt() != R.asInt());
-    case BinaryOp::Lt:
-      return Value::makeBool(L.asInt() < R.asInt());
-    case BinaryOp::Le:
-      return Value::makeBool(L.asInt() <= R.asInt());
-    case BinaryOp::Gt:
-      return Value::makeBool(L.asInt() > R.asInt());
-    case BinaryOp::Ge:
-      return Value::makeBool(L.asInt() >= R.asInt());
-    case BinaryOp::And:
-      return Value::makeBool(L.asBool() && R.asBool());
-    case BinaryOp::Or:
-      return Value::makeBool(L.asBool() || R.asBool());
-    }
-    return Value();
-  }
-
-  //===--------------------------------------------------------------------===//
-  // Calls
-  //===--------------------------------------------------------------------===//
-
-  /// Finds the static link for a call to \p Callee made from \p Caller.
-  Activation *findStaticLink(Activation &Caller, const RoutineDecl *Callee) {
-    for (Activation *Cur = &Caller; Cur; Cur = Cur->StaticLink)
-      if (Cur->R == Callee->getParent())
-        return Cur;
-    // Calling an enclosing routine recursively: its parent's activation is
-    // further up; calling the program routine has no static parent.
-    return nullptr;
-  }
-
-  /// Shared tail of performCall/callRoutine: raises unit events, executes
-  /// the body, and collects input/output bindings.
-  ///
-  /// \p EntryInputs carries bindings for value/in parameters (captured at
-  /// entry — only when bindings are wanted). \p OutputsOut, when non-null,
-  /// receives the output bindings even without a listener (callRoutine
-  /// needs them); otherwise bindings are only assembled for the listener.
-  /// Dependence side effects (output deps merged into cell values and the
-  /// function result) happen regardless.
-  void runPreparedCall(Activation &Act, const RoutineDecl *Callee,
-                       std::vector<Binding> EntryInputs,
-                       const Stmt *CallStmt, const Expr *CallExpr,
-                       SourceLoc Loc, Activation *Caller,
-                       std::vector<Binding> *OutputsOut, Value *Result,
-                       uint64_t Watermark) {
-    uint32_t NodeId =
-        beginCallUnit(Act, Callee, CallStmt, CallExpr, Loc, Watermark);
-
-    ++CallDepth;
-    if (Callee->getBody())
-      execStmt(Act, Callee->getBody());
-    --CallDepth;
-
-    // A non-local goto targeting *this* activation that was not caught at
-    // any compound level means a jump into a structured statement.
-    if (Goto.Active && Goto.Target == &Act) {
-      fail(Goto.Loc,
-           "goto " + std::to_string(Goto.Label) +
-               " jumps into a structured statement (not supported)");
-      Goto.Active = false;
-    }
-
-    finishCallUnit(Act, Callee, std::move(EntryInputs), NodeId, Caller,
-                   OutputsOut, Result);
-  }
-
-  Value performCall(Activation &Caller, const RoutineDecl *Callee,
-                    const std::vector<ExprPtr> &Args, const Stmt *CallStmt,
-                    const Expr *CallExpr, SourceLoc Loc) {
-    if (!Callee) {
-      fail(Loc, "internal: unresolved call");
-      return Value();
-    }
-    if (CallDepth >= Opts.MaxCallDepth) {
-      fail(Loc, "call depth limit exceeded (runaway recursion in '" +
-                    Callee->getName() + "')");
-      return Value();
-    }
-    Activation Act;
-    Act.R = Callee;
-    Act.StaticLink = findStaticLink(Caller, Callee);
-
-    // Bind parameters. Reference parameters alias the caller's cell; value
-    // parameters are evaluated and copied. Evaluation happens in the
-    // caller, so reads are charged to the caller's units.
-    std::vector<Binding> EntryInputs;
-    const auto &Params = Callee->getParams();
-    std::vector<CellRef> RefCells(Params.size(), NoCell);
-    std::vector<Value> ValueArgs(Params.size());
-    for (size_t I = 0, N = Params.size(); I != N; ++I) {
-      const VarDecl *P = Params[I].get();
-      if (P->isReference()) {
-        const auto *VR = cast<VarRefExpr>(Args[I].get());
-        CellRef C = getCell(Caller, VR->getDecl(), VR->getLoc());
-        if (C == NoCell)
-          return Value();
-        // The caller's cell stays non-local to the callee's frame, so the
-        // frame observes whether the callee reads its pre-state.
-        RefCells[I] = C;
-      } else {
-        Value V = evalExpr(Caller, Args[I].get());
-        if (Failed)
-          return Value();
-        if (Listener)
-          EntryInputs.push_back({P->getName(), V});
-        ValueArgs[I] = std::move(V);
-      }
-    }
-    // Cells created from here on are local to the callee's unit frame —
-    // and owned by its activation (freed when the call returns).
-    uint64_t Watermark = CellSerial + 1;
-    Act.Watermark = Watermark;
-    Act.Slots.resize(Callee->getNumSlots(), NoCell);
-    for (size_t I = 0, N = Params.size(); I != N; ++I) {
-      const VarDecl *P = Params[I].get();
-      Act.Slots[P->getSlot()] =
-          RefCells[I] != NoCell ? RefCells[I]
-                                : newCell(P, std::move(ValueArgs[I]));
-    }
-    for (const auto &L : Callee->getLocals())
-      Act.Slots[L->getSlot()] = newCell(L.get(), initialValue(L->getType()));
-    if (Callee->isFunction()) {
-      const VarDecl *RV = Callee->getResultVar();
-      Act.Slots[RV->getSlot()] =
-          newCell(RV, initialValue(Callee->getReturnType()));
-    }
-
-    Value Result;
-    runPreparedCall(Act, Callee, std::move(EntryInputs), CallStmt, CallExpr,
-                    Loc, &Caller, nullptr, &Result, Watermark);
-    freeActivationCells(Act);
-    return Result;
-  }
-
-  //===--------------------------------------------------------------------===//
-  // Loop units
-  //===--------------------------------------------------------------------===//
-
-  //===--------------------------------------------------------------------===//
-  // Statement execution
-  //===--------------------------------------------------------------------===//
-
-  void execStmt(Activation &A, const Stmt *S) {
-    if (Failed || Goto.Active)
-      return;
-    if (!countStep(S->getLoc()))
-      return;
-
-    switch (S->getKind()) {
-    case Stmt::Kind::Compound:
-      execCompound(A, cast<CompoundStmt>(S)->getBody());
-      return;
-    case Stmt::Kind::Assign:
-      execAssign(A, cast<AssignStmt>(S));
-      return;
-    case Stmt::Kind::If: {
-      const auto *IS = cast<IfStmt>(S);
-      Value Cond = evalExpr(A, IS->getCond());
-      if (Failed)
-        return;
-      pushCtrl(A, Cond.deps());
-      if (Cond.asBool())
-        execStmt(A, IS->getThen());
-      else if (IS->getElse())
-        execStmt(A, IS->getElse());
-      popCtrl(A);
-      return;
-    }
-    case Stmt::Kind::While:
-      execWhile(A, cast<WhileStmt>(S));
-      return;
-    case Stmt::Kind::Repeat:
-      execRepeat(A, cast<RepeatStmt>(S));
-      return;
-    case Stmt::Kind::For:
-      execFor(A, cast<ForStmt>(S));
-      return;
-    case Stmt::Kind::ProcCall: {
-      const auto *PC = cast<ProcCallStmt>(S);
-      performCall(A, PC->getCallee(), PC->getArgs(), PC, nullptr,
-                  PC->getLoc());
-      return;
-    }
-    case Stmt::Kind::Goto: {
-      const auto *GS = cast<GotoStmt>(S);
-      // Find the activation that declares the label (walk the static chain
-      // to the routine Sema resolved).
-      Activation *Target = &A;
-      while (Target && Target->R != GS->getTargetRoutine())
-        Target = Target->StaticLink;
-      if (!Target) {
-        fail(GS->getLoc(), "internal: no activation declares label " +
-                               std::to_string(GS->getLabel()));
-        return;
-      }
-      Goto.Active = true;
-      Goto.Label = GS->getLabel();
-      Goto.Target = Target;
-      Goto.Loc = GS->getLoc();
-      return;
-    }
-    case Stmt::Kind::Labeled:
-      execStmt(A, cast<LabeledStmt>(S)->getSub());
-      return;
-    case Stmt::Kind::Read:
-      execRead(A, cast<ReadStmt>(S));
-      return;
-    case Stmt::Kind::Write:
-      execWrite(A, cast<WriteStmt>(S));
-      return;
-    case Stmt::Kind::Empty:
-      return;
-    }
-  }
-
-  void execCompound(Activation &A, const std::vector<StmtPtr> &Body) {
-    size_t I = 0;
-    while (I < Body.size()) {
-      if (Failed)
-        return;
-      execStmt(A, Body[I].get());
-      if (Failed)
-        return;
-      if (Goto.Active) {
-        // Catch the goto if its label is an immediate child of this
-        // compound within the right activation.
-        if (Goto.Target == &A) {
-          bool Caught = false;
-          for (size_t J = 0; J < Body.size(); ++J) {
-            const auto *LS = dyn_cast<LabeledStmt>(Body[J].get());
-            if (LS && LS->getLabel() == Goto.Label) {
-              Goto.Active = false;
-              I = J;
-              Caught = true;
-              break;
-            }
-          }
-          if (Caught) {
-            if (!countStep(Body[I]->getLoc()))
-              return;
-            continue; // execute the labeled statement next
-          }
-        }
-        return; // propagate outward
-      }
-      ++I;
-    }
-  }
-
-  void execAssign(Activation &A, const AssignStmt *AS) {
-    Value V = evalExpr(A, AS->getValue());
-    if (Failed)
-      return;
-    if (const auto *VR = dyn_cast<VarRefExpr>(AS->getTarget())) {
-      CellRef C = getCell(A, VR->getDecl(), VR->getLoc());
-      if (C == NoCell)
-        return;
-      storeCell(A, C, std::move(V));
-      return;
-    }
-    const auto *IE = cast<IndexExpr>(AS->getTarget());
-    const auto *BaseRef = cast<VarRefExpr>(IE->getBase());
-    CellRef C = getCell(A, BaseRef->getDecl(), BaseRef->getLoc());
-    if (C == NoCell)
-      return;
-    Value Idx = evalExpr(A, IE->getIndex());
-    if (Failed)
-      return;
-    // Writing one element both reads and writes the array as a whole.
-    observeRead(C);
-    observeWrite(C);
-    ArrayVal &Arr = Arena[C].V.asArray();
-    if (!Arr.inBounds(Idx.asInt())) {
-      fail(IE->getLoc(), "array index " + std::to_string(Idx.asInt()) +
-                             " out of bounds [" + std::to_string(Arr.Lo) +
-                             ".." + std::to_string(Arr.Hi) + "] for '" +
-                             BaseRef->getName() + "'");
-      return;
-    }
-    Arr.at(Idx.asInt()) = V.asInt();
-    if (Opts.TrackDeps) {
-      Arena[C].V.deps().mergeWith(V.deps());
-      Arena[C].V.deps().mergeWith(Idx.deps());
-      if (const DepSet *Ctrl = A.activeCtrlDeps())
-        Arena[C].V.deps().mergeWith(*Ctrl);
-    }
-  }
-
-  void execWhile(Activation &A, const WhileStmt *WS) {
-    uint32_t LoopNode = enterLoopUnit(UnitKind::Loop, WS->getUnitName(), WS,
-                                      0, WS->getLoc(), A);
-    DepSet CondAccum;
-    uint32_t Iter = 0;
-    for (;;) {
-      Value Cond = evalExpr(A, WS->getCond());
-      if (Failed)
-        break;
-      if (Opts.TrackDeps)
-        CondAccum.mergeWith(Cond.deps());
-      if (!Cond.asBool())
-        break;
-      ++Iter;
-      if (!countStep(WS->getLoc()))
-        break;
-      uint32_t IterNode = enterLoopUnit(UnitKind::Iteration,
-                                        WS->getUnitName(), WS, Iter,
-                                        WS->getLoc(), A);
-      pushCtrl(A, CondAccum);
-      execStmt(A, WS->getBody());
-      popCtrl(A);
-      exitLoopUnit(IterNode, A);
-      if (Failed || Goto.Active)
-        break;
-    }
-    exitLoopUnit(LoopNode, A);
-  }
-
-  void execRepeat(Activation &A, const RepeatStmt *RS) {
-    uint32_t LoopNode = enterLoopUnit(UnitKind::Loop, RS->getUnitName(), RS,
-                                      0, RS->getLoc(), A);
-    DepSet CondAccum;
-    uint32_t Iter = 0;
-    for (;;) {
-      ++Iter;
-      if (!countStep(RS->getLoc()))
-        break;
-      uint32_t IterNode = enterLoopUnit(UnitKind::Iteration,
-                                        RS->getUnitName(), RS, Iter,
-                                        RS->getLoc(), A);
-      pushCtrl(A, CondAccum);
-      for (const StmtPtr &Sub : RS->getBody()) {
-        execStmt(A, Sub.get());
-        if (Failed || Goto.Active)
-          break;
-      }
-      popCtrl(A);
-      exitLoopUnit(IterNode, A);
-      if (Failed || Goto.Active)
-        break;
-      Value Cond = evalExpr(A, RS->getCond());
-      if (Failed)
-        break;
-      if (Opts.TrackDeps)
-        CondAccum.mergeWith(Cond.deps());
-      if (Cond.asBool())
-        break;
-    }
-    exitLoopUnit(LoopNode, A);
-  }
-
-  void execFor(Activation &A, const ForStmt *FS) {
-    uint32_t LoopNode = enterLoopUnit(UnitKind::Loop, FS->getUnitName(), FS,
-                                      0, FS->getLoc(), A);
-    const auto *VR = cast<VarRefExpr>(FS->getLoopVar());
-    CellRef LoopCell = getCell(A, VR->getDecl(), VR->getLoc());
-    Value From = evalExpr(A, FS->getFrom());
-    Value To = evalExpr(A, FS->getTo());
-    if (!Failed && LoopCell != NoCell) {
-      DepSet BoundDeps;
-      if (Opts.TrackDeps) {
-        BoundDeps.mergeWith(From.deps());
-        BoundDeps.mergeWith(To.deps());
-      }
-      pushCtrl(A, BoundDeps);
-      int64_t I = From.asInt();
-      int64_t Limit = To.asInt();
-      uint32_t Iter = 0;
-      while (FS->isDownward() ? I >= Limit : I <= Limit) {
-        ++Iter;
-        if (!countStep(FS->getLoc()))
-          break;
-        Value IV = Value::makeInt(I);
-        if (Opts.TrackDeps)
-          IV.deps() = BoundDeps;
-        storeCell(A, LoopCell, std::move(IV));
-        uint32_t IterNode = enterLoopUnit(UnitKind::Iteration,
-                                          FS->getUnitName(), FS, Iter,
-                                          FS->getLoc(), A);
-        execStmt(A, FS->getBody());
-        exitLoopUnit(IterNode, A);
-        if (Failed || Goto.Active)
-          break;
-        I += FS->isDownward() ? -1 : 1;
-      }
-      popCtrl(A);
-    }
-    exitLoopUnit(LoopNode, A);
-  }
-
-  void execRead(Activation &A, const ReadStmt *RS) {
-    for (const ExprPtr &T : RS->getTargets()) {
-      if (Failed)
-        return;
-      if (InputPos >= Input.size()) {
-        fail(RS->getLoc(), "read past end of program input");
-        return;
-      }
-      Value V = Value::makeInt(Input[InputPos++]);
-      if (const auto *VR = dyn_cast<VarRefExpr>(T.get())) {
-        CellRef C = getCell(A, VR->getDecl(), VR->getLoc());
-        if (C == NoCell)
-          return;
-        storeCell(A, C, std::move(V));
-        continue;
-      }
-      const auto *IE = cast<IndexExpr>(T.get());
-      const auto *BaseRef = cast<VarRefExpr>(IE->getBase());
-      CellRef C = getCell(A, BaseRef->getDecl(), BaseRef->getLoc());
-      if (C == NoCell)
-        return;
-      Value Idx = evalExpr(A, IE->getIndex());
-      if (Failed)
-        return;
-      observeRead(C);
-      observeWrite(C);
-      ArrayVal &Arr = Arena[C].V.asArray();
-      if (!Arr.inBounds(Idx.asInt())) {
-        fail(IE->getLoc(), "array index " + std::to_string(Idx.asInt()) +
-                               " out of bounds in read");
-        return;
-      }
-      Arr.at(Idx.asInt()) = V.asInt();
-      if (Opts.TrackDeps) {
-        Arena[C].V.deps().mergeWith(Idx.deps());
-        if (const DepSet *Ctrl = A.activeCtrlDeps())
-          Arena[C].V.deps().mergeWith(*Ctrl);
-      }
-    }
-  }
-
-  void execWrite(Activation &A, const WriteStmt *WS) {
-    for (const ExprPtr &Arg : WS->getArgs()) {
-      Value V = evalExpr(A, Arg.get());
-      if (Failed)
-        return;
-      if (V.isStr())
-        Output += V.asStr();
-      else
-        Output += V.str();
-    }
-    if (WS->isWriteln())
-      Output += '\n';
-  }
-
-  //===--------------------------------------------------------------------===//
-  // Entry points
-  //===--------------------------------------------------------------------===//
-
-  Activation makeActivation(const RoutineDecl *R, Activation *Link) {
-    Activation Act;
-    Act.R = R;
-    Act.StaticLink = Link;
-    Act.Watermark = CellSerial + 1;
-    Act.Slots.resize(R->getNumSlots(), NoCell);
-    return Act;
-  }
-
-  Activation makeMainActivation() {
-    Activation Main = makeActivation(Prog.getMain(), nullptr);
-    for (const auto &G : Prog.getMain()->getLocals())
-      Main.Slots[G->getSlot()] =
-          newCell(G.get(), initialValue(G->getType()));
-    return Main;
-  }
-
-  ExecResult runTree() {
-    resetRun();
-    ExecResult Res;
-    Activation Main = makeMainActivation();
-    uint32_t RootId = enterRoot(Main);
-
-    if (Prog.getMain()->getBody())
-      execStmt(Main, Prog.getMain()->getBody());
-    if (Goto.Active) {
-      fail(Goto.Loc, "goto " + std::to_string(Goto.Label) +
-                         " escaped the main program");
-      Goto.Active = false;
-    }
-
-    exitRoot(RootId, Main, Res);
-    Res.Ok = !Failed;
-    Res.Error = Error;
-    Res.Output = Output;
-    Res.Steps = Steps;
-    Res.UnitsExecuted = NodeCounter;
-    flushPoolStats();
-    return Res;
-  }
-
-  /// Selected execution tier for this process (cached env lookup). The
-  /// environment can only force the tree tier; bytecode is the default.
-  static ExecTier envTier() {
-    static ExecTier T = [] {
-      const char *E = std::getenv("GADT_EXEC_TIER");
-      if (E && std::string_view(E) == "tree")
-        return ExecTier::Tree;
-      return ExecTier::Bytecode;
-    }();
-    return T;
-  }
-
   /// The compiled unit to run, preferring code injected via InterpOptions
   /// (the RuntimeContext cache) when it matches this program and checking
-  /// mode; otherwise compiles once. Null = unsupported, run the tree —
-  /// except while a background compile is pending (\p Pending), where the
-  /// tree runs *without* a private compile so the first unit is not taxed
-  /// with the ~150 µs the compile lane exists to hide.
-  const bytecode::CompiledProgram *resolveCode(bool &Pending) {
-    Pending = false;
+  /// mode; otherwise compiles once. Null when the compiler rejected the
+  /// program (CompileError says why).
+  const bytecode::CompiledProgram *code() {
     if (Opts.Code && Opts.Code->Prog == &Prog &&
         Opts.Code->Checked == Opts.DetectUninitialized)
       return Opts.Code.get();
-    if (Opts.CodeAsync) {
-      if (!BgAdopted) {
-        if (!Opts.CodeAsync->ready()) {
-          Pending = true;
-          return nullptr;
-        }
-        // Hot-swap point: adopt at the run boundary (the next unit after
-        // the compile finished). A published null or a unit for another
-        // program/mode falls through to the private-compile path.
-        BgAdopted = true;
-        BgCode = Opts.CodeAsync->get();
-        if (BgCode && (BgCode->Prog != &Prog ||
-                       BgCode->Checked != Opts.DetectUninitialized))
-          BgCode = nullptr;
-        if (BgCode) {
-          static obs::Counter &Swapped =
-              obs::Registry::global().counter("runtime.code.bg.swapped");
-          Swapped.add();
-        }
-      }
-      if (BgCode)
-        return BgCode.get();
-      if (BgAdopted && !BgCode && !Opts.CodeAsync->get()) {
-        // Published null: the compiler rejected the program. Decided once
-        // on the lane; do not retry privately.
-        return nullptr;
-      }
-    }
     if (!CompileAttempted) {
       CompileAttempted = true;
-      OwnCode = bytecode::compile(Prog, Opts.DetectUninitialized);
+      OwnCode = bytecode::compile(Prog, Opts.DetectUninitialized,
+                                  &CompileError);
     }
     return OwnCode.get();
   }
 
+  bytecode::VMState &vm() {
+    if (!VS)
+      VS = bytecode::createVMState();
+    return *VS;
+  }
+
+  RuntimeError compileFailure() const {
+    return {Prog.getMain()->getLoc(),
+            "program cannot be executed: " + CompileError};
+  }
+
   ExecResult run() {
-    ExecTier Tier = Opts.Tier != ExecTier::Auto ? Opts.Tier : envTier();
-    if (Tier == ExecTier::Bytecode) {
-      bool Pending = false;
-      if (const bytecode::CompiledProgram *CP = resolveCode(Pending)) {
-        static obs::Counter &TierBc =
-            obs::Registry::global().counter("interp.tier.bytecode");
-        TierBc.add();
-        if (!VS)
-          VS = bytecode::createVMState();
-        return bytecode::run(*this, *CP, *VS);
-      }
-      if (!Pending) {
-        static obs::Counter &TierFb =
-            obs::Registry::global().counter("interp.tier.fallback");
-        TierFb.add();
-      }
+    const bytecode::CompiledProgram *CP = code();
+    if (!CP) {
+      ExecResult Res;
+      Res.Error = compileFailure();
+      return Res;
     }
-    static obs::Counter &TierTree =
-        obs::Registry::global().counter("interp.tier.tree");
-    TierTree.add();
-    return runTree();
+    return bytecode::run(*this, *CP, vm());
   }
 
   const RoutineDecl *findRoutineByName(const RoutineDecl *Root,
@@ -794,7 +98,6 @@ struct Interpreter::Impl : ExecState {
 
   CallOutcome callRoutine(const std::string &Name, std::vector<Value> Args,
                           const std::vector<Binding> &GlobalPresets) {
-    resetRun();
     CallOutcome Out;
     const RoutineDecl *Callee = findRoutineByName(Prog.getMain(), Name);
     if (!Callee) {
@@ -806,98 +109,13 @@ struct Interpreter::Impl : ExecState {
                                     "'"};
       return Out;
     }
-
-    Activation Main = makeMainActivation();
-    // Build activations for the static chain from main down to the callee's
-    // parent (their locals are default-initialized). This lets test cases
-    // invoke nested routines directly.
-    std::vector<std::unique_ptr<Activation>> Chain;
-    Activation *Link = &Main;
-    {
-      std::vector<const RoutineDecl *> Path;
-      for (const RoutineDecl *R = Callee->getParent();
-           R && R != Prog.getMain(); R = R->getParent())
-        Path.push_back(R);
-      for (auto It = Path.rbegin(); It != Path.rend(); ++It) {
-        auto Act = std::make_unique<Activation>(makeActivation(*It, Link));
-        for (const auto &L : (*It)->getLocals())
-          Act->Slots[L->getSlot()] =
-              newCell(L.get(), initialValue(L->getType()));
-        for (const auto &P : (*It)->getParams())
-          Act->Slots[P->getSlot()] =
-              newCell(P.get(), defaultValue(P->getType()));
-        Link = Act.get();
-        Chain.push_back(std::move(Act));
-      }
+    const bytecode::CompiledProgram *CP = code();
+    if (!CP) {
+      Out.Error = compileFailure();
+      return Out;
     }
-
-    // Apply global presets by name, innermost scope first.
-    for (const Binding &Preset : GlobalPresets) {
-      for (Activation *Cur = Link; Cur; Cur = Cur->StaticLink) {
-        bool Applied = false;
-        const auto &Decls = Cur->R->getSlotDecls();
-        for (size_t I = 0, N = Decls.size(); I != N; ++I)
-          if (Cur->Slots[I] != NoCell &&
-              Decls[I]->getName() == Preset.Name) {
-            Arena[Cur->Slots[I]].V = Preset.V;
-            Applied = true;
-            break;
-          }
-        if (Applied)
-          break;
-      }
-    }
-
-    uint64_t Watermark = CellSerial + 1;
-    Activation Act = makeActivation(Callee, Link);
-    Act.Watermark = Watermark;
-    std::vector<Binding> EntryInputs;
-    for (size_t I = 0, N = Callee->getParams().size(); I != N; ++I) {
-      const VarDecl *Param = Callee->getParams()[I].get();
-      Value V = Args[I].isUnset() ? defaultValue(Param->getType())
-                                  : std::move(Args[I]);
-      if (Listener && !Param->isReference())
-        EntryInputs.push_back({Param->getName(), V});
-      Act.Slots[Param->getSlot()] = newCell(Param, std::move(V));
-    }
-    for (const auto &L : Callee->getLocals())
-      Act.Slots[L->getSlot()] = newCell(L.get(), initialValue(L->getType()));
-    if (Callee->isFunction()) {
-      const VarDecl *RV = Callee->getResultVar();
-      Act.Slots[RV->getSlot()] =
-          newCell(RV, initialValue(Callee->getReturnType()));
-    }
-
-    std::vector<Binding> Outputs;
-    Value Result;
-    runPreparedCall(Act, Callee, std::move(EntryInputs), nullptr, nullptr,
-                    Callee->getLoc(), nullptr, &Outputs, &Result, Watermark);
-    if (Goto.Active) {
-      fail(Goto.Loc, "non-local goto escaped the routine under test");
-      Goto.Active = false;
-    }
-
-    Out.Ok = !Failed;
-    Out.Error = Error;
-    Out.Output = Output;
-    // The trace-shaped outputs (written params, global effects, result),
-    // augmented with unwritten var parameters so checkers see the full
-    // post-state.
-    Out.Outputs = std::move(Outputs);
-    for (size_t I = 0, N = Callee->getParams().size(); I != N; ++I) {
-      const VarDecl *Param = Callee->getParams()[I].get();
-      if (!Param->isReference())
-        continue;
-      bool Present = false;
-      for (const Binding &B : Out.Outputs)
-        if (B.Name == Param->getName())
-          Present = true;
-      if (!Present)
-        Out.Outputs.push_back(
-            {Param->getName(), Arena[Act.Slots[Param->getSlot()]].V});
-    }
-    flushPoolStats();
-    return Out;
+    return bytecode::call(*this, *CP, vm(), Callee, std::move(Args),
+                          GlobalPresets);
   }
 };
 

@@ -5,8 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A tree-walking interpreter for the Pascal subset with the hooks GADT's
-/// tracing phase needs:
+/// The interpreter for the Pascal subset, with the hooks GADT's tracing
+/// phase needs. It compiles the program once (bytecode/Compiler.cpp, or
+/// takes precompiled code through InterpOptions::Code) and executes it on
+/// the register VM (bytecode/VM.cpp) — the one execution engine behind
+/// tracing, oracle replays and T-GEN test runs:
 ///
 ///  - Unit events: every routine call (and, optionally, every local loop and
 ///    loop iteration — the paper's debugging units) raises enter/exit events
@@ -22,8 +25,10 @@
 ///    executions whose outputs flowed into it (including dynamic control
 ///    dependences), which the dynamic slicer consumes.
 ///
-///  - Non-local gotos execute with exit-side-effect semantics (activations
-///    unwind until the declaring routine is reached), so untransformed
+///  - Gotos execute with exit-side-effect semantics: a goto leaves every
+///    loop and call between it and its label, raising their exit events
+///    (activations unwind until the declaring routine is reached), and
+///    abandons the rest of the statement it was taken in, so untransformed
 ///    programs behave identically to their transformed versions.
 ///
 //===----------------------------------------------------------------------===//
@@ -46,17 +51,8 @@
 namespace gadt {
 namespace bytecode {
 struct CompiledProgram;
-class AsyncCode;
 } // namespace bytecode
 namespace interp {
-
-/// Which executor runs the program. Both tiers raise identical events and
-/// produce byte-identical results; the bytecode tier is simply faster.
-/// `Auto` defers to the `GADT_EXEC_TIER` environment variable
-/// (`tree`/`bytecode`) and defaults to bytecode. Programs the bytecode
-/// compiler cannot handle (non-local gotos, un-annotated hand-built ASTs,
-/// encoding overflows) automatically fall back to the tree walker.
-enum class ExecTier : uint8_t { Auto, Tree, Bytecode };
 
 /// A fatal condition encountered while executing the subject program.
 struct RuntimeError {
@@ -119,21 +115,12 @@ struct InterpOptions {
   /// tracking is out of scope.) Off by default — standard Pascal leaves
   /// such reads undefined, and the paper's programs do not rely on them.
   bool DetectUninitialized = false;
-  /// Executor selection; see ExecTier.
-  ExecTier Tier = ExecTier::Auto;
   /// Precompiled bytecode for the program being run (e.g. from the
   /// RuntimeContext code cache). Used only when it matches the program and
-  /// the DetectUninitialized mode; otherwise the interpreter compiles (or
-  /// falls back) on its own. The referenced program must stay alive for as
-  /// long as this compiled unit is used.
+  /// the DetectUninitialized mode; otherwise the interpreter compiles on
+  /// its own, once, at its first run or call. The referenced program must
+  /// stay alive for as long as this compiled unit is used.
   std::shared_ptr<const bytecode::CompiledProgram> Code;
-  /// A compile completing in the background (runtime compile lane). While
-  /// it is pending, runs execute on the tree walker *without* compiling
-  /// privately; once it publishes, the next run() hot-swaps to bytecode
-  /// (`runtime.code.bg.swapped`). Ignored when \c Code is already set and
-  /// matches. A published null (compiler rejected the program) pins the
-  /// tree tier.
-  std::shared_ptr<bytecode::AsyncCode> CodeAsync;
 };
 
 /// Result of running a whole program.
@@ -159,8 +146,10 @@ struct CallOutcome {
   std::string Output;
 };
 
-/// The interpreter. One instance executes one program; it may be run
-/// multiple times (state is reset per run).
+/// The interpreter. One instance executes one program; it may be run and
+/// called into any number of times (state is reset per run or call, and
+/// the compiled code and VM stacks are reused). A program the compiler
+/// rejects (an encoding overflow) fails every run with a runtime error.
 class Interpreter {
 public:
   explicit Interpreter(const pascal::Program &P, InterpOptions Opts = {});

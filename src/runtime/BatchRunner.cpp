@@ -74,18 +74,19 @@ SessionResult gadt::runtime::runSession(RuntimeContext &Ctx,
   Session.setMetricsRegistry(&Ctx.metrics());
 
   // Build this session's private oracle (oracles are stateful; the
-  // intended *program* parse is shared through the context).
+  // intended program's parse and bytecode are shared through the context).
+  std::shared_ptr<const CodeEntry> Intended; // outlives the oracle below
   std::unique_ptr<Oracle> Private;
-  std::shared_ptr<const pascal::Program> IntendedProg;
   if (Req.MakeOracle) {
     Private = Req.MakeOracle();
   } else if (!Req.Intended.empty()) {
-    IntendedProg = Ctx.internProgram(Req.Intended, Diags);
-    if (!IntendedProg) {
+    Intended = Ctx.internCompiled(Req.Intended, Diags);
+    if (!Intended) {
       Res.Message = Diags.str();
       return Finish(std::move(Res));
     }
-    Private = std::make_unique<IntendedProgramOracle>(*IntendedProg);
+    Private = std::make_unique<IntendedProgramOracle>(*Intended->Prepared,
+                                                      Intended->Code);
   }
   if (!Private) {
     Res.Message = "batch runtime: request provides no oracle";

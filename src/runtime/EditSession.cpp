@@ -127,21 +127,8 @@ void EditSession::coldBuild(
   O.SharedCG = Staged.CG;
   O.SharedSEA = std::move(SEA);
   Staged.Graph = std::make_unique<analysis::SDG>(*Staged.Prog, O);
-  if (Opts.BackgroundCompile) {
-    scheduleBgCompile(Staged);
-    S.CodeRecompiled = 0;
-  } else {
-    Staged.Code = bytecode::compile(*Staged.Prog, Opts.Checked);
-    S.CodeRecompiled = Staged.Code ? N : 0;
-  }
-}
-
-void EditSession::scheduleBgCompile(const State &Staged) {
-  if (BgAbandon)
-    BgAbandon->store(true, std::memory_order_release);
-  BgHandle = std::make_shared<bytecode::AsyncCode>();
-  BgAbandon = enqueueCompile(Staged.Prog.get(), Staged.Prog, Opts.Checked,
-                             BgHandle);
+  Staged.Code = bytecode::compile(*Staged.Prog, Opts.Checked);
+  S.CodeRecompiled = Staged.Code ? N : 0;
 }
 
 IncrementalStats EditSession::commitStaged(
@@ -406,17 +393,9 @@ IncrementalStats EditSession::commitStaged(
 
     // Bytecode: splice clean routines' segments, recompile dirty ones. A
     // previously rejected program (null code) retries a full compile — the
-    // edit may have removed the unsupported construct. In background mode
-    // the commit never compiles inline: the in-flight job of the program
-    // being superseded is abandoned (it must not publish into a handle a
-    // session may still poll) and a fresh full compile is enqueued against
-    // a fresh handle. Segment splicing needs the previous program's code,
-    // which background mode does not retain — the lane always compiles
-    // cold.
+    // edit may have removed whatever overflowed the encoding.
     obs::Span CodeSpan("incremental.code", "runtime");
-    if (Opts.BackgroundCompile) {
-      scheduleBgCompile(Staged);
-    } else if (St.Code) {
+    if (St.Code) {
       bytecode::CodeReusePlan CP;
       CP.Old = St.Code.get();
       CP.Map = &Map;

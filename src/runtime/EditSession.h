@@ -53,7 +53,6 @@
 #include "analysis/SDG.h"
 #include "bytecode/Bytecode.h"
 #include "obs/Metrics.h"
-#include "runtime/CompileLane.h"
 #include "slicing/StaticSlicer.h"
 #include "support/Hashing.h"
 #include "transform/Transform.h"
@@ -80,14 +79,6 @@ struct EditSessionOptions {
   /// Disable all reuse: every commit is a cold rebuild. For baseline
   /// measurement (bench/perf_micro.cpp) and differential testing.
   bool ForceFullRebuild = false;
-  /// Compile bytecode on the background lane: commit() returns without
-  /// compiling (code() stays null), a full compile of the committed
-  /// program runs asynchronously, and codeAsync() hands sessions the
-  /// handle it publishes into. A commit superseding an in-flight compile
-  /// abandons it (`runtime.code.bg.abandoned`) and replaces the handle, so
-  /// a stale unit is never observable. Mutually exclusive with segment
-  /// splicing — the incremental replay path only runs in synchronous mode.
-  bool BackgroundCompile = false;
   /// Registry for the `runtime.incremental.*` counters and commit spans;
   /// defaults to the process-wide one.
   obs::Registry *Metrics = nullptr;
@@ -155,18 +146,10 @@ public:
   }
   /// The committed dependence graph; valid until the next commit.
   const analysis::SDG *sdg() const { return St.Graph.get(); }
-  /// The committed bytecode; null when the tier rejected the program —
-  /// and always null in BackgroundCompile mode, where codeAsync() is the
-  /// delivery channel instead.
+  /// The committed bytecode; null when the compiler rejected the program.
   std::shared_ptr<const bytecode::CompiledProgram> code() const {
     return St.Code;
   }
-  /// The background-compile handle of the *current* committed program;
-  /// null before the first commit or in synchronous mode. Replaced
-  /// wholesale by every commit: a consumer holding the handle of a
-  /// superseded commit can at worst see that old program's own code,
-  /// never a mix.
-  std::shared_ptr<bytecode::AsyncCode> codeAsync() const { return BgHandle; }
 
   /// Memoized static slice on (routine, output variable). \p Routine
   /// matches a routine's qualified name (or plain name). The slice is valid
@@ -207,11 +190,6 @@ private:
   void coldBuild(State &Staged,
                  std::shared_ptr<const analysis::SideEffectAnalysis> SEA,
                  IncrementalStats &S);
-  /// BackgroundCompile mode: abandon the previous in-flight compile,
-  /// replace the handle, and enqueue a full compile of \p Staged.Prog
-  /// (pinned by its shared_ptr, so even a retired program outlives its
-  /// abandoned job).
-  void scheduleBgCompile(const State &Staged);
 
   State St;
   /// The state the last commit replaced, kept until the next begin().
@@ -220,9 +198,6 @@ private:
   /// surgical work, and begin() — which already pays a full parse — absorbs
   /// the reclamation.
   State Retired;
-  /// Background-compile channel of the current commit (null in sync mode).
-  std::shared_ptr<bytecode::AsyncCode> BgHandle;
-  AbandonToken BgAbandon;
   IncrementalStats Last;
   EditSessionOptions Opts;
   obs::Registry &Reg;

@@ -6,12 +6,8 @@
 #include "obs/Trace.h"
 #include "pascal/Frontend.h"
 #include "pascal/PrettyPrinter.h"
-#include "runtime/CompileLane.h"
 #include "slicing/StaticSlicer.h"
 #include "support/Hashing.h"
-
-#include <cstdlib>
-#include <string_view>
 
 using namespace gadt;
 using namespace gadt::runtime;
@@ -124,9 +120,9 @@ void RuntimeContext::enforceBudget() {
   }
 }
 
-std::shared_ptr<const pascal::Program>
-RuntimeContext::internProgram(const std::string &Source,
-                              DiagnosticsEngine &Diags) {
+std::shared_ptr<const RuntimeContext::ProgramEntry>
+RuntimeContext::internEntry(const std::string &Source,
+                            DiagnosticsEngine &Diags) {
   uint64_t SourceHash = hashBytes(Source);
   obs::Span Span("cache.program", "cache");
   bool WasMiss = false;
@@ -153,18 +149,61 @@ RuntimeContext::internProgram(const std::string &Source,
   if (!E->Program)
     Diags.error(SourceLoc(), "batch runtime: cached parse failure: " +
                                  E->Errors);
-  return E->Program;
+  return E;
+}
+
+std::shared_ptr<const pascal::Program>
+RuntimeContext::internProgram(const std::string &Source,
+                              DiagnosticsEngine &Diags) {
+  return internEntry(Source, Diags)->Program;
+}
+
+std::shared_ptr<const CodeEntry>
+RuntimeContext::compiled(uint64_t Fingerprint, bool Transformed,
+                         std::shared_ptr<const pascal::Program> Prepared,
+                         std::shared_ptr<const pascal::Program> Pin) {
+  std::pair<uint64_t, bool> Key{Fingerprint, Transformed};
+  obs::Span Span("cache.code", "cache");
+  bool WasMiss = false;
+  std::shared_ptr<const CodeEntry> E = Codes.getOrBuild(
+      Key,
+      [&]() -> std::shared_ptr<const CodeEntry> {
+        auto Entry = std::make_shared<CodeEntry>();
+        Entry->Prepared = Prepared;
+        Entry->OriginalPin = Pin;
+        Entry->Code = bytecode::compile(*Prepared, /*Checked=*/false);
+        return Entry;
+      },
+      &WasMiss);
+  noteLookup(CodeC, Span, WasMiss);
+  if (WasMiss) {
+    Codes.noteBytes(Key, sizeof(CodeEntry) +
+                             (E->Code ? E->Code->memoryBytes() : 0));
+    enforceBudget();
+  }
+  publishOccupancy();
+  return E;
+}
+
+std::shared_ptr<const CodeEntry>
+RuntimeContext::internCompiled(const std::string &Source,
+                               DiagnosticsEngine &Diags) {
+  std::shared_ptr<const ProgramEntry> P = internEntry(Source, Diags);
+  if (!P->Program)
+    return nullptr;
+  return compiled(P->Fingerprint, /*Transformed=*/false, P->Program,
+                  P->Program);
 }
 
 std::shared_ptr<const core::SessionArtifacts>
 RuntimeContext::prepare(const std::string &Source,
                         const core::GADTOptions &Opts,
                         DiagnosticsEngine &Diags) {
-  std::shared_ptr<const pascal::Program> Subject =
-      internProgram(Source, Diags);
-  if (!Subject)
+  std::shared_ptr<const ProgramEntry> Parsed = internEntry(Source, Diags);
+  if (!Parsed->Program)
     return nullptr;
-  uint64_t Fingerprint = hashProgram(*Subject);
+  std::shared_ptr<const pascal::Program> Subject = Parsed->Program;
+  uint64_t Fingerprint = Parsed->Fingerprint;
 
   auto Artifacts = std::make_shared<core::SessionArtifacts>();
   Artifacts->Fingerprint = Fingerprint;
@@ -280,67 +319,16 @@ RuntimeContext::prepare(const std::string &Source,
     };
   }
 
-  {
-    // Compile-once bytecode for the prepared program (src/bytecode).
-    // Unsupported programs cache a null Code, so the tree-tier fallback
-    // decision is also made exactly once per subject. With background
-    // compilation on, the miss enqueues the compile on the lane instead
-    // and caches the AsyncCode handle — sessions start on the tree walker
-    // and hot-swap when it publishes.
-    std::pair<uint64_t, bool> CodeKey{Fingerprint, Opts.Transform};
-    std::shared_ptr<const pascal::Program> Prepared = Artifacts->Prepared;
-    std::shared_ptr<const pascal::Program> Pin = Artifacts->Subject;
-    const bool Bg = Options.BackgroundCompile;
-    obs::Span Span("cache.code", "cache");
-    bool WasMiss = false;
-    std::shared_ptr<const CodeEntry> E = Codes.getOrBuild(
-        CodeKey,
-        [&]() -> std::shared_ptr<const CodeEntry> {
-          auto Entry = std::make_shared<CodeEntry>();
-          Entry->Prepared = Prepared;
-          Entry->OriginalPin = Pin;
-          if (Bg) {
-            Entry->Async = std::make_shared<bytecode::AsyncCode>();
-            enqueueCompile(Prepared.get(), Prepared, /*Checked=*/false,
-                           Entry->Async);
-          } else {
-            Entry->Code = bytecode::compile(*Prepared, /*Checked=*/false);
-          }
-          return Entry;
-        },
-        &WasMiss);
-    noteLookup(CodeC, Span, WasMiss);
-    if (WasMiss) {
-      Codes.noteBytes(CodeKey, sizeof(CodeEntry) +
-                                   (E->Code ? E->Code->memoryBytes() : 0));
-      enforceBudget();
-    }
-    publishOccupancy();
-    // Textual variants of one fingerprint intern as distinct ASTs when
-    // transformation is off; compiled code binds to the AST it was built
-    // over, so only hand out code whose program is the one this session
-    // executes (otherwise the interpreter compiles privately).
-    if (E->Code && E->Code->Prog == Artifacts->Prepared.get())
-      Artifacts->Code = E->Code;
-    else if (E->Async && E->Prepared == Artifacts->Prepared) {
-      // Promote a finished background compile to a plain Code reference so
-      // later sessions skip the adoption branch entirely.
-      if (auto Done = E->Async->get();
-          Done && Done->Prog == Artifacts->Prepared.get())
-        Artifacts->Code = std::move(Done);
-      else if (!E->Async->ready())
-        Artifacts->CodeAsync = E->Async;
-    }
-  }
+  // Compile-once bytecode for the prepared program (src/bytecode).
+  // Textual variants of one fingerprint intern as distinct ASTs when
+  // transformation is off; compiled code binds to the AST it was built
+  // over, so only hand out code whose program is the one this session
+  // executes (otherwise the interpreter compiles privately).
+  std::shared_ptr<const CodeEntry> E = compiled(
+      Fingerprint, Opts.Transform, Artifacts->Prepared, Artifacts->Subject);
+  if (E->Code && E->Code->Prog == Artifacts->Prepared.get())
+    Artifacts->Code = E->Code;
   return Artifacts;
-}
-
-bool RuntimeOptions::backgroundCompileDefault() {
-  static const bool On = [] {
-    const char *E = std::getenv("GADT_BG_COMPILE");
-    return E && (std::string_view(E) == "1" || std::string_view(E) == "on");
-  }();
-  return On;
 }
 
 RuntimeStats RuntimeContext::stats() const {

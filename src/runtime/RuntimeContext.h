@@ -17,9 +17,9 @@
 ///  - an *SDG cache*: one system dependence graph per (fingerprint,
 ///    transformed?) prepared program;
 ///  - a *code cache*: one bytecode compilation (src/bytecode) per
-///    (fingerprint, transformed?) prepared program — sessions execute the
-///    cached code instead of recompiling; unsupported programs cache a
-///    null entry so the fallback decision is also made once;
+///    (fingerprint, transformed?) program — sessions trace their subject
+///    and replay their intended program on the cached code instead of
+///    recompiling; a rejected program caches a null entry;
 ///  - a *static-slice memo*: one two-phase slice per (fingerprint,
 ///    transformed?, routine, output-variable) criterion, filled lazily as
 ///    debugging sessions request slices.
@@ -55,14 +55,6 @@ struct RuntimeOptions {
   /// evicted until the estimate fits again. Eviction drops the cache's
   /// reference only — sessions already holding an entry keep it alive.
   size_t CacheBudgetBytes = 0;
-  /// Compile bytecode on the background lane instead of inline during
-  /// prepare(): sessions receive an AsyncCode handle, start on the tree
-  /// walker and hot-swap when the compile publishes. Defaults to the
-  /// GADT_BG_COMPILE environment variable ("1"/"on" enables).
-  bool BackgroundCompile = backgroundCompileDefault();
-
-  /// The GADT_BG_COMPILE process default (cached).
-  static bool backgroundCompileDefault();
 };
 
 /// Counter snapshot across all caches of a context.
@@ -95,18 +87,13 @@ struct SdgEntry {
   std::unique_ptr<const analysis::SDG> Graph;
 };
 
-/// One bytecode compilation, pinning the prepared program it was compiled
-/// from. \c Code is null when the bytecode tier rejected the program
-/// (cached too, so the tree-tier fallback is decided once per subject).
+/// One bytecode compilation, pinning the program it was compiled from.
+/// \c Code is null when the compiler rejected the program (cached too, so
+/// the rejection is decided once per program).
 struct CodeEntry {
   std::shared_ptr<const pascal::Program> Prepared;
   std::shared_ptr<const pascal::Program> OriginalPin;
   std::shared_ptr<const bytecode::CompiledProgram> Code;
-  /// Background-compile handle (set instead of \c Code when the entry was
-  /// built with RuntimeOptions::BackgroundCompile). The entry is immutable
-  /// like every cached value — consumers read the handle; the compile lane
-  /// publishes into it.
-  std::shared_ptr<bytecode::AsyncCode> Async;
 };
 
 /// The shared cache layer. Thread-safe; see file comment.
@@ -138,6 +125,15 @@ public:
   prepare(const std::string &Source, const core::GADTOptions &Opts,
           DiagnosticsEngine &Diags);
 
+  /// \p Source parsed (interned as by internProgram) and compiled
+  /// untransformed, from the code cache — how runSession hands its
+  /// IntendedProgramOracle a program to replay units on. The entry's
+  /// Prepared program is the one its Code was compiled from: a textual
+  /// variant of \p Source when one of the same fingerprint was cached
+  /// first. Returns null on compile errors (\p Diags explains).
+  std::shared_ptr<const CodeEntry> internCompiled(const std::string &Source,
+                                                  DiagnosticsEngine &Diags);
+
   RuntimeStats stats() const;
 
   /// The registry this context reports into (see the constructor).
@@ -145,6 +141,17 @@ public:
 
 private:
   struct ProgramEntry;
+
+  /// The program cache lookup behind internProgram: the entry carries the
+  /// fingerprint computed when the source was first parsed.
+  std::shared_ptr<const ProgramEntry> internEntry(const std::string &Source,
+                                                  DiagnosticsEngine &Diags);
+  /// The code cache lookup for \p Prepared under (\p Fingerprint,
+  /// \p Transformed); a miss compiles \p Prepared and pins \p Pin.
+  std::shared_ptr<const CodeEntry>
+  compiled(uint64_t Fingerprint, bool Transformed,
+           std::shared_ptr<const pascal::Program> Prepared,
+           std::shared_ptr<const pascal::Program> Pin);
 
   /// Key of the slice memo: (fingerprint, transformed?, routine-name
   /// symbol, output-variable symbol). Symbol ids are process-stable for

@@ -47,6 +47,8 @@ TestReportDB gadt::tgen::runTestSuite(const Program &P, const TestSpec &Spec,
                                       const FrameInstantiator &Instantiate,
                                       const OutcomeChecker &Check) {
   TestReportDB DB;
+  // One interpreter for the whole suite: the program compiles once.
+  Interpreter I(P);
   for (size_t FI = 0; FI != Frames.Frames.size(); ++FI) {
     const TestFrame &Frame = Frames.Frames[FI];
     std::optional<std::vector<Value>> Args = Instantiate(Frame);
@@ -59,7 +61,6 @@ TestReportDB gadt::tgen::runTestSuite(const Program &P, const TestSpec &Spec,
         if (Index == FI)
           Script = Name;
 
-    Interpreter I(P);
     CallOutcome Out = I.callRoutine(Spec.TestName, *Args);
 
     TestCaseRecord Rec;

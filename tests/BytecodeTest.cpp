@@ -1,35 +1,33 @@
-//===- BytecodeTest.cpp - Bytecode tier differential and unit tests -------===//
+//===- BytecodeTest.cpp - Bytecode VM differential and unit tests ---------===//
 //
-// The bytecode tier's contract is *observational equivalence*: for every
-// program it accepts, a bytecode execution must be byte-identical to the
-// tree walker's — same ExecResult, same serialized execution tree, same
+// The VM's contract is *observational equivalence* with the semantics the
+// tree-walking interpreter defined before the VM replaced it: for every
+// program, an execution must be byte-identical to the frozen walker
+// transcripts — same ExecResult, same serialized execution tree, same
 // dynamic slices — under every tracing flag combination. These tests sweep
-// that contract over the synthetic workload corpus and the paper programs,
-// and pin the tier-selection mechanics (fallback on unsupported programs,
-// tier counters, injected pre-compiled code).
+// that contract over the synthetic workload corpus and the paper programs
+// (tests/golden/differential/), and pin the mechanics around it: injected
+// pre-compiled code, goto unwinding, the wide operand form.
 //
 // The cell-arena free-list obligations ride along at the bottom: handle
 // reuse across scope exits and watermark reset across sessions are what
-// make both tiers' storage layer O(live cells), and both tiers share it.
+// make the storage layer O(live cells).
 //
 //===----------------------------------------------------------------------===//
 
+#include "GoldenUtil.h"
+
 #include "bytecode/Bytecode.h"
 #include "bytecode/Passes.h"
-#include "bytecode/VM.h"
 #include "interp/Interpreter.h"
 #include "obs/Metrics.h"
 #include "pascal/Frontend.h"
-#include "slicing/DynamicSlicer.h"
-#include "trace/ExecTreeBuilder.h"
 #include "workload/PaperPrograms.h"
 #include "workload/Synthetic.h"
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace gadt;
@@ -45,131 +43,47 @@ std::unique_ptr<pascal::Program> compile(const std::string &Src) {
   return Prog;
 }
 
-/// Deterministic program input, long enough for every corpus program;
-/// reads past the end fail identically in both tiers.
-std::vector<int64_t> corpusInput() {
-  return {3, 7, 2, 9, 4, 1, 8, 5, 6, 10, 11, 13, 12, 15, 14, 17};
-}
+using golden::renderRun;
 
-std::string escapeLine(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    if (C == '\n')
-      Out += "\\n";
-    else if (C == '\\')
-      Out += "\\\\";
-    else
-      Out += C;
-  }
-  return Out;
-}
-
-/// Renders one (program, options) execution — result, tree, and every
-/// dynamic slice — exactly as GoldenDifferentialTest does, so a transcript
-/// mismatch localizes to the same observable the goldens pin.
-std::string renderRun(const pascal::Program &Prog, const InterpOptions &Opts) {
-  Interpreter I(Prog, Opts);
-  I.setInput(corpusInput());
-  trace::ExecTreeBuilder Builder;
-  I.setListener(&Builder);
-  ExecResult R = I.run();
-  auto Tree = Builder.takeTree();
-
-  std::ostringstream Out;
-  Out << "ok: " << (R.Ok ? 1 : 0) << "\n";
-  if (!R.Ok)
-    Out << "error: " << R.Error.Loc.Line << ":" << R.Error.Loc.Column << " "
-        << escapeLine(R.Error.Message) << "\n";
-  Out << "output: " << escapeLine(R.Output) << "\n";
-  Out << "steps: " << R.Steps << "\n";
-  Out << "units: " << R.UnitsExecuted << "\n";
-  for (const Binding &B : R.FinalGlobals)
-    Out << "global " << B.Name << " = " << B.V.str() << "\n";
-  Out << "tree:\n" << (Tree && Tree->getRoot() ? Tree->str() : "<none>\n");
-
-  if (Opts.TrackDeps && Tree && Tree->getRoot()) {
-    Out << "slices:\n";
-    for (uint32_t Id = 1; Id <= R.UnitsExecuted; ++Id) {
-      const trace::ExecNode *N = Tree->node(Id);
-      if (!N)
-        continue;
-      for (const Binding &B : N->getOutputs()) {
-        auto Kept = slicing::dynamicSlice(N, B.Name);
-        Out << "slice " << Id << "." << B.Name << ":";
-        for (uint32_t K : Kept.ids())
-          Out << " " << K;
-        Out << "\n";
-      }
-    }
-  }
-  return Out.str();
-}
-
-/// Sweeps all 16 flag combinations, comparing tree- and bytecode-tier
-/// transcripts line by line (line diffs localize better than one giant
-/// string mismatch).
-void expectTiersAgree(const pascal::Program &Prog, const std::string &Label) {
-  for (int Mask = 0; Mask < 16; ++Mask) {
-    InterpOptions Opts;
-    Opts.TraceLoops = (Mask & 1) != 0;
-    Opts.TraceIterations = (Mask & 2) != 0;
-    Opts.TrackDeps = (Mask & 4) != 0;
-    Opts.DetectUninitialized = (Mask & 8) != 0;
-
-    Opts.Tier = ExecTier::Tree;
-    std::string TreeSide = renderRun(Prog, Opts);
-    Opts.Tier = ExecTier::Bytecode;
-    std::string VMSide = renderRun(Prog, Opts);
-
-    if (TreeSide == VMSide)
-      continue;
-    std::istringstream A(TreeSide), B(VMSide);
-    std::string LA, LB;
-    unsigned Line = 0;
-    while (std::getline(A, LA) && std::getline(B, LB)) {
-      ++Line;
-      ASSERT_EQ(LA, LB) << Label << " combo " << Mask << " line " << Line;
-    }
-    FAIL() << Label << " combo " << Mask
-           << ": transcripts differ in length only";
-  }
-}
-
-void expectTiersAgreeOnSource(const std::string &Src,
-                              const std::string &Label) {
+/// The differential goldens pin, under all 16 flag combinations, the
+/// transcripts the tree-walking interpreter produced before the VM became
+/// the only executor (tests/golden/differential/).
+void expectMatchesDifferentialGolden(const std::string &Src,
+                                     const std::string &Label) {
   auto Prog = compile(Src);
   ASSERT_TRUE(Prog != nullptr);
-  expectTiersAgree(*Prog, Label);
+  golden::expectMatchesGolden(golden::renderAllCombos(*Prog),
+                              "differential/" + Label + ".golden");
 }
 
 //===----------------------------------------------------------------------===//
-// Differential sweep: tree walker vs bytecode VM
+// Differential sweep: the VM against the frozen walker transcripts
 //===----------------------------------------------------------------------===//
 
 TEST(BytecodeDifferential, PaperFigure4) {
-  expectTiersAgreeOnSource(Figure4Buggy, "figure4-buggy");
-  expectTiersAgreeOnSource(Figure4Fixed, "figure4-fixed");
+  expectMatchesDifferentialGolden(Figure4Buggy, "figure4-buggy");
+  expectMatchesDifferentialGolden(Figure4Fixed, "figure4-fixed");
 }
 
 TEST(BytecodeDifferential, ChainPrograms) {
   ProgramPair P = chainProgram(6, 2);
-  expectTiersAgreeOnSource(P.Fixed, "chain6-fixed");
-  expectTiersAgreeOnSource(P.Buggy, "chain6-buggy");
+  expectMatchesDifferentialGolden(P.Fixed, "chain6-fixed");
+  expectMatchesDifferentialGolden(P.Buggy, "chain6-buggy");
 }
 
 TEST(BytecodeDifferential, TreeAndWidePrograms) {
-  expectTiersAgreeOnSource(treeProgram(3).Buggy, "tree3-buggy");
-  expectTiersAgreeOnSource(wideIrrelevantProgram(8).Buggy, "wide8-buggy");
+  expectMatchesDifferentialGolden(treeProgram(3).Buggy, "tree3-buggy");
+  expectMatchesDifferentialGolden(wideIrrelevantProgram(8).Buggy,
+                                  "wide8-buggy");
 }
 
 TEST(BytecodeDifferential, SummaryMesh) {
-  expectTiersAgreeOnSource(summaryMeshProgram(2, 3).Buggy, "mesh2x3-buggy");
+  expectMatchesDifferentialGolden(summaryMeshProgram(2, 3).Buggy,
+                                  "mesh2x3-buggy");
 }
 
-/// Seeded random programs; odd seeds are goto-free (bytecode executes
-/// them), even seeds plant non-local gotos (the bytecode tier falls back
-/// to the tree walker, which must be just as transcript-identical).
+/// Seeded random programs; odd seeds are goto-free, even seeds plant
+/// non-local gotos that unwind activations.
 class BytecodeSeededDifferential : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(BytecodeSeededDifferential, RandomProgram) {
@@ -181,71 +95,23 @@ TEST_P(BytecodeSeededDifferential, RandomProgram) {
   Opts.StmtsPerRoutine = 4 + Seed % 3;
   Opts.UseGotos = (Seed % 2) == 0;
   ProgramPair P = randomProgram(Opts);
-  expectTiersAgreeOnSource(P.Buggy, "seed" + std::to_string(Seed));
+  expectMatchesDifferentialGolden(P.Buggy, "seed" + std::to_string(Seed));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BytecodeSeededDifferential,
                          ::testing::Range(1u, 9u));
 
 //===----------------------------------------------------------------------===//
-// Tier selection mechanics
+// Interpreter mechanics: run accounting, injected code
 //===----------------------------------------------------------------------===//
 
 TEST(BytecodeTier, CountsBytecodeRuns) {
   auto Prog = compile(chainProgram(3, 1).Fixed);
-  obs::Counter &C = obs::Registry::global().counter("interp.tier.bytecode");
+  obs::Counter &C = obs::Registry::global().counter("interp.runs");
   uint64_t Before = C.value();
-  InterpOptions Opts;
-  Opts.Tier = ExecTier::Bytecode;
-  Interpreter I(*Prog, Opts);
+  Interpreter I(*Prog);
   ExecResult R = I.run();
   ASSERT_TRUE(R.Ok) << R.Error.Message;
-  EXPECT_EQ(C.value(), Before + 1);
-}
-
-TEST(BytecodeTier, FallsBackOnNonLocalGoto) {
-  // Non-local goto: label in the main program, goto inside a procedure.
-  // The compiler rejects it, so a Bytecode-tier request runs the tree
-  // walker — correctly, and with the fallback counter bumped.
-  const char *Src = "program p;\n"
-                    "label 9;\n"
-                    "var x: integer;\n"
-                    "procedure q;\n"
-                    "begin\n"
-                    "  goto 9\n"
-                    "end;\n"
-                    "begin\n"
-                    "  x := 1;\n"
-                    "  q;\n"
-                    "  x := 2;\n"
-                    "9:\n"
-                    "  writeln(x)\n"
-                    "end.";
-  auto Prog = compile(Src);
-  std::string WhyNot;
-  EXPECT_EQ(bytecode::compile(*Prog, false, &WhyNot), nullptr);
-  EXPECT_FALSE(WhyNot.empty());
-
-  obs::Counter &Fallback =
-      obs::Registry::global().counter("interp.tier.fallback");
-  uint64_t Before = Fallback.value();
-  InterpOptions Opts;
-  Opts.Tier = ExecTier::Bytecode;
-  Interpreter I(*Prog, Opts);
-  ExecResult R = I.run();
-  ASSERT_TRUE(R.Ok) << R.Error.Message;
-  EXPECT_EQ(R.Output, "1\n");
-  EXPECT_EQ(Fallback.value(), Before + 1);
-}
-
-TEST(BytecodeTier, TreeTierRequestNeverCompiles) {
-  auto Prog = compile(chainProgram(3, 1).Fixed);
-  obs::Counter &C = obs::Registry::global().counter("interp.tier.tree");
-  uint64_t Before = C.value();
-  InterpOptions Opts;
-  Opts.Tier = ExecTier::Tree;
-  Interpreter I(*Prog, Opts);
-  ASSERT_TRUE(I.run().Ok);
   EXPECT_EQ(C.value(), Before + 1);
 }
 
@@ -255,16 +121,13 @@ TEST(BytecodeTier, InjectedCodeIsUsed) {
   ASSERT_TRUE(Code != nullptr);
 
   InterpOptions Opts;
-  Opts.Tier = ExecTier::Bytecode;
   Opts.Code = Code;
   Interpreter I(*Prog, Opts);
   ExecResult R = I.run();
   ASSERT_TRUE(R.Ok) << R.Error.Message;
 
-  // Same program through the tree walker: identical observable result.
-  InterpOptions TreeOpts;
-  TreeOpts.Tier = ExecTier::Tree;
-  Interpreter T(*Prog, TreeOpts);
+  // Same program on privately compiled code: identical observable result.
+  Interpreter T(*Prog);
   ExecResult RT = T.run();
   ASSERT_TRUE(RT.Ok);
   EXPECT_EQ(R.Output, RT.Output);
@@ -287,13 +150,163 @@ TEST(BytecodeTier, MismatchedInjectedCodeIsIgnored) {
   ASSERT_TRUE(Unchecked != nullptr);
 
   InterpOptions Opts;
-  Opts.Tier = ExecTier::Bytecode;
   Opts.DetectUninitialized = true;
   Opts.Code = Unchecked; // wrong mode on purpose
   Interpreter I(*Prog, Opts);
   ExecResult R = I.run();
   ASSERT_FALSE(R.Ok);
   EXPECT_NE(R.Error.Message.find("x"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Gotos
+//===----------------------------------------------------------------------===//
+
+TEST(BytecodeGoto, NonLocalGotoRunsOnTheVM) {
+  // Non-local goto: label in the main program, goto inside a procedure.
+  const char *Src = "program p;\n"
+                    "label 9;\n"
+                    "var x: integer;\n"
+                    "procedure q;\n"
+                    "begin\n"
+                    "  goto 9\n"
+                    "end;\n"
+                    "begin\n"
+                    "  x := 1;\n"
+                    "  q;\n"
+                    "  x := 2;\n"
+                    "9:\n"
+                    "  writeln(x)\n"
+                    "end.";
+  auto Prog = compile(Src);
+  std::string WhyNot;
+  auto Code = bytecode::compile(*Prog, false, &WhyNot);
+  ASSERT_TRUE(Code != nullptr) << WhyNot;
+  ASSERT_EQ(Code->Routines[0].Labels.size(), 1u);
+  EXPECT_EQ(Code->Routines[0].Labels[0].Label, 9);
+
+  Interpreter I(*Prog);
+  ExecResult R = I.run();
+  ASSERT_TRUE(R.Ok) << R.Error.Message;
+  EXPECT_EQ(R.Output, "1\n");
+}
+
+/// The names of a tree's nodes in preorder (node ids are preorder).
+std::vector<std::string> unitNames(const trace::ExecTree &T) {
+  std::vector<std::string> Names;
+  for (uint32_t Id = 1; Id <= T.size(); ++Id)
+    Names.push_back(T.node(Id)->getName());
+  return Names;
+}
+
+TEST(BytecodeGoto, GotoOutOfAnExpressionAbandonsTheStatement) {
+  // f leaves through a non-local goto while `f(1) + g(2)` is evaluated:
+  // the rest of the statement is abandoned, as on a runtime error — g is
+  // never called and x keeps its value.
+  const char *Src = "program p;\n"
+                    "label 8;\n"
+                    "var x: integer;\n"
+                    "function f(a: integer): integer;\n"
+                    "begin\n"
+                    "  f := a;\n"
+                    "  goto 8\n"
+                    "end;\n"
+                    "function g(b: integer): integer;\n"
+                    "begin\n"
+                    "  g := b\n"
+                    "end;\n"
+                    "begin\n"
+                    "  x := 7;\n"
+                    "  x := f(1) + g(2);\n"
+                    "8:\n"
+                    "  writeln(x)\n"
+                    "end.";
+  auto Prog = compile(Src);
+  ASSERT_TRUE(Prog);
+  Interpreter I(*Prog);
+  trace::ExecTreeBuilder Builder;
+  I.setListener(&Builder);
+  ExecResult R = I.run();
+  auto Tree = Builder.takeTree();
+  ASSERT_TRUE(R.Ok) << R.Error.Message;
+  EXPECT_EQ(R.Output, "7\n");
+  ASSERT_TRUE(Tree);
+  EXPECT_EQ(unitNames(*Tree), (std::vector<std::string>{"p", "f"}));
+  EXPECT_EQ(R.FinalGlobals.at(0).V.asInt(), 7);
+}
+
+TEST(BytecodeGoto, LandingLeavesTheIfsControlDependence) {
+  // The goto leaves the `if` whose condition reads x (written by unit
+  // setx); once it lands, stores no longer depend on that condition.
+  const char *Src = "program p;\n"
+                    "label 9;\n"
+                    "var x, y, z: integer;\n"
+                    "procedure setx(var r: integer);\n"
+                    "begin\n"
+                    "  r := 5\n"
+                    "end;\n"
+                    "begin\n"
+                    "  setx(x);\n"
+                    "  if x > 3 then goto 9;\n"
+                    "  z := 1;\n"
+                    "9:\n"
+                    "  y := 7;\n"
+                    "  if x > 3 then z := 2\n"
+                    "end.";
+  auto Prog = compile(Src);
+  ASSERT_TRUE(Prog);
+  InterpOptions Opts;
+  Opts.TrackDeps = true;
+  Interpreter I(*Prog, Opts);
+  trace::ExecTreeBuilder Builder;
+  I.setListener(&Builder);
+  ExecResult R = I.run();
+  auto Tree = Builder.takeTree();
+  ASSERT_TRUE(R.Ok && Tree) << R.Error.Message;
+  ASSERT_EQ(Tree->node(2)->getName(), "setx");
+  EXPECT_FALSE(slicing::dynamicSlice(Tree->getRoot(), "y").contains(2));
+  EXPECT_TRUE(slicing::dynamicSlice(Tree->getRoot(), "z").contains(2));
+}
+
+TEST(BytecodeGoto, GotoOutOfALoopHeaderOpensNoIteration) {
+  // A for bound and a while condition that leave through a goto: the loop
+  // unit opens and closes, but no iteration starts.
+  const char *Src = "program p;\n"
+                    "label 8, 9;\n"
+                    "var i, x: integer;\n"
+                    "function f(a: integer): integer;\n"
+                    "begin\n"
+                    "  f := a;\n"
+                    "  if a > 0 then goto 8 else goto 9\n"
+                    "end;\n"
+                    "begin\n"
+                    "  x := 0;\n"
+                    "  for i := f(1) to 3 do x := x + 1;\n"
+                    "8:\n"
+                    "  while f(0) < 5 do x := x + 10;\n"
+                    "9:\n"
+                    "  writeln(x)\n"
+                    "end.";
+  auto Prog = compile(Src);
+  ASSERT_TRUE(Prog);
+  InterpOptions Opts;
+  Opts.TraceLoops = true;
+  Opts.TraceIterations = true;
+  Interpreter I(*Prog, Opts);
+  trace::ExecTreeBuilder Builder;
+  I.setListener(&Builder);
+  ExecResult R = I.run();
+  auto Tree = Builder.takeTree();
+  ASSERT_TRUE(R.Ok) << R.Error.Message;
+  EXPECT_EQ(R.Output, "0\n");
+  ASSERT_TRUE(Tree);
+  std::vector<std::string> Names = unitNames(*Tree);
+  ASSERT_EQ(Names.size(), 5u);
+  EXPECT_EQ(Names[0], "p");
+  EXPECT_NE(Names[1].find(".for#"), std::string::npos) << Names[1];
+  EXPECT_EQ(Names[2], "f");
+  EXPECT_NE(Names[3].find(".while#"), std::string::npos) << Names[3];
+  EXPECT_EQ(Names[4], "f");
 }
 
 //===----------------------------------------------------------------------===//
@@ -325,8 +338,55 @@ TEST(BytecodeCompile, ArgPoolCoversEverySite) {
   }
 }
 
+/// A main program with \p Globals variables (the last ones above slot 2047)
+/// and a chain of \p Depth nested procedures whose innermost one updates
+/// globals nine static hops away.
+std::string wideProgram(unsigned Globals, unsigned Depth) {
+  std::string Src = "program w;\nvar";
+  for (unsigned G = 0; G != Globals; ++G)
+    Src += std::string(G ? "," : "") + " v" + std::to_string(G);
+  Src += ": integer;\n";
+  std::string Last = "v" + std::to_string(Globals - 1);
+  for (unsigned D = 1; D <= Depth; ++D)
+    Src += "procedure p" + std::to_string(D) + "(var r: integer);\n";
+  // Innermost body first: nested procedures close inside out.
+  Src += "begin r := r + v0 + " + Last + "; " + Last + " := " + Last +
+         " * 2 end;\n";
+  for (unsigned D = Depth - 1; D >= 1; --D)
+    Src += "begin p" + std::to_string(D + 1) + "(r) end;\n";
+  Src += "begin\n  v0 := 3; v1 := 0; " + Last +
+         " := 5;\n  p1(v1);\n  writeln(v1, ' ', " +
+         Last + ")\nend.\n";
+  return Src;
+}
+
+TEST(BytecodeCompile, WideCellOperands) {
+  auto Prog = compile(wideProgram(2100, 10));
+  ASSERT_TRUE(Prog);
+  std::string WhyNot;
+  auto Code = bytecode::compile(*Prog, false, &WhyNot);
+  ASSERT_TRUE(Code != nullptr) << WhyNot;
+  EXPECT_FALSE(Code->WideCells.empty());
+  for (int Mask : {0, 7, 15}) {
+    Interpreter I(*Prog, golden::optionsForMask(Mask));
+    trace::ExecTreeBuilder Builder;
+    I.setListener(&Builder);
+    ExecResult R = I.run();
+    ASSERT_TRUE(R.Ok) << R.Error.Message;
+    EXPECT_EQ(R.Output, "8 10\n") << "mask " << Mask;
+    auto Tree = Builder.takeTree();
+    ASSERT_TRUE(Tree);
+    // The innermost unit reads both globals and writes the far one.
+    const trace::ExecNode *Inner = Tree->node(11);
+    ASSERT_TRUE(Inner);
+    EXPECT_EQ(Inner->getName(), "p10");
+    EXPECT_TRUE(Inner->findInput("v0"));
+    EXPECT_TRUE(Inner->findInput("v2099"));
+  }
+}
+
 //===----------------------------------------------------------------------===//
-// Cell-arena free list (shared storage substrate, both tiers)
+// Cell-arena free list
 //===----------------------------------------------------------------------===//
 
 /// A program whose calls enter and exit repeatedly: every exit returns the
@@ -348,17 +408,12 @@ TEST(CellArena, FreeListRecyclesHandlesAcrossCalls) {
   auto Prog = compile(PoolSrc);
   obs::Counter &Pooled =
       obs::Registry::global().counter("interp.cells.pooled");
-  for (ExecTier Tier : {ExecTier::Tree, ExecTier::Bytecode}) {
-    uint64_t Before = Pooled.value();
-    InterpOptions Opts;
-    Opts.Tier = Tier;
-    Interpreter I(*Prog, Opts);
-    ASSERT_TRUE(I.run().Ok);
-    // 50 calls x 5 cells (param + 3 locals + result): all but the first
-    // call's allocations must come from the free list.
-    EXPECT_GE(Pooled.value() - Before, 49u * 5u)
-        << "tier " << static_cast<int>(Tier);
-  }
+  uint64_t Before = Pooled.value();
+  Interpreter I(*Prog);
+  ASSERT_TRUE(I.run().Ok);
+  // 50 calls x 5 cells (param + 3 locals + result): all but the first
+  // call's allocations must come from the free list.
+  EXPECT_GE(Pooled.value() - Before, 49u * 5u);
 }
 
 TEST(CellArena, WatermarkResetsAcrossSessions) {
@@ -368,7 +423,7 @@ TEST(CellArena, WatermarkResetsAcrossSessions) {
   InterpOptions Opts;
   Opts.TrackDeps = true;
   Interpreter I(*Prog, Opts);
-  I.setInput(corpusInput());
+  I.setInput(golden::standardInput());
   ExecResult First = I.run();
   ASSERT_TRUE(First.Ok);
 
@@ -407,39 +462,24 @@ const char *OptSubjectSrc =
     "  writeln(s)\n"
     "end.";
 
-/// The pass-pipeline analogue of expectTiersAgree: tree transcripts vs the
-/// bytecode tier running explicitly compiled code for every CompileOptions
-/// combination, under all 16 tracing-flag masks. The passes must be
-/// transcript-invisible — byte-identical results, trees and slices.
+/// Runs explicitly compiled code for every CompileOptions combination under
+/// all 16 tracing-flag masks and compares each sweep with the program's
+/// differential golden. The passes must be transcript-invisible —
+/// byte-identical results, trees and slices.
 void expectPassesPreserveTranscripts(const pascal::Program &Prog,
                                      const std::string &Label) {
-  for (int Mask = 0; Mask < 16; ++Mask) {
-    InterpOptions Opts;
-    Opts.TraceLoops = (Mask & 1) != 0;
-    Opts.TraceIterations = (Mask & 2) != 0;
-    Opts.TrackDeps = (Mask & 4) != 0;
-    Opts.DetectUninitialized = (Mask & 8) != 0;
-
-    Opts.Tier = ExecTier::Tree;
-    std::string TreeSide = renderRun(Prog, Opts);
-
-    for (int Combo = 0; Combo < 4; ++Combo) {
-      bytecode::CompileOptions CO;
-      CO.Optimize = (Combo & 1) != 0;
-      CO.Fuse = (Combo & 2) != 0;
-      std::string Why;
-      auto Code =
-          bytecode::compile(Prog, Opts.DetectUninitialized, CO, &Why);
-      ASSERT_TRUE(Code != nullptr) << Label << ": " << Why;
-
-      Opts.Tier = ExecTier::Bytecode;
-      Opts.Code = Code;
-      std::string VMSide = renderRun(Prog, Opts);
-      Opts.Code = nullptr;
-      ASSERT_EQ(TreeSide, VMSide)
-          << Label << " combo " << Mask << " opt=" << CO.Optimize
-          << " fuse=" << CO.Fuse;
-    }
+  for (int Combo = 0; Combo < 4; ++Combo) {
+    bytecode::CompileOptions CO;
+    CO.Optimize = (Combo & 1) != 0;
+    CO.Fuse = (Combo & 2) != 0;
+    std::string Why;
+    std::string Doc = golden::renderAllCombos(Prog, [&](InterpOptions &O) {
+      O.Code = bytecode::compile(Prog, O.DetectUninitialized, CO, &Why);
+      EXPECT_TRUE(O.Code != nullptr) << Label << ": " << Why;
+    });
+    SCOPED_TRACE("opt=" + std::to_string(CO.Optimize) +
+                 " fuse=" + std::to_string(CO.Fuse));
+    golden::expectMatchesGolden(Doc, "differential/" + Label + ".golden");
   }
 }
 
@@ -449,6 +489,7 @@ TEST(OptimizerDifferential, PaperPrograms) {
 }
 
 TEST(OptimizerDifferential, LoopHeavySubject) {
+  expectMatchesDifferentialGolden(OptSubjectSrc, "optsubject");
   auto Prog = compile(OptSubjectSrc);
   expectPassesPreserveTranscripts(*Prog, "optsubject");
 }
@@ -654,119 +695,29 @@ TEST(Superinstructions, StaticPairFrequenciesRanked) {
     EXPECT_GE(Pairs[K - 1].second, Pairs[K].second) << "not sorted";
 }
 
-//===----------------------------------------------------------------------===//
-// Dispatch modes
-//===----------------------------------------------------------------------===//
-
-/// Switch and threaded dispatch run the same handlers in a different loop
-/// shape; transcripts must be byte-identical under every flag mask.
-TEST(DispatchModes, SwitchAndThreadedTranscriptsMatch) {
-  auto Prog = compile(OptSubjectSrc);
-  for (int Mask : {0, 5, 15}) {
-    InterpOptions Opts;
-    Opts.TraceLoops = (Mask & 1) != 0;
-    Opts.TraceIterations = (Mask & 2) != 0;
-    Opts.TrackDeps = (Mask & 4) != 0;
-    Opts.DetectUninitialized = (Mask & 8) != 0;
-    Opts.Tier = ExecTier::Tree;
-    std::string TreeSide = renderRun(*Prog, Opts);
-
-    Opts.Tier = ExecTier::Bytecode;
-    bytecode::setDispatchMode(bytecode::DispatchMode::Switch);
-    EXPECT_EQ(bytecode::dispatchMode(), bytecode::DispatchMode::Switch);
-    std::string SwitchSide = renderRun(*Prog, Opts);
-    bytecode::setDispatchMode(bytecode::DispatchMode::Threaded);
-    std::string ThreadedSide = renderRun(*Prog, Opts);
-    bytecode::setDispatchMode(bytecode::DispatchMode::Auto);
-
-    EXPECT_EQ(TreeSide, SwitchSide) << "switch dispatch, mask " << Mask;
-    EXPECT_EQ(SwitchSide, ThreadedSide) << "threaded dispatch, mask " << Mask;
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Background-compile hot swap
-//===----------------------------------------------------------------------===//
-
-/// A session holding a pending AsyncCode handle runs on the tree walker
-/// without compiling privately, then adopts the published unit at the next
-/// run boundary — transcripts identical on both sides of the swap.
-TEST(BackgroundCompile, HotSwapAdoptsPublishedCodeAtRunBoundary) {
-  auto Prog = compile(Figure4Buggy);
-  InterpOptions Opts;
-  Opts.TrackDeps = true;
-  Opts.Tier = ExecTier::Tree;
-  std::string Golden = renderRun(*Prog, Opts);
-
-  obs::Counter &Swapped =
-      obs::Registry::global().counter("runtime.code.bg.swapped");
-  obs::Counter &TreeRuns = obs::Registry::global().counter("interp.tier.tree");
-  obs::Counter &VMRuns =
-      obs::Registry::global().counter("interp.tier.bytecode");
-
-  auto Handle = std::make_shared<bytecode::AsyncCode>();
-  Opts.Tier = ExecTier::Bytecode;
-  Opts.CodeAsync = Handle;
-
-  Interpreter I(*Prog, Opts);
-  I.setInput(corpusInput());
-  uint64_t Tree0 = TreeRuns.value(), VM0 = VMRuns.value(),
-           Swap0 = Swapped.value();
-
-  ExecResult R1 = I.run(); // pending: tree walker, no private compile
-  ASSERT_TRUE(R1.Ok);
-  EXPECT_EQ(TreeRuns.value(), Tree0 + 1);
-  EXPECT_EQ(Swapped.value(), Swap0);
-
-  Handle->publish(
-      bytecode::compile(*Prog, Opts.DetectUninitialized, nullptr));
-  I.setInput(corpusInput());
-  ExecResult R2 = I.run(); // published: adopted at this run boundary
-  ASSERT_TRUE(R2.Ok);
-  EXPECT_EQ(VMRuns.value(), VM0 + 1);
-  EXPECT_EQ(Swapped.value(), Swap0 + 1);
-  EXPECT_EQ(R1.Output, R2.Output);
-  EXPECT_EQ(R1.Steps, R2.Steps);
-
-  // Full-transcript check against the tree golden on both tiers.
-  EXPECT_EQ(renderRun(*Prog, Opts), Golden);
-}
-
-/// The race the TSan lane watches: a producer thread publishes the unit at
-/// an arbitrary point while the session keeps running. Whichever side of
-/// the swap a run lands on, its transcript must equal the tree walker's.
-TEST(BackgroundCompile, RacingPublishKeepsTranscriptsIdentical) {
-  auto Prog = compile(Figure4Buggy);
-  InterpOptions Opts;
-  Opts.TrackDeps = true;
-  Opts.Tier = ExecTier::Tree;
-  std::string Golden = renderRun(*Prog, Opts);
-
-  auto Handle = std::make_shared<bytecode::AsyncCode>();
-  auto Unit = bytecode::compile(*Prog, Opts.DetectUninitialized, nullptr);
-  ASSERT_TRUE(Unit != nullptr);
-
-  std::thread Producer([&] { Handle->publish(Unit); });
-
-  Opts.Tier = ExecTier::Bytecode;
-  Opts.CodeAsync = Handle;
-  for (int Round = 0; Round < 50; ++Round)
-    ASSERT_EQ(renderRun(*Prog, Opts), Golden) << "round " << Round;
-  Producer.join();
-}
-
 TEST(CellArena, RepeatedSessionsStayByteIdentical) {
-  // Ten sessions interleaving tiers on one program: serial numbers, unit
-  // ids and dependence sets must restart exactly, or transcripts drift.
+  // Ten sessions on one Interpreter, alternating with a fresh one: serial
+  // numbers, unit ids and dependence sets must restart exactly, or
+  // transcripts drift.
   auto Prog = compile(chainProgram(4, 2).Buggy);
   InterpOptions Opts;
   Opts.TrackDeps = true;
   Opts.TraceLoops = true;
-  Opts.Tier = ExecTier::Tree;
   std::string Golden = renderRun(*Prog, Opts);
+  Interpreter Reused(*Prog, Opts);
   for (int Round = 0; Round < 10; ++Round) {
-    Opts.Tier = (Round % 2 == 0) ? ExecTier::Bytecode : ExecTier::Tree;
-    EXPECT_EQ(renderRun(*Prog, Opts), Golden) << "round " << Round;
+    if (Round % 2 == 1) {
+      EXPECT_EQ(renderRun(*Prog, Opts), Golden) << "round " << Round;
+      continue;
+    }
+    Reused.setInput(golden::standardInput());
+    trace::ExecTreeBuilder Builder;
+    Reused.setListener(&Builder);
+    ExecResult R = Reused.run();
+    auto Tree = Builder.takeTree();
+    ASSERT_TRUE(R.Ok && Tree);
+    EXPECT_NE(Golden.find(Tree->str()), std::string::npos)
+        << "round " << Round;
   }
 }
 

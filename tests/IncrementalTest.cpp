@@ -11,12 +11,9 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/GADT.h"
 #include "interp/Interpreter.h"
 #include "obs/Metrics.h"
-#include "runtime/CompileLane.h"
 #include "runtime/EditSession.h"
-#include "runtime/RuntimeContext.h"
 #include "slicing/DynamicSlicer.h"
 #include "trace/ExecTreeBuilder.h"
 #include "workload/Synthetic.h"
@@ -415,109 +412,38 @@ TEST(IncrementalTest, ForceFullRebuildDisablesReuse) {
   expectSameCommitted(S, *Cold);
 }
 
-//===----------------------------------------------------------------------===//
-// Background compile lane
-//===----------------------------------------------------------------------===//
-
-/// A commit superseding an in-flight background compile abandons it and
-/// replaces the handle. The new handle delivers exactly the committed
-/// program's unit; the superseded one delivers at most the *old* program's
-/// own unit (when its compile won the race) and never anything of the new
-/// program — a stale spliced segment is unobservable by construction.
-TEST(BackgroundCompileLane, CommitSupersedesInflightCompile) {
-  obs::Counter &CompiledC =
-      obs::Registry::global().counter("runtime.code.bg.compiled");
-  obs::Counter &AbandonedC =
-      obs::Registry::global().counter("runtime.code.bg.abandoned");
-  uint64_t C0 = CompiledC.value(), A0 = AbandonedC.value();
-
-  EditSessionOptions Opts;
-  Opts.BackgroundCompile = true;
-  EditSession S(Opts);
-  commitSource(S, baseProgram());
-  auto H1 = S.codeAsync();
-  ASSERT_TRUE(H1 != nullptr);
-  auto OldProg = S.programPtr();
-  EXPECT_EQ(S.code(), nullptr) << "bg mode must not compile synchronously";
-
-  IncrementalStats St = commitSource(S, editedProgram(3, 1));
-  EXPECT_TRUE(St.Committed);
-  auto H2 = S.codeAsync();
-  ASSERT_TRUE(H2 != nullptr);
-  EXPECT_NE(H1, H2) << "commit must replace the async handle wholesale";
-
-  drainCompileLane();
-  auto Unit = H2->get();
-  ASSERT_TRUE(Unit != nullptr);
-  EXPECT_EQ(Unit->Prog, S.program());
-  if (auto Stale = H1->get())
-    EXPECT_EQ(Stale->Prog, OldProg.get())
-        << "superseded handle leaked another program's code";
-
-  // Exactly two jobs were resolved: the superseded one (compiled before
-  // the abandon won, or abandoned) and the current one (compiled).
-  EXPECT_GE(CompiledC.value() - C0, 1u);
-  EXPECT_EQ((CompiledC.value() - C0) + (AbandonedC.value() - A0), 2u);
-
-  // The delivered unit is transcript-identical to a synchronous session's.
-  auto Cold = coldSession(editedProgram(3, 1));
-  EXPECT_EQ(execTranscript(*S.program(), Unit, false),
-            execTranscript(*Cold->program(), Cold->code(), false));
+/// Nine nested procedures under p1, the innermost with a local goto and a
+/// non-local one to the main program, plus a separate leaf whose increment
+/// \p K is the edit. The innermost body reads g0 nine static hops away —
+/// a wide cell operand — so replaying it exercises the wide-cell and label
+/// rebasing of compileWithReuse.
+std::string deepProgram(unsigned K) {
+  std::string Src = "program d;\nlabel 99;\nvar g0, g1: integer;\n"
+                    "procedure leaf(var r: integer);\nbegin r := r + " +
+                    std::to_string(K) + " end;\n";
+  for (unsigned D = 1; D <= 9; ++D)
+    Src += "procedure p" + std::to_string(D) + "(var r: integer);\n";
+  Src += "label 5;\nbegin\n  r := r + g0;\n  if r > 1000 then goto 99;\n"
+         "  leaf(g1);\n  goto 5;\n  r := 0;\n  5: r := r + 1\nend;\n";
+  for (unsigned D = 8; D >= 1; --D)
+    Src += "begin p" + std::to_string(D + 1) + "(r) end;\n";
+  Src += "begin\n  g0 := 2;\n  p1(g1);\n  99: writeln(g1)\nend.\n";
+  return Src;
 }
 
-/// A burst of commits, each superseding the last before draining: every
-/// handle only ever delivers the unit of the program it was issued for.
-TEST(BackgroundCompileLane, RapidCommitsNeverExposeStaleCode) {
-  EditSessionOptions Opts;
-  Opts.BackgroundCompile = true;
-  EditSession S(Opts);
-  commitSource(S, baseProgram());
+TEST(IncrementalTest, WideOperandsAndLabelsReplay) {
+  EditSession S;
+  IncrementalStats First = commitSource(S, deepProgram(1));
+  ASSERT_TRUE(First.Committed);
+  ASSERT_NE(S.code(), nullptr);
+  EXPECT_FALSE(S.code()->WideCells.empty());
 
-  std::vector<std::pair<std::shared_ptr<bytecode::AsyncCode>,
-                        std::shared_ptr<const pascal::Program>>>
-      Issued;
-  Issued.emplace_back(S.codeAsync(), S.programPtr());
-  for (unsigned Leaf = 0; Leaf < kLeaves; ++Leaf) {
-    commitSource(S, editedProgram(Leaf, 1 + Leaf % 2));
-    Issued.emplace_back(S.codeAsync(), S.programPtr());
-  }
-  drainCompileLane();
-
-  for (size_t K = 0; K != Issued.size(); ++K)
-    if (auto Unit = Issued[K].first->get())
-      EXPECT_EQ(Unit->Prog, Issued[K].second.get()) << "commit " << K;
-  // The live handle must have survived the burst and delivered.
-  ASSERT_TRUE(Issued.back().first->get() != nullptr);
-  EXPECT_EQ(Issued.back().first->get()->Prog, S.program());
-}
-
-/// RuntimeContext with BackgroundCompile: the first prepare enqueues on
-/// the lane (sessions get the async handle, or the finished unit if the
-/// lane already won); once published, later prepares promote the entry to
-/// a plain Code reference served from the cache.
-TEST(BackgroundCompileLane, RuntimeContextPreparePromotesFinishedCompile) {
-  obs::Registry Reg;
-  RuntimeOptions RO;
-  RO.BackgroundCompile = true;
-  RuntimeContext Ctx(&Reg, RO);
-
-  DiagnosticsEngine Diags;
-  core::GADTOptions GO;
-  auto A1 = Ctx.prepare(baseProgram(), GO, Diags);
-  ASSERT_TRUE(A1 != nullptr) << Diags.str();
-  EXPECT_TRUE(A1->Code != nullptr || A1->CodeAsync != nullptr)
-      << "bg prepare handed out neither code nor a handle";
-
-  drainCompileLane();
-  auto A2 = Ctx.prepare(baseProgram(), GO, Diags);
-  ASSERT_TRUE(A2 != nullptr);
-  ASSERT_TRUE(A2->Code != nullptr)
-      << "published compile not promoted on re-prepare";
-  EXPECT_EQ(A2->Code->Prog, A2->Prepared.get());
-
-  // Both tiers of the handed-out artifacts agree observably.
-  EXPECT_EQ(execTranscript(*A2->Prepared, A2->Code, false),
-            execTranscript(*A2->Prepared, nullptr, false));
+  IncrementalStats St = commitSource(S, deepProgram(4));
+  EXPECT_FALSE(St.FullRebuild);
+  EXPECT_EQ(St.CodeRecompiled, 1u);
+  EXPECT_EQ(St.CodeReplayed, 10u);
+  auto Cold = coldSession(deepProgram(4));
+  expectSameCommitted(S, *Cold);
 }
 
 } // namespace
