@@ -284,19 +284,16 @@ void BM_BatchThroughputSerial(benchmark::State &State) {
 BENCHMARK(BM_BatchThroughputSerial);
 
 //===--------------------------------------------------------------------===//
-// Dispatch benchmarks (X14): the threaded-dispatch / superinstruction /
-// optimizer work on a loop-heavy subject where the dispatch loop itself is
-// the cost.
+// Loop benchmarks: the VM on a loop-heavy subject where the dispatch loop
+// itself is the cost.
 //===--------------------------------------------------------------------===//
 
 /// Hand-written tight-loop subject: straight-line arithmetic bodies inside
-/// nested while loops, dominated by exactly what the compile-time passes
-/// and fused opcodes target — constant subexpressions (scale factors and
-/// offsets written out longhand, folded once at compile time instead of
-/// re-evaluated on every trip), load+binop, binop+store
-/// and cmp+branch pairs. No calls, no I/O until the final writeln —
-/// per-statement dispatch and expression evaluation are the entire cost,
-/// which is what this gate watches.
+/// nested while loops, with scale factors and offsets written out longhand
+/// as constant subexpressions that the VM evaluates on every trip. No
+/// calls, no I/O until the final writeln — per-statement dispatch and
+/// expression evaluation are the entire cost, which is what the sixth CI
+/// gate watches.
 const char *LoopHeavySrc =
     "program tightloop;\n"
     "var i, j, a, b, c, d, e, s: integer;\n"
@@ -326,8 +323,7 @@ const char *LoopHeavySrc =
     "  writeln(s)\n"
     "end.";
 
-/// Warm interpreter: the dispatch loop's gate (the X14 speedup claim is
-/// quoted from this name).
+/// Warm interpreter: the dispatch loop running the code the compiler emits.
 void BM_LoopHeavy(benchmark::State &State) {
   auto Prog = compileOrDie(LoopHeavySrc);
   interp::Interpreter I(*Prog);
@@ -338,8 +334,8 @@ void BM_LoopHeavy(benchmark::State &State) {
 }
 BENCHMARK(BM_LoopHeavy);
 
-/// Same subject with dependence tracking: the fused opcodes' batched DepSet
-/// merges.
+/// Same subject with dependence tracking: every operand's DepSet merge on
+/// top of the dispatch.
 void BM_LoopHeavyDeps(benchmark::State &State) {
   auto Prog = compileOrDie(LoopHeavySrc);
   interp::InterpOptions Opts;

@@ -15,8 +15,8 @@
 // at exit, with flow arrows stitching each session across worker threads.
 // The other telemetry sinks ride the same run:
 //
-//   $ GADT_TRACE=batch.trace.jsonl GADT_LOG=batch.log.jsonl \
-//     GADT_PROFILE=batch.collapsed:997 GADT_METRICS=batch.metrics.jsonl:50 \
+//   $ GADT_TRACE=batch.trace.jsonl GADT_LOG=batch.log.jsonl
+//     GADT_PROFILE=batch.collapsed:997 GADT_METRICS=batch.metrics.jsonl:50
 //     ./batch_demo
 //
 //===----------------------------------------------------------------------===//

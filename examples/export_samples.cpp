@@ -4,8 +4,8 @@
 // specifications as plain files, ready for use with the gadt_session CLI:
 //
 //   $ ./export_samples samples/
-//   $ ./gadt_session samples/figure4_buggy.pas \
-//         --intended samples/figure4_fixed.pas \
+//   $ ./gadt_session samples/figure4_buggy.pas
+//         --intended samples/figure4_fixed.pas
 //         --spec samples/arrsum.tspec
 //
 //===----------------------------------------------------------------------===//

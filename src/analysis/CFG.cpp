@@ -287,8 +287,10 @@ std::string CFG::str() const {
   std::string Out;
   for (const auto &N : Nodes) {
     Out += std::to_string(N->getId()) + ": " + N->label() + " ->";
-    for (const CFGNode *S : N->succs())
-      Out += " " + std::to_string(S->getId());
+    for (const CFGNode *S : N->succs()) {
+      Out += ' ';
+      Out += std::to_string(S->getId());
+    }
     Out += '\n';
   }
   return Out;

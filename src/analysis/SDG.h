@@ -261,8 +261,8 @@ struct SDGBuildOptions {
   /// instead of recomputing them (the transaction layer already needs
   /// both for its dirty rules, so rebuilding here would double the cost
   /// of every commit). Null: the constructor builds its own.
-  std::shared_ptr<const CallGraph> SharedCG;
-  std::shared_ptr<const SideEffectAnalysis> SharedSEA;
+  std::shared_ptr<const CallGraph> SharedCG = nullptr;
+  std::shared_ptr<const SideEffectAnalysis> SharedSEA = nullptr;
 };
 
 /// The whole-program dependence graph.

@@ -89,6 +89,8 @@ inline bool isCellOperand(uint16_t O) { return (O & OpCell) != 0; }
 // Instructions
 //===----------------------------------------------------------------------===//
 
+/// Every opcode the compiler emits; the VM executes each routine's code as
+/// emitted.
 enum class Op : uint16_t {
   // Bookkeeping.
   Step,        ///< countStep; Aux = debug index (statement location)
@@ -101,7 +103,7 @@ enum class Op : uint16_t {
   ArrayLit,    ///< reg[A] = array of regs [B, B+C)
   // Arithmetic / comparison / logic; A = dest reg, B/C operands.
   Add, Sub, Mul,
-  DivOp,       ///< Aux = dbg (division-by-zero location)
+  DivOp,       ///< Aux = dbg (division by zero / overflow location)
   ModOp,       ///< Aux = dbg
   EqI, NeI, EqB, NeB, Lt, Le, Gt, Ge,
   AndB, OrB,
@@ -135,29 +137,6 @@ enum class Op : uint16_t {
   ReadFetch,   ///< reg[A] = next program input; Aux = dbg
   WriteVal,    ///< append fetch(A) to the output text
   WriteNl,     ///< append '\n'
-  // Optimizer-introduced opcodes. Nop is a pass-internal placeholder (a
-  // removed or fused-away instruction); the compaction pass strips every
-  // Nop and remaps branch targets, so compiled programs never ship one —
-  // the VM still executes it as a no-op for robustness.
-  Nop,
-  // Superinstructions: fused forms of the statically dominant instruction
-  // pairs (bytecode/Passes.cpp measures pair frequencies and fuses only
-  // where the second instruction is not a branch target and the linking
-  // register is a statement-local temporary). Each fused handler raises
-  // the exact observeRead/observeWrite/countStep sequence of the pair it
-  // replaces, so transcripts stay byte-identical.
-  CmpBr,       ///< cmp(A=kind, B, C) feeding IfBr: pushCtrl(l∪r deps);
-               ///< if (!res) pc = Aux
-  CmpWhile,    ///< cmp(A=kind, B, C) feeding While/RepeatTest: accumulate
-               ///< l∪r deps into the loop cond; if (!res) pc = Aux
-  BinStore,    ///< storeCell(cell(A), fetch(B) <Aux=kind> fetch(C)) —
-               ///< non-failing binops only (never Div/Mod)
-  StepLoad,    ///< countStep (Aux = dbg) then reg[A] = fetch(B)
-  LoadBin,     ///< reg[A] = fetch(B) <kind> fetch(C) where the loaded value
-               ///< feeds a pure binop that overwrites the same register.
-               ///< Aux low 16 bits = binop kind; bit 16 set when the loaded
-               ///< value is the binop's *right* operand (C was the left).
-               ///< Non-failing kinds only (never Div/Mod).
 };
 
 /// Every opcode, in enum order — the threaded dispatcher builds its label
@@ -170,7 +149,7 @@ enum class Op : uint16_t {
   X(IfBr) X(PopCtrl) X(LoopEnter) X(WhileTest) X(IterBegin) X(IterEnd)       \
   X(RepeatTest) X(ForPrep) X(ForTest) X(ForIter) X(ForEnd) X(LoopExit)       \
   X(ForExit) X(CallGuard) X(Call) X(Ret) X(Goto) X(ReadFetch) X(WriteVal)    \
-  X(WriteNl) X(Nop) X(CmpBr) X(CmpWhile) X(BinStore) X(StepLoad) X(LoadBin)
+  X(WriteNl)
 
 struct Instr {
   Op Code;
@@ -285,17 +264,6 @@ struct DebugSrc {
   const pascal::Expr *E = nullptr;
 };
 
-/// What the compile-time pass pipeline did (per program, summed over
-/// routines). Zero everywhere when optimization was disabled.
-struct OptStats {
-  uint32_t Folded = 0;      ///< instructions replaced by constant results
-  uint32_t DeadStores = 0;  ///< never-read register writes elided
-  uint32_t Overwritten = 0; ///< reg writes dead because a later write in the
-                            ///< same straight-line run clobbers them first
-  uint32_t LoadsElided = 0; ///< redundant LoadChecked turned into reg moves
-  uint32_t Fused = 0;       ///< instruction pairs fused to superinstructions
-};
-
 /// A whole compiled program. Immutable after compilation; safe to share
 /// across threads and cache per program fingerprint. References the AST it
 /// was compiled from — the program must outlive it.
@@ -316,8 +284,6 @@ struct CompiledProgram {
   std::vector<RoutineSegment> Segments;
   /// Provenance of each Debug row, parallel to Debug.
   std::vector<DebugSrc> DebugSources;
-  /// What the middle-end did to this unit (tests and telemetry).
-  OptStats Opt;
 
   /// Rough retained-size estimate for cache occupancy gauges.
   size_t memoryBytes() const;
@@ -343,27 +309,11 @@ struct CodeRebuildStats {
   bool ReplayFellBack = false;
 };
 
-/// Middle-end knobs. Every pass is transcript-preserving by construction
-/// (passes only touch pure register/constant instructions — anything that
-/// observes a cell, raises a unit event or can fail is left alone), so
-/// these exist for differential testing and A/B measurement, not
-/// correctness. Everything is on by default.
-struct CompileOptions {
-  /// Constant folding, dead-store elision, redundant-LoadChecked elision.
-  bool Optimize = true;
-  /// Superinstruction fusion (peephole over static pair frequencies).
-  bool Fuse = true;
-};
-
 /// Compiles \p P (which must have storage slots assigned) to bytecode.
 /// Returns null when the program overflows an encoding limit or lacks Sema
-/// annotations; \p WhyNot (optional) receives the first reason. The form
-/// without CompileOptions uses the defaults.
+/// annotations; \p WhyNot (optional) receives the first reason.
 std::shared_ptr<const CompiledProgram>
 compile(const pascal::Program &P, bool Checked, std::string *WhyNot = nullptr);
-std::shared_ptr<const CompiledProgram>
-compile(const pascal::Program &P, bool Checked, const CompileOptions &Opts,
-        std::string *WhyNot = nullptr);
 
 /// Incremental variant: recompiles only routines \p Reuse marks dirty and
 /// replays the rest from Reuse.Old. Falls back to a full compile (setting

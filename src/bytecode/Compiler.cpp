@@ -25,10 +25,11 @@
 // A program that overflows an encoding limit or lacks Sema annotations is
 // rejected as a whole; the interpreter reports it as a runtime error.
 //
+// Nothing rewrites the emitted code afterwards: the VM executes it as is.
+//
 //===----------------------------------------------------------------------===//
 
 #include "bytecode/Bytecode.h"
-#include "bytecode/Passes.h"
 
 #include "pascal/ASTMatch.h"
 #include "support/Casting.h"
@@ -66,11 +67,32 @@ struct COperand {
   bool IsReg = false;
 };
 
+/// The opcode computing \p BO; \p IsBool selects the boolean forms of `=`
+/// and `<>`.
+Op binaryOpcode(BinaryOp BO, bool IsBool) {
+  switch (BO) {
+  case BinaryOp::Add: return Op::Add;
+  case BinaryOp::Sub: return Op::Sub;
+  case BinaryOp::Mul: return Op::Mul;
+  case BinaryOp::Div: return Op::DivOp;
+  case BinaryOp::Mod: return Op::ModOp;
+  case BinaryOp::Eq: return IsBool ? Op::EqB : Op::EqI;
+  case BinaryOp::Ne: return IsBool ? Op::NeB : Op::NeI;
+  case BinaryOp::Lt: return Op::Lt;
+  case BinaryOp::Le: return Op::Le;
+  case BinaryOp::Gt: return Op::Gt;
+  case BinaryOp::Ge: return Op::Ge;
+  case BinaryOp::And: return Op::AndB;
+  case BinaryOp::Or: return Op::OrB;
+  }
+  return Op::Add; // unreachable: the switch names every operator
+}
+
 class Compiler {
 public:
-  Compiler(const Program &P, bool Checked, const CompileOptions &COpts,
+  Compiler(const Program &P, bool Checked,
            const CodeReusePlan *Reuse = nullptr)
-      : Prog(P), Checked(Checked), COpts(COpts), Reuse(Reuse) {}
+      : Prog(P), Checked(Checked), Reuse(Reuse) {}
 
   /// True when a reuse plan was supplied but could not be applied; the
   /// caller restarts with a plain full compile.
@@ -120,7 +142,6 @@ public:
 private:
   const Program &Prog;
   bool Checked;
-  CompileOptions COpts;
   const CodeReusePlan *Reuse = nullptr;
   CompiledProgram *Out = nullptr;
 
@@ -405,32 +426,16 @@ private:
       COperand R = compileExpr(BE->getRHS());
       if (!Ok)
         return {};
-      Op O;
-      switch (BE->getOp()) {
-      case BinaryOp::Add: O = Op::Add; break;
-      case BinaryOp::Sub: O = Op::Sub; break;
-      case BinaryOp::Mul: O = Op::Mul; break;
-      case BinaryOp::Div: O = Op::DivOp; break;
-      case BinaryOp::Mod: O = Op::ModOp; break;
-      case BinaryOp::Eq:
-      case BinaryOp::Ne: {
+      bool IsBool = false;
+      if (BE->getOp() == BinaryOp::Eq || BE->getOp() == BinaryOp::Ne) {
         const Type *LTy = BE->getLHS()->getType();
         if (!LTy) {
           bail("expression without a type annotation");
           return {};
         }
-        bool IsB = LTy->isBoolean();
-        O = BE->getOp() == BinaryOp::Eq ? (IsB ? Op::EqB : Op::EqI)
-                                        : (IsB ? Op::NeB : Op::NeI);
-        break;
+        IsBool = LTy->isBoolean();
       }
-      case BinaryOp::Lt: O = Op::Lt; break;
-      case BinaryOp::Le: O = Op::Le; break;
-      case BinaryOp::Gt: O = Op::Gt; break;
-      case BinaryOp::Ge: O = Op::Ge; break;
-      case BinaryOp::And: O = Op::AndB; break;
-      case BinaryOp::Or: O = Op::OrB; break;
-      }
+      Op O = binaryOpcode(BE->getOp(), IsBool);
       RegTop = Watermark;
       uint16_t Dest = allocReg();
       uint32_t Aux = 0;
@@ -836,12 +841,6 @@ private:
     emit(Op::Ret);
     if (!Ok)
       return;
-    // Middle-end: fold, elide, fuse. Runs before the segment counts are
-    // recorded so any constants the folder appends stay inside this
-    // routine's segment (operands encode absolute pool indices; replay
-    // shifts them per segment).
-    optimizeRoutine(Code, NumRegs, Out->Consts, Seg.ConstStart, Out->Sites,
-                    Out->ArgPool, COpts, Out->Opt, &Labels);
     Seg.ConstCount = static_cast<uint32_t>(Out->Consts.size()) - Seg.ConstStart;
     Seg.WideCount =
         static_cast<uint32_t>(Out->WideCells.size()) - Seg.WideStart;
@@ -968,19 +967,7 @@ private:
     case Op::ForEnd:
     case Op::Ret:
     case Op::WriteNl:
-    case Op::Nop:
       return true;
-    case Op::CmpBr:    // A = cmp kind, Aux = routine-local pc
-    case Op::CmpWhile:
-      return shiftOperand(In.B, P) && shiftOperand(In.C, P);
-    case Op::BinStore: // Aux = binop kind
-      return shiftOperand(In.A, P) && shiftOperand(In.B, P) &&
-             shiftOperand(In.C, P);
-    case Op::StepLoad:
-      ShiftAux(DbgD);
-      return shiftOperand(In.B, P);
-    case Op::LoadBin: // Aux = binop kind | operand-side flag
-      return shiftOperand(In.B, P) && shiftOperand(In.C, P);
     }
     return false;
   }
@@ -1150,26 +1137,19 @@ private:
 
 std::shared_ptr<const CompiledProgram>
 bytecode::compile(const Program &P, bool Checked, std::string *WhyNot) {
-  return Compiler(P, Checked, CompileOptions()).run(WhyNot);
-}
-
-std::shared_ptr<const CompiledProgram>
-bytecode::compile(const Program &P, bool Checked, const CompileOptions &Opts,
-                  std::string *WhyNot) {
-  return Compiler(P, Checked, Opts).run(WhyNot);
+  return Compiler(P, Checked).run(WhyNot);
 }
 
 std::shared_ptr<const CompiledProgram>
 bytecode::compileWithReuse(const Program &P, bool Checked,
                            const CodeReusePlan &Reuse, CodeRebuildStats *Stats,
                            std::string *WhyNot) {
-  const CompileOptions Opts;
-  Compiler C(P, Checked, Opts, &Reuse);
+  Compiler C(P, Checked, &Reuse);
   auto CP = C.run(WhyNot);
   if (!CP && C.replayFailed()) {
     // The plan did not line up mid-routine; restart without it. The full
     // compiler sees exactly what a cold compile would.
-    Compiler Full(P, Checked, Opts);
+    Compiler Full(P, Checked);
     CP = Full.run(WhyNot);
     if (Stats) {
       Stats->ReplayFellBack = true;

@@ -261,49 +261,6 @@ bool takeGoto(ExecState &S, const CompiledProgram &CP, VMState &VS,
   return true;
 }
 
-/// Evaluates a fused comparison kind (the A field of CmpBr/CmpWhile).
-bool evalCmp(Op K, const Value &L, const Value &R) {
-  switch (K) {
-  case Op::EqI:
-    return L.asInt() == R.asInt();
-  case Op::NeI:
-    return L.asInt() != R.asInt();
-  case Op::EqB:
-    return L.asBool() == R.asBool();
-  case Op::NeB:
-    return L.asBool() != R.asBool();
-  case Op::Lt:
-    return L.asInt() < R.asInt();
-  case Op::Le:
-    return L.asInt() <= R.asInt();
-  case Op::Gt:
-    return L.asInt() > R.asInt();
-  case Op::Ge:
-    return L.asInt() >= R.asInt();
-  case Op::AndB:
-    return L.asBool() && R.asBool();
-  case Op::OrB:
-    return L.asBool() || R.asBool();
-  default:
-    return false; // unreachable: fusion only encodes the kinds above
-  }
-}
-
-/// Evaluates a fused binop kind (the Aux field of BinStore). Only
-/// non-failing kinds are ever encoded (never Div/Mod).
-Value evalBin(Op K, const Value &L, const Value &R) {
-  switch (K) {
-  case Op::Add:
-    return Value::makeInt(L.asInt() + R.asInt());
-  case Op::Sub:
-    return Value::makeInt(L.asInt() - R.asInt());
-  case Op::Mul:
-    return Value::makeInt(L.asInt() * R.asInt());
-  default:
-    return Value::makeBool(evalCmp(K, L, R));
-  }
-}
-
 /// The handler include below must enumerate every opcode in enum order —
 /// the threaded dispatcher indexes a label table by raw Op value.
 constexpr bool opsMatch() {
@@ -313,7 +270,7 @@ constexpr bool opsMatch() {
 #undef X
   };
   constexpr size_t N = sizeof(Expected) / sizeof(Expected[0]);
-  if (N != static_cast<size_t>(Op::LoadBin) + 1)
+  if (N != static_cast<size_t>(Op::WriteNl) + 1)
     return false;
   for (size_t K = 0; K != N; ++K)
     if (static_cast<size_t>(Expected[K]) != K)

@@ -4,6 +4,8 @@
 
 #include "support/Casting.h"
 
+#include <cstdint>
+
 using namespace gadt;
 using namespace gadt::tgen;
 using namespace gadt::interp;
@@ -81,13 +83,16 @@ std::optional<Value> gadt::tgen::evalClosedExpr(const Expr *E,
       case BinaryOp::Mul:
         return Value::makeInt(A * B);
       case BinaryOp::Div:
-        if (B == 0)
+        // The VM's runtime errors are undefined here: a zero divisor, and
+        // INT64_MIN div -1, the one quotient int64 cannot hold.
+        if (B == 0 || (B == -1 && A == INT64_MIN))
           return std::nullopt;
         return Value::makeInt(A / B);
       case BinaryOp::Mod:
         if (B == 0)
           return std::nullopt;
-        return Value::makeInt(A % B);
+        // x mod -1 is 0 for every x; INT64_MIN % -1 would trap.
+        return Value::makeInt(B == -1 ? 0 : A % B);
       default:
         return std::nullopt;
       }

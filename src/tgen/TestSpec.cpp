@@ -56,9 +56,14 @@ std::string Selector::str() const {
   case Kind::Not:
     return "not " + LHS->str();
   case Kind::And:
-    return "(" + LHS->str() + " and " + RHS->str() + ")";
-  case Kind::Or:
-    return "(" + LHS->str() + " or " + RHS->str() + ")";
+  case Kind::Or: {
+    std::string Out = "(";
+    Out += LHS->str();
+    Out += K == Kind::And ? " and " : " or ";
+    Out += RHS->str();
+    Out += ')';
+    return Out;
+  }
   }
   return "?";
 }

@@ -55,8 +55,10 @@ std::string ExecNode::signature() const {
     Out += B.V.str();
   }
   Out += ")";
-  if (ResultBinding)
-    Out += "=" + ResultBinding->V.str();
+  if (ResultBinding) {
+    Out += '=';
+    Out += ResultBinding->V.str();
+  }
   return Out;
 }
 

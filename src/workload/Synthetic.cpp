@@ -17,7 +17,7 @@ ProgramPair gadt::workload::chainProgram(unsigned N, unsigned BugIndex) {
   auto Emit = [&](bool Buggy) {
     std::string S = "program chain;\nvar r: integer;\n";
     for (unsigned I = N; I >= 1; --I) {
-      std::string Name = "p" + std::to_string(I);
+      std::string Name = 'p' + std::to_string(I);
       S += "procedure " + Name + "(x: integer; var y: integer);\n";
       bool Bug = Buggy && I == BugIndex;
       if (I == N) {
@@ -48,7 +48,7 @@ ProgramPair gadt::workload::treeProgram(unsigned Depth) {
   auto Emit = [&](bool Buggy) {
     std::string S = "program tree;\nvar r: integer;\n";
     for (unsigned I = NumNodes; I >= 1; --I) {
-      std::string Name = "n" + std::to_string(I);
+      std::string Name = 'n' + std::to_string(I);
       S += "procedure " + Name + "(x: integer; var y: integer);\n";
       bool Bug = Buggy && I == BuggyNode;
       if (I >= FirstLeaf) {
@@ -105,7 +105,7 @@ ProgramPair gadt::workload::summaryMeshProgram(unsigned Layers,
                                                unsigned Width) {
   assert(Layers >= 1 && Width >= 1);
   auto Name = [](unsigned L, unsigned W) {
-    return "m" + std::to_string(L) + "_" + std::to_string(W);
+    return 'm' + std::to_string(L) + '_' + std::to_string(W);
   };
   auto Emit = [&](bool Buggy) {
     std::string S = "program mesh;\nvar g1, g2, r1, r2: integer;\n";

@@ -18,7 +18,6 @@
 #include "GoldenUtil.h"
 
 #include "bytecode/Bytecode.h"
-#include "bytecode/Passes.h"
 #include "interp/Interpreter.h"
 #include "obs/Metrics.h"
 #include "pascal/Frontend.h"
@@ -80,6 +79,28 @@ TEST(BytecodeDifferential, TreeAndWidePrograms) {
 TEST(BytecodeDifferential, SummaryMesh) {
   expectMatchesDifferentialGolden(summaryMeshProgram(2, 3).Buggy,
                                   "mesh2x3-buggy");
+}
+
+/// A loop-heavy subject: constant subexpressions written out longhand
+/// inside a while loop.
+const char *LoopHeavySrc =
+    "program optsubject;\n"
+    "var i, a, b, s: integer;\n"
+    "begin\n"
+    "  s := 0;\n"
+    "  i := 0;\n"
+    "  while i < 20 do\n"
+    "  begin\n"
+    "    a := (i * (2 + 1) + (10 - 3)) - (i - 2) * (4 - 2);\n"
+    "    b := (a + i) * (8 - 6) - (a - (3 * 4 - 7));\n"
+    "    s := s + b - (a - b) * (6 - 5);\n"
+    "    i := i + 1\n"
+    "  end;\n"
+    "  writeln(s)\n"
+    "end.";
+
+TEST(BytecodeDifferential, LoopHeavySubject) {
+  expectMatchesDifferentialGolden(LoopHeavySrc, "optsubject");
 }
 
 /// Seeded random programs; odd seeds are goto-free, even seeds plant
@@ -346,7 +367,7 @@ std::string wideProgram(unsigned Globals, unsigned Depth) {
   for (unsigned G = 0; G != Globals; ++G)
     Src += std::string(G ? "," : "") + " v" + std::to_string(G);
   Src += ": integer;\n";
-  std::string Last = "v" + std::to_string(Globals - 1);
+  std::string Last = 'v' + std::to_string(Globals - 1);
   for (unsigned D = 1; D <= Depth; ++D)
     Src += "procedure p" + std::to_string(D) + "(var r: integer);\n";
   // Innermost body first: nested procedures close inside out.
@@ -437,262 +458,6 @@ TEST(CellArena, WatermarkResetsAcrossSessions) {
   EXPECT_EQ(First.Steps, Second.Steps);
   EXPECT_EQ(First.UnitsExecuted, Second.UnitsExecuted);
   EXPECT_GE(Pooled.value() - Before, 49u * 5u);
-}
-
-//===----------------------------------------------------------------------===//
-// Optimizer pass pipeline
-//===----------------------------------------------------------------------===//
-
-/// A loop-heavy subject exercising everything the pipeline targets:
-/// constant subexpressions (folding), temporaries left dead by folding
-/// (overwritten-before-read elision), and the dominant fusable pairs.
-const char *OptSubjectSrc =
-    "program optsubject;\n"
-    "var i, a, b, s: integer;\n"
-    "begin\n"
-    "  s := 0;\n"
-    "  i := 0;\n"
-    "  while i < 20 do\n"
-    "  begin\n"
-    "    a := (i * (2 + 1) + (10 - 3)) - (i - 2) * (4 - 2);\n"
-    "    b := (a + i) * (8 - 6) - (a - (3 * 4 - 7));\n"
-    "    s := s + b - (a - b) * (6 - 5);\n"
-    "    i := i + 1\n"
-    "  end;\n"
-    "  writeln(s)\n"
-    "end.";
-
-/// Runs explicitly compiled code for every CompileOptions combination under
-/// all 16 tracing-flag masks and compares each sweep with the program's
-/// differential golden. The passes must be transcript-invisible —
-/// byte-identical results, trees and slices.
-void expectPassesPreserveTranscripts(const pascal::Program &Prog,
-                                     const std::string &Label) {
-  for (int Combo = 0; Combo < 4; ++Combo) {
-    bytecode::CompileOptions CO;
-    CO.Optimize = (Combo & 1) != 0;
-    CO.Fuse = (Combo & 2) != 0;
-    std::string Why;
-    std::string Doc = golden::renderAllCombos(Prog, [&](InterpOptions &O) {
-      O.Code = bytecode::compile(Prog, O.DetectUninitialized, CO, &Why);
-      EXPECT_TRUE(O.Code != nullptr) << Label << ": " << Why;
-    });
-    SCOPED_TRACE("opt=" + std::to_string(CO.Optimize) +
-                 " fuse=" + std::to_string(CO.Fuse));
-    golden::expectMatchesGolden(Doc, "differential/" + Label + ".golden");
-  }
-}
-
-TEST(OptimizerDifferential, PaperPrograms) {
-  auto Prog = compile(Figure4Buggy);
-  expectPassesPreserveTranscripts(*Prog, "figure4-buggy");
-}
-
-TEST(OptimizerDifferential, LoopHeavySubject) {
-  expectMatchesDifferentialGolden(OptSubjectSrc, "optsubject");
-  auto Prog = compile(OptSubjectSrc);
-  expectPassesPreserveTranscripts(*Prog, "optsubject");
-}
-
-TEST(OptimizerDifferential, CorpusPrograms) {
-  auto Chain = compile(chainProgram(6, 2).Buggy);
-  expectPassesPreserveTranscripts(*Chain, "chain6-buggy");
-  auto Mesh = compile(summaryMeshProgram(2, 3).Buggy);
-  expectPassesPreserveTranscripts(*Mesh, "mesh2x3-buggy");
-}
-
-TEST(OptimizerPasses, StatsReportWorkOnLoopHeavySubject) {
-  auto Prog = compile(OptSubjectSrc);
-  bytecode::CompileOptions CO; // both passes on by default
-  auto Code = bytecode::compile(*Prog, /*Checked=*/false, CO, nullptr);
-  ASSERT_TRUE(Code != nullptr);
-  EXPECT_GT(Code->Opt.Folded, 0u);
-  EXPECT_GT(Code->Opt.Overwritten, 0u);
-  EXPECT_GT(Code->Opt.Fused, 0u);
-
-  CO.Optimize = false;
-  CO.Fuse = false;
-  auto Plain = bytecode::compile(*Prog, /*Checked=*/false, CO, nullptr);
-  ASSERT_TRUE(Plain != nullptr);
-  EXPECT_EQ(Plain->Opt.Folded, 0u);
-  EXPECT_EQ(Plain->Opt.Overwritten, 0u);
-  EXPECT_EQ(Plain->Opt.DeadStores, 0u);
-  EXPECT_EQ(Plain->Opt.Fused, 0u);
-  // The pipeline must strictly shrink this routine.
-  EXPECT_LT(Code->Routines[0].Code.size(), Plain->Routines[0].Code.size());
-}
-
-/// optimizeRoutine on hand-built code: precise pass-by-pass obligations.
-/// Operand encodings per Bytecode.h: registers are raw indices (OpReg mode
-/// is zero), constants are OpConst | pool index, cells OpCell | slot.
-TEST(OptimizerPasses, OverwrittenWriteElision) {
-  using bytecode::Instr;
-  using bytecode::Op;
-  const uint16_t C0 = bytecode::OpConst | 0;
-  const uint16_t C1 = bytecode::OpConst | 1;
-  const uint16_t Cell0 = bytecode::OpCell | 0;
-  std::vector<interp::Value> Consts = {interp::Value::makeInt(1),
-                                       interp::Value::makeInt(2)};
-  std::vector<bytecode::CallSiteInfo> Sites;
-  std::vector<bytecode::ArgDesc> Args;
-  bytecode::CompileOptions CO;
-  CO.Fuse = false;
-
-  // A const load clobbered by a cell load before any read: the const load
-  // is dead and must go, the clobberer and its reader stay.
-  std::vector<Instr> Code = {{Op::Load, 0, C0, 0, 0},
-                             {Op::Load, 0, Cell0, 0, 0},
-                             {Op::Store, Cell0, 0, 0, 0}};
-  bytecode::OptStats St;
-  bytecode::optimizeRoutine(Code, 1, Consts, 0, Sites, Args, CO, St);
-  EXPECT_EQ(St.Overwritten, 1u);
-  ASSERT_EQ(Code.size(), 2u);
-  EXPECT_EQ(Code[0].Code, Op::Load);
-  EXPECT_EQ(Code[0].B, Cell0);
-
-  // A cell-sourced load in the clobbered position must survive the
-  // overwritten-write pass: the read is observable (dynamic input sets),
-  // even though the register value is dead. (The follow-up const load is
-  // propagated into the Store and then removed as never-read — that is
-  // the global pass's count, not Overwritten.)
-  Code = {{Op::Load, 0, Cell0, 0, 0},
-          {Op::Load, 0, C1, 0, 0},
-          {Op::Store, Cell0, 0, 0, 0}};
-  St = {};
-  bytecode::optimizeRoutine(Code, 1, Consts, 0, Sites, Args, CO, St);
-  EXPECT_EQ(St.Overwritten, 0u);
-  ASSERT_GE(Code.size(), 2u);
-  EXPECT_EQ(Code[0].Code, Op::Load);
-  EXPECT_EQ(Code[0].B, Cell0);
-  EXPECT_EQ(Code.back().Code, Op::Store);
-}
-
-TEST(OptimizerPasses, ElisionChainsIntoDeadStorePass) {
-  using bytecode::Instr;
-  using bytecode::Op;
-  const uint16_t C0 = bytecode::OpConst | 0;
-  const uint16_t C1 = bytecode::OpConst | 1;
-  const uint16_t Cell0 = bytecode::OpCell | 0;
-  std::vector<interp::Value> Consts = {interp::Value::makeInt(0),
-                                       interp::Value::makeInt(5)};
-  std::vector<bytecode::CallSiteInfo> Sites;
-  std::vector<bytecode::ArgDesc> Args;
-  bytecode::CompileOptions CO;
-  CO.Fuse = false;
-
-  // r0 feeds only the Add; the Add's destination r1 is clobbered by the
-  // const load. Eliding the Add (overwritten) leaves r0 never read for
-  // the global dead-store pass, and constant propagation sinks C1 into
-  // the Store — the whole chain must collapse to the lone Store.
-  std::vector<Instr> Code = {{Op::Load, 0, C0, 0, 0},
-                             {Op::Add, 1, 0, 0, 0},
-                             {Op::Load, 1, C1, 0, 0},
-                             {Op::Store, Cell0, 1, 0, 0}};
-  bytecode::OptStats St;
-  bytecode::optimizeRoutine(Code, 2, Consts, 0, Sites, Args, CO, St);
-  ASSERT_EQ(Code.size(), 1u);
-  EXPECT_EQ(Code.back().Code, Op::Store);
-}
-
-//===----------------------------------------------------------------------===//
-// Superinstruction fusion
-//===----------------------------------------------------------------------===//
-
-TEST(Superinstructions, FusionEmitsFusedOpcodes) {
-  auto Prog = compile(OptSubjectSrc);
-  bytecode::CompileOptions CO;
-  auto Code = bytecode::compile(*Prog, /*Checked=*/false, CO, nullptr);
-  ASSERT_TRUE(Code != nullptr);
-
-  unsigned CmpWhile = 0, BinStore = 0, StepLoad = 0, LoadBin = 0;
-  for (const auto &CR : Code->Routines)
-    for (const bytecode::Instr &I : CR.Code) {
-      CmpWhile += I.Code == bytecode::Op::CmpWhile;
-      BinStore += I.Code == bytecode::Op::BinStore;
-      StepLoad += I.Code == bytecode::Op::StepLoad;
-      LoadBin += I.Code == bytecode::Op::LoadBin;
-    }
-  EXPECT_GT(CmpWhile, 0u) << "cmp+while pair not fused";
-  EXPECT_GT(BinStore, 0u) << "binop+store pair not fused";
-  EXPECT_GT(StepLoad, 0u) << "step+load pair not fused";
-  EXPECT_GT(LoadBin, 0u) << "load+binop pair not fused";
-
-  CO.Fuse = false;
-  auto Plain = bytecode::compile(*Prog, /*Checked=*/false, CO, nullptr);
-  ASSERT_TRUE(Plain != nullptr);
-  for (const auto &CR : Plain->Routines)
-    for (const bytecode::Instr &I : CR.Code)
-      EXPECT_TRUE(I.Code != bytecode::Op::CmpBr &&
-                  I.Code != bytecode::Op::CmpWhile &&
-                  I.Code != bytecode::Op::BinStore &&
-                  I.Code != bytecode::Op::StepLoad &&
-                  I.Code != bytecode::Op::LoadBin)
-          << "fused opcode emitted with fusion disabled";
-}
-
-/// Every fused instruction's packed fields must decode to a well-formed
-/// unfused pair: a valid embedded opcode kind and in-range operands. This
-/// is the round-trip the VM handlers rely on blindly.
-TEST(Superinstructions, FusedOperandsDecodeToValidPairs) {
-  auto IsPureBinKind = [](uint16_t K) {
-    auto O = static_cast<bytecode::Op>(K);
-    return O == bytecode::Op::Add || O == bytecode::Op::Sub ||
-           O == bytecode::Op::Mul ||
-           (O >= bytecode::Op::EqI && O <= bytecode::Op::OrB);
-  };
-  auto IsCmpKind = [](uint16_t K) {
-    auto O = static_cast<bytecode::Op>(K);
-    return O >= bytecode::Op::EqI && O <= bytecode::Op::OrB;
-  };
-
-  for (const std::string &Src :
-       {std::string(OptSubjectSrc), chainProgram(6, 2).Buggy,
-        summaryMeshProgram(2, 3).Buggy}) {
-    auto Prog = compile(Src);
-    bytecode::CompileOptions CO;
-    auto Code = bytecode::compile(*Prog, /*Checked=*/false, CO, nullptr);
-    ASSERT_TRUE(Code != nullptr);
-    for (const auto &CR : Code->Routines)
-      for (const bytecode::Instr &I : CR.Code)
-        switch (I.Code) {
-        case bytecode::Op::CmpBr:
-        case bytecode::Op::CmpWhile:
-          EXPECT_TRUE(IsCmpKind(I.A)) << "bad embedded cmp kind " << I.A;
-          EXPECT_LE(I.Aux, CR.Code.size()) << "branch target out of range";
-          break;
-        case bytecode::Op::BinStore:
-          EXPECT_TRUE(IsPureBinKind(static_cast<uint16_t>(I.Aux)))
-              << "bad embedded binop kind " << I.Aux;
-          break;
-        case bytecode::Op::LoadBin:
-          EXPECT_TRUE(IsPureBinKind(static_cast<uint16_t>(I.Aux & 0xffff)))
-              << "bad embedded binop kind " << (I.Aux & 0xffff);
-          EXPECT_LE(I.Aux >> 16, 1u) << "bad operand-side flag";
-          // The destination doubles as the loaded temporary; the other
-          // operand must never alias it, or the fused fetch order would
-          // read the clobbered value.
-          if ((I.C & bytecode::OpModeMask) == bytecode::OpReg)
-            EXPECT_NE(I.C, I.A);
-          break;
-        case bytecode::Op::StepLoad:
-          EXPECT_LT(I.Aux, Code->Debug.size()) << "debug index out of range";
-          break;
-        default:
-          break;
-        }
-  }
-}
-
-TEST(Superinstructions, StaticPairFrequenciesRanked) {
-  auto Prog = compile(OptSubjectSrc);
-  bytecode::CompileOptions CO;
-  CO.Fuse = false; // measure the unfused stream the fusion pass sees
-  auto Code = bytecode::compile(*Prog, /*Checked=*/false, CO, nullptr);
-  ASSERT_TRUE(Code != nullptr);
-  auto Pairs = bytecode::staticPairFrequencies(*Code);
-  ASSERT_FALSE(Pairs.empty());
-  for (size_t K = 1; K < Pairs.size(); ++K)
-    EXPECT_GE(Pairs[K - 1].second, Pairs[K].second) << "not sorted";
 }
 
 TEST(CellArena, RepeatedSessionsStayByteIdentical) {

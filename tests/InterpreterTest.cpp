@@ -238,6 +238,35 @@ TEST(InterpreterTest, DivisionByZeroFails) {
   EXPECT_NE(R.Error.Message.find("division by zero"), std::string::npos);
 }
 
+/// x := INT64_MIN; y := -1; z := x \p Op y.
+std::string minIntByMinusOne(const std::string &Op) {
+  return "program p; var x, y, z: integer;\n"
+         "begin x := -9223372036854775807 - 1; y := 0 - 1;\n"
+         "  z := x " + Op + " y; writeln(z) end.";
+}
+
+TEST(InterpreterTest, MinIntDivMinusOneIsAnOverflowError) {
+  auto R = runProgram(minIntByMinusOne("div"));
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error.Message, "integer overflow");
+  EXPECT_EQ(R.Output, "");
+  // Reported where a zero divisor would be: at the division.
+  auto Zero = runProgram("program p; var x, y, z: integer;\n"
+                         "begin x := -9223372036854775807 - 1; y := 0;\n"
+                         "  z := x div y; writeln(z) end.");
+  ASSERT_FALSE(Zero.Ok);
+  EXPECT_EQ(Zero.Error.Message, "division by zero");
+  EXPECT_EQ(R.Error.Loc, Zero.Error.Loc);
+  EXPECT_EQ(R.Error.Loc.Line, 3u);
+}
+
+TEST(InterpreterTest, MinIntModMinusOneIsZero) {
+  auto R = runProgram(minIntByMinusOne("mod"));
+  ASSERT_TRUE(R.Ok) << R.Error.Message;
+  EXPECT_EQ(findGlobal(R, "z")->asInt(), 0);
+  EXPECT_EQ(R.Output, "0\n");
+}
+
 TEST(InterpreterTest, ArrayIndexOutOfBoundsFails) {
   auto R = runProgram("program p; var a: array[1..3] of integer; x: integer;"
                       "begin x := 7; a[x] := 1; end.");

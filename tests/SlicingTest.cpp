@@ -457,7 +457,7 @@ syntheticTree(const std::vector<uint32_t> &Parents,
     CloseTo(Parents[I]);
     UnitStart S;
     S.NodeId = I + 1;
-    S.Name = "n" + std::to_string(I + 1);
+    S.Name = 'n' + std::to_string(I + 1);
     B.enterUnit(S);
     Open.push_back(I + 1);
   }

@@ -8,10 +8,13 @@
 #include "tgen/SpecParser.h"
 
 #include "pascal/Frontend.h"
+#include "support/Casting.h"
 #include "workload/ArrsumFixture.h"
 #include "workload/PaperPrograms.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
 
 using namespace gadt;
 using namespace gadt::interp;
@@ -127,6 +130,26 @@ TEST(ConstEvalTest, DivisionByZeroIsUndefined) {
   Env["n"] = Value::makeInt(0);
   EXPECT_FALSE(
       evalPredicate(Spec->Categories[0].Choices[0].When.get(), Env));
+}
+
+TEST(ConstEvalTest, MinIntByMinusOne) {
+  DiagnosticsEngine Diags;
+  auto Spec = parseSpec("test t; category c;"
+                        " a : when x div y = 0;"
+                        " b : when x mod y = 0; end.",
+                        Diags);
+  ASSERT_TRUE(Spec);
+  const auto &Choices = Spec->Categories[0].Choices;
+  const auto *Div = cast<BinaryExpr>(Choices[0].When.get())->getLHS();
+  const auto *Mod = cast<BinaryExpr>(Choices[1].When.get())->getLHS();
+  ValueEnv Env;
+  Env["x"] = Value::makeInt(INT64_MIN);
+  Env["y"] = Value::makeInt(-1);
+  // The quotient does not fit: undefined, like a zero divisor.
+  EXPECT_FALSE(evalClosedExpr(Div, Env).has_value());
+  auto R = evalClosedExpr(Mod, Env);
+  ASSERT_TRUE(R.has_value());
+  EXPECT_EQ(R->asInt(), 0);
 }
 
 //===----------------------------------------------------------------------===//

@@ -5,8 +5,8 @@
 // (GADT_METRICS), the collapsed profile (GADT_PROFILE) — plus any number
 // of committed BENCH_*.json captures into a single markdown ops report:
 //
-//   $ gadt_report --trace t.jsonl --log l.jsonl --metrics m.jsonl \
-//                 --profile p.collapsed --bench BENCH_PR5.json \
+//   $ gadt_report --trace t.jsonl --log l.jsonl --metrics m.jsonl
+//                 --profile p.collapsed --bench BENCH_PR5.json
 //                 --bench BENCH_PR6.json --out report.md
 //
 // Every input is optional; sections for absent inputs are omitted. The
@@ -382,9 +382,13 @@ void benchSection(const std::vector<std::string> &Paths, std::string &Md) {
     Md += "| `" + Name + "` |";
     for (const Capture &C : Captures) {
       auto It = C.RealNs.find(Name);
-      Md += It == C.RealNs.end() ? " — |"
-                                 : " " + fmtMicros(It->second / 1000.0) +
-                                       " |";
+      if (It == C.RealNs.end()) {
+        Md += " — |";
+        continue;
+      }
+      Md += ' ';
+      Md += fmtMicros(It->second / 1000.0);
+      Md += " |";
     }
     if (Captures.size() >= 2) {
       auto FirstIt = Captures.front().RealNs.find(Name);
