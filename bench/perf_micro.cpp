@@ -225,6 +225,27 @@ void BM_TrackDepsSynthetic(benchmark::State &State) {
 }
 BENCHMARK(BM_TrackDepsSynthetic);
 
+/// Tracing the summary mesh with dependence tracking, code compiled once:
+/// the tracing step of a dynamic-slicing session. Every layer's outputs
+/// merge the dependence sets of several callees, so this measures merges
+/// of multi-run sets, which the single-run sets of the BM_TrackDeps* chains
+/// never reach. Arguments: layers, width. The name matches no CI gate
+/// filter, so captures without it still compare.
+void BM_DepTrackingMesh(benchmark::State &State) {
+  auto Prog = compileOrDie(
+      workload::summaryMeshProgram(static_cast<unsigned>(State.range(0)),
+                                   static_cast<unsigned>(State.range(1)))
+          .Buggy);
+  interp::InterpOptions Opts;
+  Opts.TrackDeps = true;
+  Opts.Code = bytecode::compile(*Prog, Opts.DetectUninitialized);
+  for (auto _ : State) {
+    auto Tree = trace::buildExecTree(*Prog, Opts, {});
+    benchmark::DoNotOptimize(Tree);
+  }
+}
+BENCHMARK(BM_DepTrackingMesh)->Args({3, 5})->Args({4, 4});
+
 /// Plain execution (no dependence tracking, no listener) with a warm
 /// interpreter: the floor the dispatch loop itself sets.
 void BM_TrackDepsOffChain(benchmark::State &State) {

@@ -330,16 +330,6 @@ struct ExecState {
     A.CtrlStack.push_back(std::move(Merged));
   }
 
-  /// Move form for callers holding a freshly merged condition set (the
-  /// fused compare-and-branch builds one it does not need back).
-  void pushCtrl(Activation &A, DepSet &&CondDeps) {
-    if (!Opts.TrackDeps)
-      return;
-    if (const DepSet *Active = A.activeCtrlDeps())
-      CondDeps.mergeWith(*Active);
-    A.CtrlStack.push_back(std::move(CondDeps));
-  }
-
   void popCtrl(Activation &A) {
     if (!Opts.TrackDeps)
       return;

@@ -2,169 +2,106 @@
 
 #include "interp/Value.h"
 
-#include "obs/Metrics.h"
-
 #include <algorithm>
-#include <unordered_map>
 
 using namespace gadt;
 using namespace gadt::interp;
 
 namespace {
 
-using HeapVec = std::vector<uint32_t>;
-using HeapPtr = std::shared_ptr<HeapVec>;
+using Run = DepSet::Run;
 
-uint64_t hashIds(const uint32_t *P, size_t N) {
-  uint64_t H = 1469598103934665603ull; // FNV-1a
-  for (size_t I = 0; I != N; ++I) {
-    H ^= P[I];
-    H *= 1099511628211ull;
-  }
-  return H;
-}
+/// Merge output for sets too large for the merge's stack buffer. One per
+/// thread, so BatchRunner threads never share it.
+thread_local std::vector<Run> Scratch;
 
-/// Per-thread hash-consing table for heap-backed id vectors. Thread-local
-/// so BatchRunner threads never contend; entries hold shared_ptrs, so a
-/// consumer (execution tree, slicer) outliving the interning thread is
-/// fine. Capped: dependence sets of one subject repeat heavily, but across
-/// many subjects the population is unbounded, so the table is dropped
-/// wholesale when it grows past the cap (correctness is unaffected —
-/// interning only dedupes storage).
-struct InternTable {
-  static constexpr size_t MaxEntries = 1 << 15;
-  std::unordered_map<uint64_t, std::vector<HeapPtr>> Buckets;
-  size_t Entries = 0;
-};
-
-thread_local InternTable Interned;
-
-HeapPtr internVec(HeapVec V) {
-  InternTable &T = Interned;
-  if (T.Entries >= InternTable::MaxEntries) {
-    T.Buckets.clear();
-    T.Entries = 0;
-  }
-  auto &Cands = T.Buckets[hashIds(V.data(), V.size())];
-  for (const HeapPtr &C : Cands)
-    if (*C == V) {
-      static obs::Counter &Hits =
-          obs::Registry::global().counter("interp.depset.intern_hits");
-      Hits.add();
-      return C;
+/// Merges the sorted, coalesced run lists \p A and \p B into \p Out
+/// (room for NA + NB runs), coalescing overlapping and touching runs.
+/// Returns the number of runs written.
+size_t mergeRuns(const Run *A, size_t NA, const Run *B, size_t NB, Run *Out) {
+  size_t N = 0, I = 0, J = 0;
+  while (I != NA || J != NB) {
+    Run R = J == NB || (I != NA && A[I].Lo <= B[J].Lo) ? A[I++] : B[J++];
+    // Hi + 1 in 64 bits: a run ending at UINT32_MAX touches nothing.
+    if (N != 0 && uint64_t(Out[N - 1].Hi) + 1 >= R.Lo) {
+      if (R.Hi > Out[N - 1].Hi)
+        Out[N - 1].Hi = R.Hi;
+    } else {
+      Out[N++] = R;
     }
-  Cands.push_back(std::make_shared<HeapVec>(std::move(V)));
-  ++T.Entries;
-  return Cands.back();
+  }
+  return N;
 }
 
 } // namespace
 
-void DepSet::adopt(HeapVec V) {
-  if (V.size() <= InlineCap) {
-    Heap.reset();
-    std::copy(V.begin(), V.end(), Small);
-    Count = static_cast<uint32_t>(V.size());
-    return;
-  }
-  // Interning pays off for the small-to-medium sets that recur (loop
-  // bodies re-merging the same dependences); very large sets are mostly
-  // unique prefixes of a growing chain, where hashing every merge result
-  // costs more than the occasional dedup saves. They still share storage
-  // through the copy-on-write handle.
-  constexpr size_t InternMax = 16;
-  Heap = V.size() <= InternMax
-             ? internVec(std::move(V))
-             : std::make_shared<HeapVec>(std::move(V));
-  Count = 0;
+std::vector<uint32_t> DepSet::ids() const {
+  std::vector<uint32_t> Out;
+  Out.reserve(size());
+  forEachRun([&Out](uint32_t Lo, uint32_t Hi) {
+    for (uint64_t Id = Lo; Id <= Hi; ++Id)
+      Out.push_back(static_cast<uint32_t>(Id));
+  });
+  return Out;
 }
 
 bool DepSet::contains(uint32_t Id) const {
-  const uint32_t *B = begin();
-  return std::binary_search(B, B + size(), Id);
+  const Run *B = runs(), *E = B + numRuns();
+  // The first run that does not end before Id.
+  const Run *R = std::lower_bound(
+      B, E, Id, [](const Run &X, uint32_t V) { return X.Hi < V; });
+  return R != E && R->Lo <= Id;
 }
 
 void DepSet::insert(uint32_t Id) {
-  const uint32_t *B = begin();
-  size_t N = size();
-  const uint32_t *Pos = std::lower_bound(B, B + N, Id);
-  if (Pos != B + N && *Pos == Id)
-    return;
-  if (!Heap && N < InlineCap) {
-    size_t At = static_cast<size_t>(Pos - B);
-    for (size_t I = N; I > At; --I)
-      Small[I] = Small[I - 1];
-    Small[At] = Id;
-    ++Count;
-    return;
+  DepSet One;
+  One.Small[0] = {Id, Id};
+  One.SmallRuns = 1;
+  One.Count = 1;
+  mergeWith(One);
+}
+
+void DepSet::assign(const Run *R, size_t N, uint64_t Ids) {
+  if (N <= InlineRuns) {
+    Heap.reset();
+    std::copy(R, R + N, Small);
+    SmallRuns = N;
+  } else if (Heap && Heap.use_count() == 1) {
+    Heap->assign(R, R + N);
+  } else {
+    Heap = std::make_shared<std::vector<Run>>(R, R + N);
   }
-  HeapVec V;
-  V.reserve(N + 1);
-  V.insert(V.end(), B, Pos);
-  V.push_back(Id);
-  V.insert(V.end(), Pos, B + N);
-  adopt(std::move(V));
+  Count = Ids;
 }
 
 void DepSet::mergeWith(const DepSet &Other) {
-  if (&Other == this)
+  if (&Other == this || Other.empty())
     return;
-  size_t ON = Other.size();
-  if (ON == 0)
-    return;
-  size_t N = size();
-  if (N == 0) {
+  if (empty()) {
     *this = Other; // inline copy or refcount bump — never an allocation
     return;
   }
   if (Heap && Heap == Other.Heap)
     return;
-  const uint32_t *A = begin();
-  const uint32_t *B = Other.begin();
-  if (N + ON <= InlineCap) {
-    uint32_t Tmp[InlineCap];
-    uint32_t *End = std::set_union(A, A + N, B, B + ON, Tmp);
-    std::copy(Tmp, End, Small);
-    Count = static_cast<uint32_t>(End - Tmp);
+  size_t NA = numRuns(), NB = Other.numRuns();
+  constexpr size_t LocalRuns = 16;
+  Run Local[LocalRuns];
+  Run *Out = Local;
+  if (NA + NB > LocalRuns) {
+    Scratch.resize(NA + NB);
+    Out = Scratch.data();
+  }
+  size_t N = mergeRuns(runs(), NA, Other.runs(), NB, Out);
+  uint64_t Ids = 0;
+  for (size_t I = 0; I != N; ++I)
+    Ids += uint64_t(Out[I].Hi) - Out[I].Lo + 1;
+  if (Ids == Count)
+    return; // Other is a subset of this set
+  if (Ids == Other.Count) {
+    *this = Other; // this set is a subset of Other: share its storage
     return;
   }
-  // Disjoint-range fast path: a unit finishing merges its fresh (maximal)
-  // node id into accumulated deps constantly — that union is plain
-  // concatenation, no element-wise walk needed.
-  if (A[N - 1] < B[0] || B[ON - 1] < A[0]) {
-    // Sole owner of an uninterned heap vector (the growing tip of a merge
-    // chain): extend it in place. Geometric capacity growth turns the
-    // one-allocation-per-merge pattern into O(log n) allocations.
-    if (Heap && Heap.use_count() == 1 && N > InlineCap) {
-      if (A[N - 1] < B[0])
-        Heap->insert(Heap->end(), B, B + ON);
-      else
-        Heap->insert(Heap->begin(), B, B + ON);
-      return;
-    }
-    const uint32_t *Lo = A[N - 1] < B[0] ? A : B;
-    size_t LoN = Lo == A ? N : ON;
-    const uint32_t *Hi = Lo == A ? B : A;
-    size_t HiN = N + ON - LoN;
-    HeapVec Cat;
-    Cat.reserve(N + ON);
-    Cat.insert(Cat.end(), Lo, Lo + LoN);
-    Cat.insert(Cat.end(), Hi, Hi + HiN);
-    adopt(std::move(Cat));
-    return;
-  }
-  // Subsumption fast paths: merge chains in TrackDeps runs mostly re-merge
-  // sets that already contain each other.
-  if (ON <= N && std::includes(A, A + N, B, B + ON))
-    return;
-  if (N < ON && std::includes(B, B + ON, A, A + N)) {
-    *this = Other;
-    return;
-  }
-  HeapVec Merged;
-  Merged.reserve(N + ON);
-  std::set_union(A, A + N, B, B + ON, std::back_inserter(Merged));
-  adopt(std::move(Merged));
+  assign(Out, N, Ids);
 }
 
 bool Value::equals(const Value &Other) const {

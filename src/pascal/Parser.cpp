@@ -23,6 +23,14 @@ void Parser::error(const std::string &Message) {
   Diags.error(tok().Loc, Message);
 }
 
+bool Parser::NestingScope::descend() {
+  if (++P.Depth <= MaxNestingDepth)
+    return true;
+  P.error("program nests deeper than the limit of " +
+          std::to_string(MaxNestingDepth) + " levels");
+  return false;
+}
+
 std::unique_ptr<Program> Parser::parseProgram() {
   Prog = std::make_unique<Program>();
   TypeTable.clear();
@@ -56,6 +64,9 @@ std::unique_ptr<Program> Parser::parseProgram() {
 }
 
 bool Parser::parseBlock(RoutineDecl &R) {
+  NestingScope Nesting(*this);
+  if (!Nesting.descend())
+    return false;
   ConstScopes.push_back(ConstScope());
   // Names declared in this routine shadow outer constants.
   for (const auto &P : R.getParams())
@@ -463,6 +474,9 @@ std::unique_ptr<CompoundStmt> Parser::parseCompound() {
 }
 
 StmtPtr Parser::parseStatement() {
+  NestingScope Nesting(*this);
+  if (!Nesting.descend())
+    return nullptr;
   // Optional label prefix `9: stmt`.
   if (tok().is(TokenKind::IntLiteral) && peekTok().is(TokenKind::Colon)) {
     SourceLoc Loc = tok().Loc;
@@ -695,6 +709,9 @@ StmtPtr Parser::parseAssignOrCall() {
 //===----------------------------------------------------------------------===//
 
 ExprPtr Parser::parseExpr() {
+  NestingScope Nesting(*this);
+  if (!Nesting.descend())
+    return nullptr;
   ExprPtr LHS = parseSimpleExpr();
   if (!LHS)
     return nullptr;
@@ -722,6 +739,8 @@ ExprPtr Parser::parseExpr() {
     default:
       return LHS;
     }
+    if (!Nesting.descend())
+      return nullptr;
     SourceLoc Loc = tok().Loc;
     consume();
     ExprPtr RHS = parseSimpleExpr();
@@ -733,8 +752,11 @@ ExprPtr Parser::parseExpr() {
 }
 
 ExprPtr Parser::parseSimpleExpr() {
+  NestingScope Nesting(*this);
   // Optional leading sign.
   if (tok().is(TokenKind::Minus)) {
+    if (!Nesting.descend())
+      return nullptr;
     SourceLoc Loc = tok().Loc;
     consume();
     ExprPtr Operand = parseTerm();
@@ -752,6 +774,8 @@ ExprPtr Parser::parseSimpleExpr() {
         Op = BinaryOp::Or;
       else
         return LHS;
+      if (!Nesting.descend())
+        return nullptr;
       SourceLoc OpLoc = tok().Loc;
       consume();
       ExprPtr RHS = parseTerm();
@@ -776,6 +800,8 @@ ExprPtr Parser::parseSimpleExpr() {
       Op = BinaryOp::Or;
     else
       return LHS;
+    if (!Nesting.descend())
+      return nullptr;
     SourceLoc Loc = tok().Loc;
     consume();
     ExprPtr RHS = parseTerm();
@@ -787,6 +813,7 @@ ExprPtr Parser::parseSimpleExpr() {
 }
 
 ExprPtr Parser::parseTerm() {
+  NestingScope Nesting(*this);
   ExprPtr LHS = parseFactor();
   if (!LHS)
     return nullptr;
@@ -802,6 +829,8 @@ ExprPtr Parser::parseTerm() {
       Op = BinaryOp::And;
     else
       return LHS;
+    if (!Nesting.descend())
+      return nullptr;
     SourceLoc Loc = tok().Loc;
     consume();
     ExprPtr RHS = parseFactor();
@@ -813,6 +842,7 @@ ExprPtr Parser::parseTerm() {
 }
 
 ExprPtr Parser::parseFactor() {
+  NestingScope Nesting(*this);
   SourceLoc Loc = tok().Loc;
   switch (tok().Kind) {
   case TokenKind::IntLiteral: {
@@ -832,6 +862,8 @@ ExprPtr Parser::parseFactor() {
     consume();
     return std::make_unique<BoolLiteralExpr>(Loc, false);
   case TokenKind::KwNot: {
+    if (!Nesting.descend())
+      return nullptr;
     consume();
     ExprPtr Operand = parseFactor();
     if (!Operand)
@@ -839,6 +871,8 @@ ExprPtr Parser::parseFactor() {
     return std::make_unique<UnaryExpr>(Loc, UnaryOp::Not, std::move(Operand));
   }
   case TokenKind::Minus: {
+    if (!Nesting.descend())
+      return nullptr;
     consume();
     ExprPtr Operand = parseFactor();
     if (!Operand)

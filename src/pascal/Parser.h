@@ -34,7 +34,32 @@ public:
   /// Parses a complete `program ... end.` unit. Returns null on error.
   std::unique_ptr<Program> parseProgram();
 
+  /// The deepest nesting a program may have. Every later pass — Sema, the
+  /// transforms, CFG construction, the bytecode compiler — recurses on the
+  /// AST, so the parser rejects deeper programs with a diagnostic instead
+  /// of letting one of them overflow the stack. A level is a routine, a
+  /// statement, an expression (each parenthesis or argument opens one) or
+  /// a unary or binary operator (a chain of N binary operators builds an
+  /// AST N levels deep). The value leaves room in an 8 MB stack for an
+  /// AddressSanitizer build, whose frames are several times larger: there
+  /// about 1,500 nested blocks still run every pass.
+  static constexpr unsigned MaxNestingDepth = 1000;
+
 private:
+  /// Restores the nesting depth on scope exit; descend() opens one level.
+  class NestingScope {
+  public:
+    explicit NestingScope(Parser &P) : P(P), Entry(P.Depth) {}
+    ~NestingScope() { P.Depth = Entry; }
+    /// Opens one more level. Past MaxNestingDepth it reports an error and
+    /// returns false; the caller then fails, as on a syntax error.
+    bool descend();
+
+  private:
+    Parser &P;
+    unsigned Entry;
+  };
+
   // Token stream helpers.
   const Token &tok() const { return Tokens[Index]; }
   const Token &peekTok(unsigned Ahead = 1) const {
@@ -99,6 +124,7 @@ private:
   DiagnosticsEngine &Diags;
   std::unordered_map<std::string, const Type *> TypeTable;
   std::vector<ConstScope> ConstScopes;
+  unsigned Depth = 0; ///< nesting levels open (see MaxNestingDepth)
 };
 
 } // namespace pascal

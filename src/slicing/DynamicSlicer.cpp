@@ -5,6 +5,8 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 
+#include <algorithm>
+
 using namespace gadt;
 using namespace gadt::slicing;
 using namespace gadt::trace;
@@ -26,16 +28,24 @@ support::NodeSet gadt::slicing::dynamicSlice(const ExecNode *Criterion,
   Kept = support::NodeSet(End);
   Kept.insert(CritId);
   if (const interp::Binding *B = Criterion->findOutput(OutputName)) {
-    // Relevant = dependence ids inside the subtree; close over ancestry by
-    // walking each one up until an already-marked ancestor. Each node is
-    // marked at most once, so the closure is linear in the slice size.
-    for (uint32_t DepId : B->V.deps().ids()) {
-      if (DepId <= CritId || DepId >= End)
-        continue; // dependence on a unit outside this subtree
-      for (uint32_t Id = DepId; !Kept.contains(Id);
-           Id = Criterion->nodeAt(Id)->getParentId())
+    // Relevant = dependence ids inside the proper subtree (CritId, End),
+    // closed over ancestry. Each dependence run, clamped to that interval,
+    // is marked whole. In a preorder arena every ancestor of a node in the
+    // run that lies outside it is also an ancestor of the run's first id,
+    // so one walk up from there, stopping at the first marked node, closes
+    // the whole run. Each node is marked at most once, so the closure is
+    // linear in the slice size.
+    B->V.deps().forEachRun([&](uint32_t Lo, uint32_t Hi) {
+      uint32_t L = std::max(Lo, CritId + 1);
+      uint32_t E = static_cast<uint32_t>(
+          std::min<uint64_t>(uint64_t(Hi) + 1, End));
+      if (L >= E)
+        return; // no dependence on a unit inside this subtree
+      Kept.insertRange(L, E);
+      for (uint32_t Id = Criterion->nodeAt(L)->getParentId();
+           !Kept.contains(Id); Id = Criterion->nodeAt(Id)->getParentId())
         Kept.insert(Id);
-    }
+    });
   }
   Span.arg("kept", Kept.size());
   static obs::Counter &Slices =

@@ -1,7 +1,10 @@
 //===- ParserTest.cpp - Parser unit tests ---------------------------------===//
 
+#include "interp/Interpreter.h"
+#include "pascal/Frontend.h"
 #include "pascal/Parser.h"
 #include "pascal/PrettyPrinter.h"
+#include "transform/Transform.h"
 #include "workload/PaperPrograms.h"
 
 #include <gtest/gtest.h>
@@ -344,6 +347,103 @@ TEST(ParserTest, ParamCountMismatchWithForwardIsAnError) {
                    "procedure q(x: integer); forward;"
                    "procedure q(x, y: integer); begin end;"
                    "begin end.");
+}
+
+//===----------------------------------------------------------------------===//
+// Nesting limit: deep programs get a diagnostic, never a stack overflow
+//===----------------------------------------------------------------------===//
+
+constexpr unsigned MaxDepth = Parser::MaxNestingDepth;
+
+std::string repeat(std::string_view Piece, unsigned N) {
+  std::string Out;
+  Out.reserve(Piece.size() * N);
+  for (unsigned I = 0; I != N; ++I)
+    Out += Piece;
+  return Out;
+}
+
+// The shapes below open these levels: the main routine (1), its
+// statements (one per statement, including each nested begin), the
+// statement's expression (1), and one per parenthesis or binary operator.
+
+/// `x := (((...(1)...)))` with \p Parens parentheses: 3 + Parens levels.
+std::string nestedParens(unsigned Parens) {
+  return "program p; var x: integer; begin x := " + repeat("(", Parens) +
+         "1" + repeat(")", Parens) + "; writeln(x) end.";
+}
+
+/// \p Blocks nested begin blocks around `x := 1`: 3 + Blocks levels.
+std::string nestedBlocks(unsigned Blocks) {
+  return "program p; var x: integer; begin " + repeat("begin ", Blocks) +
+         "x := 1" + repeat(" end", Blocks) + "; writeln(x) end.";
+}
+
+/// `x := 1 + 1 + ... + 1` with \p Ops operators: 3 + Ops levels.
+std::string additionChain(unsigned Ops) {
+  return "program p; var x: integer; begin x := 1" + repeat(" + 1", Ops) +
+         "; writeln(x) end.";
+}
+
+/// \p Routines procedures, each declared inside the previous one: one
+/// level per routine below the main one.
+std::string nestedRoutines(unsigned Routines) {
+  return "program p; " + repeat("procedure q; ", Routines) +
+         repeat("begin end; ", Routines) + "begin end.";
+}
+
+void expectTooDeep(const std::string &Src) {
+  DiagnosticsEngine Diags;
+  EXPECT_EQ(parseAndCheck(Src, Diags), nullptr);
+  EXPECT_NE(Diags.str().find("program nests deeper than the limit of " +
+                             std::to_string(MaxDepth) + " levels"),
+            std::string::npos)
+      << Diags.str();
+}
+
+TEST(ParserNestingTest, DeepProgramsAreRejectedWithADiagnostic) {
+  // Without the limit, each of these overflows the stack of the parser,
+  // Sema or the bytecode compiler (Release build, 8 MB stack).
+  expectTooDeep(nestedParens(20000));
+  expectTooDeep(nestedBlocks(20000));
+  expectTooDeep(additionChain(40000));
+  expectTooDeep(additionChain(200000));
+  expectTooDeep(nestedRoutines(20000));
+  expectTooDeep("program p; var b: boolean; begin b := " +
+                repeat("not ", 100000) + "true end.");
+}
+
+TEST(ParserNestingTest, LimitIsExact) {
+  DiagnosticsEngine Diags;
+  EXPECT_NE(parseAndCheck(additionChain(MaxDepth - 3), Diags), nullptr)
+      << Diags.str();
+  expectTooDeep(additionChain(MaxDepth - 2));
+  EXPECT_NE(parseAndCheck(nestedParens(MaxDepth - 3), Diags), nullptr)
+      << Diags.str();
+  expectTooDeep(nestedParens(MaxDepth - 2));
+}
+
+TEST(ParserNestingTest, OneLevelUnderTheLimitRunsEveryPass) {
+  unsigned N = MaxDepth - 4; // 3 + N = MaxDepth - 1 levels
+  struct Case {
+    std::string Src;
+    std::string Output;
+  } Cases[] = {{nestedParens(N), "1\n"},
+               {nestedBlocks(N), "1\n"},
+               {additionChain(N), std::to_string(N + 1) + "\n"}};
+  for (const Case &C : Cases) {
+    DiagnosticsEngine Diags;
+    std::unique_ptr<Program> Prog = parseAndCheck(C.Src, Diags);
+    ASSERT_NE(Prog, nullptr) << Diags.str();
+    transform::TransformResult T = transform::transformProgram(*Prog, Diags);
+    ASSERT_NE(T.Transformed, nullptr) << Diags.str();
+    for (const Program *P : {Prog.get(), T.Transformed.get()}) {
+      interp::Interpreter I(*P);
+      interp::ExecResult R = I.run();
+      ASSERT_TRUE(R.Ok) << R.Error.Message;
+      EXPECT_EQ(R.Output, C.Output);
+    }
+  }
 }
 
 } // namespace

@@ -37,7 +37,8 @@ std::unique_ptr<Program> compile(const std::string &Src) {
 
 /// A mixed, seed-determined workload: chains, a call tree, random programs
 /// and the paper's Figure 4 — every request pairs a buggy subject with its
-/// intended program.
+/// intended program. The last two pairs slice dynamically, so their
+/// sessions trace with dependence tracking.
 std::vector<SessionRequest> makeWorkload(unsigned N) {
   std::vector<ProgramPair> Pairs;
   for (unsigned K = 1; K <= 3; ++K)
@@ -50,13 +51,23 @@ std::vector<SessionRequest> makeWorkload(unsigned N) {
     Pairs.push_back(randomProgram(Opts));
   }
   Pairs.push_back({Figure4Fixed, Figure4Buggy, "decrement"});
+  size_t FirstDynamic = Pairs.size();
+  Pairs.push_back(summaryMeshProgram(3, 3));
+  {
+    SyntheticOptions Opts;
+    Opts.Seed = 5;
+    Opts.NumRoutines = 6;
+    Pairs.push_back(randomProgram(Opts));
+  }
 
   std::vector<SessionRequest> Reqs;
   for (unsigned I = 0; I < N; ++I) {
-    const ProgramPair &P = Pairs[I % Pairs.size()];
+    size_t K = I % Pairs.size();
     SessionRequest R;
-    R.Source = P.Buggy;
-    R.Intended = P.Fixed;
+    R.Source = Pairs[K].Buggy;
+    R.Intended = Pairs[K].Fixed;
+    if (K >= FirstDynamic)
+      R.Opts.Debugger.Slicing = SliceMode::Dynamic;
     Reqs.push_back(std::move(R));
   }
   return Reqs;

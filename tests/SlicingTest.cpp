@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 using namespace gadt;
 using namespace gadt::analysis;
 using namespace gadt::interp;
@@ -439,18 +441,19 @@ TEST(DynamicSliceTest, WithoutTrackingOnlyCriterionRemains) {
 
 /// Hand-builds a tree by replaying enter/exit events: \p Parents[i] is the
 /// parent id of node i+1 (0 for the root). Children must follow parents in
-/// id (preorder) order, as the interpreter emits them.
+/// id (preorder) order, as the interpreter emits them. \p Outputs go to
+/// node \p OutputsAt.
 std::unique_ptr<ExecTree>
 syntheticTree(const std::vector<uint32_t> &Parents,
-              std::vector<Binding> RootOutputs = {}) {
+              std::vector<Binding> Outputs = {}, uint32_t OutputsAt = 1) {
   ExecTreeBuilder B;
   std::vector<uint32_t> Open; // entered-but-not-exited, innermost last
   auto CloseTo = [&](uint32_t ParentId) {
     while (!Open.empty() && Open.back() != ParentId) {
       uint32_t Id = Open.back();
       Open.pop_back();
-      B.exitUnit(Id, {}, Id == 1 ? std::move(RootOutputs)
-                                 : std::vector<Binding>{});
+      B.exitUnit(Id, {}, Id == OutputsAt ? std::move(Outputs)
+                                         : std::vector<Binding>{});
     }
   };
   for (uint32_t I = 0; I < Parents.size(); ++I) {
@@ -488,6 +491,81 @@ TEST(DynamicSliceTest, IntermediateKeptViaMarkedDescendant) {
   auto Kept = dynamicSlice(Tree->getRoot(), "y");
   EXPECT_EQ(Kept.ids(), (std::vector<uint32_t>{1, 2, 3}));
   EXPECT_FALSE(Kept.count(4)) << "irrelevant sibling must be sliced away";
+}
+
+/// The dynamic slice computed id by id, as dynamicSlice did before it read
+/// runs: every dependence id inside the criterion's proper subtree, walked
+/// up until an already-marked ancestor.
+support::NodeSet idWalkSlice(const ExecNode *Crit, const DepSet &Deps) {
+  uint32_t CritId = Crit->getId(), End = Crit->subtreeEnd();
+  support::NodeSet Kept(End);
+  Kept.insert(CritId);
+  for (uint32_t DepId : Deps.ids()) {
+    if (DepId <= CritId || DepId >= End)
+      continue;
+    for (uint32_t Id = DepId; !Kept.contains(Id);
+         Id = Crit->nodeAt(Id)->getParentId())
+      Kept.insert(Id);
+  }
+  return Kept;
+}
+
+TEST(DynamicSliceTest, RunsClampAndCloseLikeTheIdWalk) {
+  // 1 -+- 2 - 3
+  //    +- 4 (criterion, subtree [4, 12)) -+- 5 -+- 6
+  //    |                                  |     +- 7
+  //    |                                  +- 8 -+- 9
+  //    |                                  |     +- 10
+  //    |                                  +- 11
+  //    +- 12 - 13
+  // The output's dependences are four runs:
+  //  [2, 5]   starts before the criterion: only 5 counts;
+  //  [7, 7]   its parent 5 was marked by the run before;
+  //  [9, 9]   inside the subtree: the walk up marks 8;
+  //  [11, 13] ends past the subtree: only 11 counts.
+  Value V = Value::makeInt(1);
+  for (uint32_t Id : {2u, 3u, 4u, 5u, 7u, 9u, 11u, 12u, 13u})
+    V.deps().insert(Id);
+  unsigned Runs = 0;
+  V.deps().forEachRun([&](uint32_t, uint32_t) { ++Runs; });
+  ASSERT_EQ(Runs, 4u);
+  auto Tree =
+      syntheticTree({0, 1, 2, 1, 4, 5, 5, 4, 8, 8, 4, 1, 12}, {{"y", V}}, 4);
+  const ExecNode *Crit = Tree->getRoot()->nodeAt(4);
+  ASSERT_EQ(Crit->subtreeEnd(), 12u);
+
+  auto Kept = dynamicSlice(Crit, "y");
+  EXPECT_EQ(Kept.ids(), (std::vector<uint32_t>{4, 5, 7, 8, 9, 11}));
+  EXPECT_EQ(Kept, idWalkSlice(Crit, V.deps()));
+}
+
+TEST(DynamicSliceTest, RunsMatchTheIdWalkOnRandomTrees) {
+  std::mt19937 Gen(7);
+  auto Below = [&Gen](uint32_t N) { return static_cast<uint32_t>(Gen() % N); };
+  for (unsigned Round = 0; Round != 300; ++Round) {
+    // A random preorder tree: each node hangs below some node on the path
+    // from the root to its predecessor.
+    uint32_t N = 2 + Below(40);
+    std::vector<uint32_t> Parents = {0};
+    std::vector<uint32_t> Path = {1};
+    for (uint32_t Id = 2; Id <= N; ++Id) {
+      Path.resize(1 + Below(static_cast<uint32_t>(Path.size())));
+      Parents.push_back(Path.back());
+      Path.push_back(Id);
+    }
+    // Dependences: a few random runs, some reaching outside the tree.
+    Value V = Value::makeInt(0);
+    for (unsigned K = Below(6); K != 0; --K) {
+      uint32_t Lo = Below(N + 3), Len = Below(5);
+      for (uint32_t Id = Lo; Id <= Lo + Len; ++Id)
+        V.deps().insert(Id);
+    }
+    uint32_t CritId = 1 + Below(N);
+    auto Tree = syntheticTree(Parents, {{"y", V}}, CritId);
+    const ExecNode *Crit = Tree->getRoot()->nodeAt(CritId);
+    ASSERT_EQ(dynamicSlice(Crit, "y"), idWalkSlice(Crit, V.deps()))
+        << "round " << Round;
+  }
 }
 
 } // namespace

@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <random>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -196,23 +198,26 @@ TEST(DepSetTest, MergeFullyOverlapping) {
 }
 
 TEST(DepSetTest, SpillsInlineToHeapAndBack) {
-  // Cross the inline-capacity boundary via insert and via merge; contains,
-  // ids order, and equality must be representation-independent.
+  // Two runs fit inline. Cross that boundary via insert and via merge, and
+  // come back; contains, ids order and equality must be
+  // representation-independent. Ids are non-adjacent, so each is a run.
   interp::DepSet S;
   for (uint32_t Id = 1; Id <= 12; ++Id)
-    S.insert(13 - Id);
+    S.insert(2 * (13 - Id)); // 24, 22, ..., 2: twelve runs
   EXPECT_EQ(S.size(), 12u);
-  for (uint32_t Id = 1; Id <= 12; ++Id)
-    EXPECT_TRUE(S.contains(Id));
-  EXPECT_FALSE(S.contains(13));
+  for (uint32_t Id = 1; Id <= 12; ++Id) {
+    EXPECT_TRUE(S.contains(2 * Id));
+    EXPECT_FALSE(S.contains(2 * Id - 1));
+  }
+  EXPECT_FALSE(S.contains(26));
 
   interp::DepSet A, B;
-  for (uint32_t Id : {1u, 2u, 3u})
+  for (uint32_t Id : {1u, 3u})
     A.insert(Id);
-  for (uint32_t Id : {10u, 20u, 30u})
+  for (uint32_t Id : {10u, 20u})
     B.insert(Id);
-  A.mergeWith(B);
-  EXPECT_EQ(A.ids(), (std::vector<uint32_t>{1, 2, 3, 10, 20, 30}));
+  A.mergeWith(B); // two inline runs each, four merged
+  EXPECT_EQ(A.ids(), (std::vector<uint32_t>{1, 3, 10, 20}));
 
   interp::DepSet C = A; // shared heap handle
   EXPECT_TRUE(C == A);
@@ -222,6 +227,227 @@ TEST(DepSetTest, SpillsInlineToHeapAndBack) {
   interp::DepSet EmptyAdopts;
   EmptyAdopts.mergeWith(A);
   EXPECT_TRUE(EmptyAdopts == A);
+
+  // Filling the gaps coalesces C's five runs back into one inline run.
+  interp::DepSet Gaps;
+  for (uint32_t Id = 1; Id <= 20; ++Id)
+    if (!C.contains(Id))
+      Gaps.insert(Id);
+  C.mergeWith(Gaps);
+  EXPECT_EQ(C.size(), 20u);
+  unsigned Runs = 0;
+  C.forEachRun([&](uint32_t Lo, uint32_t Hi) {
+    EXPECT_EQ(Lo, 1u);
+    EXPECT_EQ(Hi, 20u);
+    ++Runs;
+  });
+  EXPECT_EQ(Runs, 1u);
+  EXPECT_EQ(A.ids(), (std::vector<uint32_t>{1, 3, 10, 20}));
+}
+
+/// Differential harness: a pool of DepSets, each shadowed by a std::set
+/// reference. Every step is applied to both; check() compares everything
+/// observable — ids, size, the coalesced runs, membership probes and
+/// pairwise equality — for the whole pool, so a mutation that leaks into a
+/// copy shows up on the copy.
+class DepSetDifferential {
+public:
+  explicit DepSetDifferential(size_t N) : Sets(N), Refs(N) {}
+
+  void insert(size_t I, uint32_t Id) {
+    Sets[I].insert(Id);
+    Refs[I].insert(Id);
+    check("insert " + std::to_string(Id) + " into " + std::to_string(I));
+  }
+  void merge(size_t I, size_t J) {
+    Sets[I].mergeWith(Sets[J]);
+    Refs[I].insert(Refs[J].begin(), Refs[J].end());
+    check("merge " + std::to_string(J) + " into " + std::to_string(I));
+  }
+  void copy(size_t I, size_t J) {
+    Sets[I] = Sets[J];
+    Refs[I] = Refs[J];
+    check("copy " + std::to_string(J) + " to " + std::to_string(I));
+  }
+  void clear(size_t I) {
+    Sets[I].clear();
+    Refs[I].clear();
+    check("clear " + std::to_string(I));
+  }
+  size_t runs(size_t I) const { return runsOf(Sets[I]).size(); }
+
+private:
+  using Runs = std::vector<std::pair<uint32_t, uint32_t>>;
+
+  static Runs runsOf(const interp::DepSet &S) {
+    Runs Out;
+    S.forEachRun([&](uint32_t Lo, uint32_t Hi) { Out.push_back({Lo, Hi}); });
+    return Out;
+  }
+  static Runs runsOf(const std::set<uint32_t> &Ref) {
+    Runs Out;
+    for (uint32_t Id : Ref)
+      if (!Out.empty() && uint64_t(Out.back().second) + 1 == Id)
+        Out.back().second = Id;
+      else
+        Out.push_back({Id, Id});
+    return Out;
+  }
+
+  void check(const std::string &Step) {
+    for (size_t I = 0; I != Sets.size(); ++I) {
+      const interp::DepSet &S = Sets[I];
+      const std::set<uint32_t> &Ref = Refs[I];
+      SCOPED_TRACE("after " + Step + ", set " + std::to_string(I));
+      ASSERT_EQ(S.ids(), std::vector<uint32_t>(Ref.begin(), Ref.end()));
+      ASSERT_EQ(S.size(), Ref.size());
+      ASSERT_EQ(S.empty(), Ref.empty());
+      ASSERT_EQ(runsOf(S), runsOf(Ref)) << "runs must be coalesced";
+      std::vector<uint32_t> Probes = {0, 1, UINT32_MAX - 1, UINT32_MAX};
+      for (uint32_t Id : Ref) {
+        Probes.push_back(Id - 1); // wraps at 0: probes UINT32_MAX
+        Probes.push_back(Id);
+        Probes.push_back(Id + 1);
+      }
+      for (uint32_t Id : Probes)
+        ASSERT_EQ(S.contains(Id), Ref.count(Id) != 0) << "probe " << Id;
+      for (size_t J = 0; J != Sets.size(); ++J)
+        ASSERT_EQ(S == Sets[J], Ref == Refs[J]) << "against set " << J;
+    }
+  }
+
+  std::vector<interp::DepSet> Sets;
+  std::vector<std::set<uint32_t>> Refs;
+};
+
+TEST(DepSetTest, DifferentialScriptedEdgeCases) {
+  DepSetDifferential D(4);
+  // x and x+1 in either order coalesce into one run.
+  D.insert(0, 7);
+  D.insert(0, 8);
+  D.insert(1, 11);
+  D.insert(1, 10);
+  EXPECT_EQ(D.runs(0), 1u);
+  EXPECT_EQ(D.runs(1), 1u);
+  D.insert(0, 9); // extends [7, 8] to [7, 9]
+  D.merge(0, 1);  // [7, 9] + [10, 11] touch: [7, 11]
+  EXPECT_EQ(D.runs(0), 1u);
+
+  // Runs touching 0 and UINT32_MAX; Hi + 1 must not wrap.
+  D.clear(2);
+  D.insert(2, UINT32_MAX);
+  D.insert(2, 0);
+  D.insert(2, UINT32_MAX - 1);
+  D.insert(2, 1);
+  EXPECT_EQ(D.runs(2), 2u);
+  D.merge(2, 0); // [0, 1] [7, 11] [max-1, max]
+  D.insert(3, UINT32_MAX - 2);
+  D.merge(2, 3); // extends the top run downwards
+  EXPECT_EQ(D.runs(2), 3u);
+  D.insert(2, UINT32_MAX); // already there: no run after the top one
+  D.merge(3, 2);
+
+  // Alternating ids maximize the run count; more runs than the merge's
+  // stack buffer holds go through its scratch vector.
+  D.clear(0);
+  D.clear(1);
+  for (uint32_t Id = 0; Id <= 80; Id += 2)
+    D.insert(0, Id);
+  for (uint32_t Id = 101; Id <= 181; Id += 2)
+    D.insert(1, Id);
+  EXPECT_EQ(D.runs(0), 41u);
+  D.merge(0, 1);
+  EXPECT_EQ(D.runs(0), 82u);
+  // The odd ids in between coalesce the first 41 runs into one.
+  D.clear(1);
+  for (uint32_t Id = 1; Id < 80; Id += 2)
+    D.insert(1, Id);
+  D.merge(0, 1);
+  EXPECT_EQ(D.runs(0), 42u);
+
+  // Crossing the two-run inline boundary in both directions.
+  D.clear(3);
+  D.insert(3, 10);
+  D.insert(3, 20);
+  D.insert(3, 30); // three runs: heap
+  EXPECT_EQ(D.runs(3), 3u);
+  D.insert(3, 31);
+  D.insert(3, 29); // [10] [20] [29, 31]
+  for (uint32_t Id = 11; Id < 20; ++Id)
+    D.insert(3, Id); // [10, 20] [29, 31]: back inline
+  EXPECT_EQ(D.runs(3), 2u);
+  D.insert(3, 25); // three again
+  EXPECT_EQ(D.runs(3), 3u);
+
+  // Copy, then mutate either side: the other must not change.
+  D.copy(1, 0); // shared heap storage
+  D.insert(1, 1000);
+  D.merge(0, 3);
+  D.copy(2, 3);
+  D.insert(3, 21); // [10, 21] [25] [29, 31]
+  D.clear(2);
+
+  // Subset and superset merges in both directions.
+  D.copy(2, 0);
+  D.insert(2, 5000); // 2 is a proper superset of 0
+  D.merge(2, 0);     // subset into superset: unchanged
+  D.merge(0, 2);     // superset into subset: takes 2's storage
+  D.insert(0, 6000); // and copy-on-write keeps 2 intact
+  D.merge(3, 3);     // self-merge
+  D.merge(1, 1);
+  D.clear(1);
+  D.merge(1, 3); // empty adopts
+  D.merge(1, 1);
+}
+
+TEST(DepSetTest, DifferentialRandomSteps) {
+  constexpr size_t Pool = 5;
+  DepSetDifferential D(Pool);
+  std::mt19937 Gen(42);
+  auto Below = [&Gen](uint32_t N) { return static_cast<uint32_t>(Gen() % N); };
+  for (unsigned Step = 0; Step != 4000; ++Step) {
+    size_t I = Below(Pool), J = Below(Pool);
+    switch (Below(20)) {
+    case 0:
+      D.clear(I);
+      break;
+    case 1:
+    case 2:
+      D.copy(I, J);
+      break;
+    case 3:
+    case 4:
+    case 5:
+    case 6:
+    case 7:
+      D.merge(I, J); // I == J is a self-merge
+      break;
+    default: {
+      uint32_t Id;
+      switch (Below(5)) {
+      case 0:
+        Id = Below(48); // dense: neighbours coalesce
+        break;
+      case 1:
+        Id = 2 * Below(40); // alternating: many runs
+        break;
+      case 2:
+        Id = Below(6); // touching 0
+        break;
+      case 3:
+        Id = UINT32_MAX - Below(6); // touching UINT32_MAX
+        break;
+      default:
+        Id = static_cast<uint32_t>(Gen());
+        break;
+      }
+      D.insert(I, Id);
+      break;
+    }
+    }
+    if (::testing::Test::HasFatalFailure())
+      return;
+  }
 }
 
 //===----------------------------------------------------------------------===//
