@@ -20,7 +20,6 @@
 #include "core/Debugger.h"
 #include "core/GADT.h"
 #include "interp/Interpreter.h"
-#include "obs/Log.h"
 #include "obs/Trace.h"
 #include "pascal/Frontend.h"
 #include "runtime/EditSession.h"
@@ -753,27 +752,19 @@ void BM_StaticSliceChain(benchmark::State &State) {
 }
 BENCHMARK(BM_StaticSliceChain)->Range(64, 256)->Complexity();
 
-/// Disabled-mode telemetry overhead (EXPERIMENTS.md X11): with no tracer,
-/// profiler or log active, a span must cost one relaxed atomic load and a
-/// branch, and a log call one load and a compare. These pin that contract
-/// so telemetry growth cannot silently tax the production path.
+/// Disabled-mode tracing overhead (EXPERIMENTS.md X11): with the tracer
+/// off, a span must cost one relaxed atomic load and a branch. This pins
+/// that contract so telemetry growth cannot silently tax the production
+/// path.
 void BM_SpanDisabledOverhead(benchmark::State &State) {
-  if (obs::spansActive())
-    State.SkipWithError("telemetry is active; disabled-cost bench is void");
+  if (obs::enabled())
+    State.SkipWithError("tracing is active; disabled-cost bench is void");
   for (auto _ : State) {
     obs::Span S("bench.span", "bench");
     benchmark::DoNotOptimize(S);
   }
 }
 BENCHMARK(BM_SpanDisabledOverhead);
-
-void BM_LogDisabledOverhead(benchmark::State &State) {
-  for (auto _ : State) {
-    obs::logInfo("bench", "never emitted");
-    benchmark::DoNotOptimize(obs::Log::global());
-  }
-}
-BENCHMARK(BM_LogDisabledOverhead);
 
 /// The stock console reporter, additionally collecting every per-repetition
 /// run so main() can export min-of-N aggregates as machine-readable JSON.

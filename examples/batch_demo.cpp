@@ -12,16 +12,14 @@
 // Set GADT_TRACE to watch the run in a trace viewer (README,
 // "Observability"): every parse, transform, SDG build, cache lookup,
 // oracle judgement and session is recorded as a span and flushed as JSONL
-// at exit, with flow arrows stitching each session across worker threads.
-// The other telemetry sinks ride the same run:
+// at exit, with flow arrows stitching each session across worker threads;
+// tools/gadt_report folds the trace into a self-time table:
 //
-//   $ GADT_TRACE=batch.trace.jsonl GADT_LOG=batch.log.jsonl
-//     GADT_PROFILE=batch.collapsed:997 GADT_METRICS=batch.metrics.jsonl:50
-//     ./batch_demo
+//   $ GADT_TRACE=batch.trace.jsonl ./batch_demo
+//   $ gadt_report --trace batch.trace.jsonl
 //
 //===----------------------------------------------------------------------===//
 
-#include "obs/Log.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "runtime/BatchRunner.h"
@@ -56,11 +54,6 @@ int main() {
   BatchRunner Runner(Ctx, {/*Threads=*/4});
   std::printf("debugging %zu sessions on %u threads...\n\n", Requests.size(),
               Runner.threadCount());
-  obs::logInfo("batch_demo", "batch starting",
-               {{"sessions", std::to_string(Requests.size()),
-                 /*Quote=*/false},
-                {"threads", std::to_string(Runner.threadCount()),
-                 /*Quote=*/false}});
 
   std::vector<SessionResult> Results = Runner.run(Requests);
   for (size_t I = 0; I < Results.size(); ++I) {
@@ -85,19 +78,13 @@ int main() {
   std::printf("\nmetrics registry snapshot:\n%s",
               obs::Registry::global().str().c_str());
 
-  obs::logInfo("batch_demo", "batch complete",
-               {{"sessions", std::to_string(Results.size()),
-                 /*Quote=*/false}});
-
   if (const char *TracePath = std::getenv("GADT_TRACE"))
     std::printf("\ntracing: %llu events will be flushed to %s "
                 "(load in chrome://tracing or Perfetto)\n",
                 static_cast<unsigned long long>(
                     obs::Tracer::global().eventCount()),
                 TracePath);
-  if (!std::getenv("GADT_TRACE") && !std::getenv("GADT_PROFILE"))
-    std::printf("\nhint: GADT_TRACE=t.jsonl GADT_LOG=l.jsonl "
-                "GADT_PROFILE=p.collapsed GADT_METRICS=m.jsonl:50 %s\n",
-                "./batch_demo");
+  else
+    std::printf("\nhint: GADT_TRACE=t.jsonl ./batch_demo\n");
   return 0;
 }

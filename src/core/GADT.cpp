@@ -2,7 +2,6 @@
 
 #include "core/GADT.h"
 
-#include "obs/Log.h"
 #include "obs/Trace.h"
 #include "trace/ExecTreeBuilder.h"
 
@@ -117,15 +116,5 @@ BugReport GADTSession::debug(Oracle &UserOracle, std::vector<int64_t> Input) {
   Metrics->counter("debug.slicing.activations")
       .add(LastStats.SlicingActivations);
   Metrics->counter("debug.slicing.nodes_pruned").add(LastStats.NodesPruned);
-
-  if (obs::Log::global().enabledFor(obs::LogLevel::Info))
-    obs::logInfo("core", Report.Found ? "bug localized" : "no bug localized",
-                 {{"unit", Report.UnitName, /*Quote=*/true},
-                  {"judgements", std::to_string(LastStats.Judgements),
-                   /*Quote=*/false},
-                  {"memo_hits", std::to_string(LastStats.MemoHits),
-                   /*Quote=*/false},
-                  {"nodes_pruned", std::to_string(LastStats.NodesPruned),
-                   /*Quote=*/false}});
   return Report;
 }

@@ -1,147 +1,28 @@
-//===- Log.h - Structured leveled JSONL logging -----------------*- C++ -*-===//
+//===- Log.h - Error reporting for tools and examples -----------*- C++ -*-===//
 //
 // Part of the GADT project (PLDI'91 GADT reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Structured logging for the runtime and tools: leveled, component-tagged
-/// JSONL records, one complete JSON object per line:
-///
-///   {"ts":1234.567,"level":"info","component":"runtime","tid":3,
-///    "msg":"batch complete","fields":{"sessions":12}}
-///
-/// Timestamps share the global tracer's epoch (fractional microseconds
-/// since process start), so log records interleave with trace spans on the
-/// same timeline — gadt_report and a Perfetto-side-by-side both rely on
-/// that. `tid` is the tracer's dense thread id.
-///
-/// Logging is off by default and costs one relaxed atomic load plus a
-/// compare per call site when disabled — no allocation, no formatting, no
-/// clock read. Enable it by either:
-///
-///  - setting GADT_LOG=<path>[:level] in the environment (level one of
-///    debug|info|warn|error, default info): records at or above the level
-///    are appended to <path> as they are produced, or
-///  - calling Log::global().enableToFile(path, level) / enable(level)
-///    from code (the latter buffers in memory; drain with drain()).
-///
-/// logError() keeps CLI error reporting working when logging is off: it
-/// falls back to plain stderr, so examples and tools route all their
-/// error output through it instead of ad-hoc fprintf(stderr, ...).
-///
-/// Thread-safety: the level check is a relaxed atomic; record rendering
-/// happens outside the sink lock; the sink (buffer and/or file stream) is
-/// mutex-protected. Safe from any number of threads, TSan-clean.
+/// logError() is how the examples and tools report a failure to a human:
+/// one "component: message" line on stderr. Telemetry about what a run did
+/// lives in the span trace (obs/Trace.h), not here.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GADT_OBS_LOG_H
 #define GADT_OBS_LOG_H
 
-#include "obs/Trace.h"
-
-#include <atomic>
-#include <cstdint>
 #include <cstdio>
-#include <mutex>
-#include <string>
 #include <string_view>
-#include <vector>
 
 namespace gadt {
 namespace obs {
 
-enum class LogLevel : uint8_t { Debug = 0, Info = 1, Warn = 2, Error = 3 };
-
-const char *logLevelName(LogLevel L);
-/// Parses "debug"/"info"/"warn"/"error"; false on anything else.
-bool parseLogLevel(std::string_view S, LogLevel &Out);
-
-/// The process-wide structured log. Independent instances are possible for
-/// tests; the helpers below always target Log::global().
-class Log {
-public:
-  Log();
-  ~Log();
-
-  Log(const Log &) = delete;
-  Log &operator=(const Log &) = delete;
-
-  static Log &global();
-
-  /// Starts accepting records at or above \p Min, appending them to
-  /// \p Path (truncated on the first write of this enablement).
-  void enableToFile(std::string Path, LogLevel Min = LogLevel::Info);
-  /// Starts accepting records into the in-memory buffer only.
-  void enable(LogLevel Min = LogLevel::Debug);
-  /// Stops accepting records (flushes the file sink first).
-  void disable();
-
-  /// The disabled-path check: one relaxed load and a compare.
-  bool enabledFor(LogLevel L) const {
-    return static_cast<uint8_t>(L) >=
-           Threshold.load(std::memory_order_relaxed);
-  }
-
-  /// Renders and sinks one record. Callers guard with enabledFor() (the
-  /// helpers below do); write() itself re-checks and drops when disabled.
-  void write(LogLevel L, const char *Component, std::string_view Msg,
-             std::vector<TraceArg> Fields = {});
-
-  /// Drains and returns everything buffered in memory (JSONL).
-  std::string drain();
-  /// Flushes buffered records to the enableToFile() path, if any.
-  void flush();
-  /// Records accepted since construction (across enablements).
-  uint64_t recordCount() const {
-    return Records.load(std::memory_order_relaxed);
-  }
-
-private:
-  void flushLocked();
-
-  /// Minimum accepted level; 255 when disabled (every LogLevel compares
-  /// below it, so enabledFor() is one load + compare).
-  std::atomic<uint8_t> Threshold{255};
-  std::atomic<uint64_t> Records{0};
-
-  std::mutex M;
-  std::vector<std::string> Buffer; ///< rendered lines awaiting drain/flush
-  std::string FilePath;            ///< empty: memory-only
-  bool FileStarted = false;
-};
-
-/// Level-checked helpers against the global log. The disabled path is one
-/// relaxed atomic load; arguments are not evaluated into allocations at
-/// call sites that pre-check enabledFor() before building fields.
-inline void log(LogLevel L, const char *Component, std::string_view Msg,
-                std::vector<TraceArg> Fields = {}) {
-  Log &G = Log::global();
-  if (G.enabledFor(L))
-    G.write(L, Component, Msg, std::move(Fields));
-}
-inline void logDebug(const char *Component, std::string_view Msg,
-                     std::vector<TraceArg> Fields = {}) {
-  log(LogLevel::Debug, Component, Msg, std::move(Fields));
-}
-inline void logInfo(const char *Component, std::string_view Msg,
-                    std::vector<TraceArg> Fields = {}) {
-  log(LogLevel::Info, Component, Msg, std::move(Fields));
-}
-inline void logWarn(const char *Component, std::string_view Msg,
-                    std::vector<TraceArg> Fields = {}) {
-  log(LogLevel::Warn, Component, Msg, std::move(Fields));
-}
-/// Errors must reach a human even when structured logging is off: falls
-/// back to plain stderr, so CLI tools report failures through one call.
-inline void logError(const char *Component, std::string_view Msg,
-                     std::vector<TraceArg> Fields = {}) {
-  Log &G = Log::global();
-  if (G.enabledFor(LogLevel::Error)) {
-    G.write(LogLevel::Error, Component, Msg, std::move(Fields));
-    return;
-  }
+/// Prints "Component: Msg" to stderr, adding a newline unless \p Msg ends
+/// with one.
+inline void logError(const char *Component, std::string_view Msg) {
   std::fprintf(stderr, "%s: %.*s%s", Component,
                static_cast<int>(Msg.size()), Msg.data(),
                (!Msg.empty() && Msg.back() == '\n') ? "" : "\n");

@@ -5,7 +5,7 @@
 #include "support/JSON.h"
 
 #include <algorithm>
-#include <vector>
+#include <cstdio>
 
 using namespace gadt;
 using namespace gadt::obs;
@@ -130,28 +130,4 @@ std::string Registry::str() const {
     Line(Name, Val);
   }
   return Out;
-}
-
-Registry::SnapshotData Registry::snapshotData() const {
-  std::lock_guard<std::mutex> Lock(M);
-  SnapshotData S;
-  S.Counters.reserve(Counters.size());
-  for (const auto &[Name, C] : Counters)
-    S.Counters.emplace_back(Name, C->value());
-  S.Gauges.reserve(Gauges.size());
-  for (const auto &[Name, G] : Gauges)
-    S.Gauges.emplace_back(Name, G->value());
-  S.Histograms.reserve(Histograms.size());
-  for (const auto &[Name, H] : Histograms) {
-    HistogramStats St;
-    St.Count = H->count();
-    St.Sum = H->sum();
-    St.Min = H->min();
-    St.Max = H->max();
-    St.P50 = H->approxQuantile(0.50);
-    St.P95 = H->approxQuantile(0.95);
-    St.P99 = H->approxQuantile(0.99);
-    S.Histograms.emplace_back(Name, St);
-  }
-  return S;
 }

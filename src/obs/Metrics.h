@@ -36,8 +36,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 namespace gadt {
 namespace obs {
@@ -192,20 +190,6 @@ public:
 
   /// Aligned "name value" lines, counters then gauges then histograms.
   std::string str() const;
-
-  /// A point-in-time copy of every instrument's value, name-sorted — the
-  /// exporter diffs two of these to emit deltas, and renders the latest
-  /// as the Prometheus exposition.
-  struct HistogramStats {
-    uint64_t Count = 0, Sum = 0, Min = 0, Max = 0;
-    double P50 = 0, P95 = 0, P99 = 0;
-  };
-  struct SnapshotData {
-    std::vector<std::pair<std::string, uint64_t>> Counters;
-    std::vector<std::pair<std::string, int64_t>> Gauges;
-    std::vector<std::pair<std::string, HistogramStats>> Histograms;
-  };
-  SnapshotData snapshotData() const;
 
 private:
   mutable std::mutex M;

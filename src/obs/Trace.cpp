@@ -2,9 +2,7 @@
 
 #include "obs/Trace.h"
 
-#include "obs/Exporter.h"
 #include "obs/Metrics.h"
-#include "obs/Profiler.h"
 #include "support/JSON.h"
 
 #include <algorithm>
@@ -15,7 +13,7 @@
 using namespace gadt;
 using namespace gadt::obs;
 
-std::atomic<uint32_t> gadt::obs::detail::ActiveModes{0};
+std::atomic<bool> gadt::obs::detail::TraceOn{false};
 
 namespace {
 
@@ -24,20 +22,9 @@ std::atomic<uint64_t> NextSpanId{1};
 std::atomic<uint64_t> NextFlowId{1};
 
 thread_local uint64_t CurrentFlowId = 0;
-
-/// All live threads' span stacks, for the profiler. Holds weak_ptrs so a
-/// thread's stack dies with the thread; allSpanStacks() prunes expired
-/// entries. Immortal (leaked) so sampler threads racing process exit never
-/// touch a destroyed registry.
-struct StackRegistry {
-  std::mutex M;
-  std::vector<std::weak_ptr<SpanStack>> Stacks;
-};
-
-StackRegistry &stackRegistry() {
-  static StackRegistry *R = new StackRegistry;
-  return *R;
-}
+/// Id of the calling thread's innermost recorded open span, 0 when none.
+/// Span::begin installs its own id and Span::end restores its parent's.
+thread_local uint64_t CurrentSpanId = 0;
 
 /// Renders one event as a Chrome Trace Event Format JSON object.
 /// Timestamps are microseconds with nanosecond precision (ts/dur are
@@ -113,48 +100,8 @@ std::string renderEvent(const TraceEvent &E) {
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Span stacks and flow context
+// Flow context
 //===----------------------------------------------------------------------===//
-
-SpanStack &gadt::obs::detail::threadSpanStack() {
-  // The holder's destructor runs at thread exit; the registry's weak_ptr
-  // then expires and the next allSpanStacks() prunes it.
-  thread_local std::shared_ptr<SpanStack> Stack = [] {
-    auto S = std::make_shared<SpanStack>();
-    StackRegistry &R = stackRegistry();
-    std::lock_guard<std::mutex> Lock(R.M);
-    R.Stacks.push_back(S);
-    return S;
-  }();
-  return *Stack;
-}
-
-std::vector<std::shared_ptr<SpanStack>> gadt::obs::detail::allSpanStacks() {
-  StackRegistry &R = stackRegistry();
-  std::lock_guard<std::mutex> Lock(R.M);
-  std::vector<std::shared_ptr<SpanStack>> Out;
-  Out.reserve(R.Stacks.size());
-  for (size_t I = 0; I < R.Stacks.size();) {
-    if (std::shared_ptr<SpanStack> S = R.Stacks[I].lock()) {
-      Out.push_back(std::move(S));
-      ++I;
-    } else {
-      R.Stacks[I] = std::move(R.Stacks.back());
-      R.Stacks.pop_back();
-    }
-  }
-  return Out;
-}
-
-uint64_t gadt::obs::detail::currentSpanId() {
-  SpanStack &S = threadSpanStack();
-  uint32_t D = S.Depth.load(std::memory_order_relaxed);
-  if (D == 0)
-    return 0;
-  if (D > SpanStack::MaxDepth)
-    D = SpanStack::MaxDepth;
-  return S.Ids[D - 1].load(std::memory_order_relaxed);
-}
 
 uint64_t FlowContext::current() { return CurrentFlowId; }
 
@@ -199,15 +146,13 @@ void Tracer::enableToFile(std::string Path) {
 void Tracer::enable() {
   Enabled.store(true, std::memory_order_relaxed);
   if (this == &global())
-    detail::ActiveModes.fetch_or(detail::ModeTrace,
-                                 std::memory_order_relaxed);
+    detail::TraceOn.store(true, std::memory_order_relaxed);
 }
 
 void Tracer::disable() {
   Enabled.store(false, std::memory_order_relaxed);
   if (this == &global())
-    detail::ActiveModes.fetch_and(~detail::ModeTrace,
-                                  std::memory_order_relaxed);
+    detail::TraceOn.store(false, std::memory_order_relaxed);
 }
 
 uint64_t Tracer::nowNanos() const {
@@ -238,8 +183,6 @@ Tracer::ThreadBuf &Tracer::threadBuf() {
   return *Slot;
 }
 
-uint32_t Tracer::threadId() { return threadBuf().Tid; }
-
 void Tracer::record(TraceEvent E) {
   ThreadBuf &B = threadBuf();
   E.Tid = B.Tid;
@@ -247,10 +190,11 @@ void Tracer::record(TraceEvent E) {
   std::unique_lock<std::mutex> Lock(B.M);
   if (B.Events.size() >= Max) {
     Lock.unlock();
+    Dropped.fetch_add(1, std::memory_order_relaxed);
     // The global counter survives the tracer and is cheap to resolve once.
-    static Counter &Dropped =
+    static Counter &DroppedTotal =
         Registry::global().counter("obs.trace.dropped");
-    Dropped.add();
+    DroppedTotal.add();
     return;
   }
   B.Events.push_back(std::move(E));
@@ -276,7 +220,7 @@ void Tracer::instant(const char *Name, const char *Cat,
   E.Cat = Cat;
   E.Phase = 'i';
   E.TsNanos = nowNanos();
-  E.ParentId = detail::currentSpanId();
+  E.ParentId = CurrentSpanId;
   E.Args = std::move(Args);
   record(std::move(E));
 }
@@ -289,7 +233,7 @@ void Tracer::flowEvent(char Phase, const char *Name, const char *Cat,
   E.Phase = Phase;
   E.TsNanos = nowNanos();
   E.FlowId = FlowId;
-  E.ParentId = detail::currentSpanId();
+  E.ParentId = CurrentSpanId;
   record(std::move(E));
 }
 
@@ -328,6 +272,15 @@ std::string Tracer::exportJsonl() {
                    [](const TraceEvent &A, const TraceEvent &B) {
                      return A.TsNanos < B.TsNanos;
                    });
+  if (uint64_t N = Dropped.exchange(0, std::memory_order_relaxed)) {
+    TraceEvent E;
+    E.Name = "trace.dropped";
+    E.Cat = "obs";
+    E.Phase = 'i';
+    E.TsNanos = nowNanos();
+    E.Args.push_back({"events", std::to_string(N), /*Quote=*/false});
+    All.push_back(std::move(E));
+  }
   std::string Out;
   for (const TraceEvent &E : All) {
     Out += renderEvent(E);
@@ -356,37 +309,21 @@ void Tracer::flush() {
 // Span
 //===----------------------------------------------------------------------===//
 
-void Span::begin(const char *N, const char *C, uint32_t Modes) {
-  Live = true;
-  Rec = Modes & detail::ModeTrace;
+void Span::begin(const char *N, const char *C) {
+  Rec = true;
   Name = N;
   Cat = C;
-  SpanStack &S = detail::threadSpanStack();
-  uint32_t D = S.Depth.load(std::memory_order_relaxed);
-  if (D > 0 && D <= SpanStack::MaxDepth)
-    ParentId = S.Ids[D - 1].load(std::memory_order_relaxed);
+  ParentId = CurrentSpanId;
   SpanId = NextSpanId.fetch_add(1, std::memory_order_relaxed);
-  if (D < SpanStack::MaxDepth) {
-    // Name before Depth (release) so a sampler that observes the new depth
-    // also observes the name.
-    S.Names[D].store(N, std::memory_order_relaxed);
-    S.Ids[D].store(SpanId, std::memory_order_relaxed);
-    S.Depth.store(D + 1, std::memory_order_release);
-    Pushed = true;
-  }
-  if (Rec)
-    StartNanos = Tracer::global().nowNanos();
+  CurrentSpanId = SpanId;
+  StartNanos = Tracer::global().nowNanos();
 }
 
 void Span::end() {
-  if (Pushed) {
-    SpanStack &S = detail::threadSpanStack();
-    uint32_t D = S.Depth.load(std::memory_order_relaxed);
-    if (D > 0)
-      S.Depth.store(D - 1, std::memory_order_release);
-  }
-  if (!Rec)
-    return;
+  // Spans close in LIFO order on their thread, so restoring the parent
+  // leaves the id that was current before this span opened — even when
+  // tracing was switched off and on while it was open.
+  CurrentSpanId = ParentId;
   Tracer &T = Tracer::global();
   TraceEvent E;
   E.Name = Name;
@@ -405,14 +342,9 @@ namespace {
 
 /// Reads GADT_TRACE at static-initialization time so tracing covers the
 /// whole program without any code change in the traced binary. An optional
-/// ":<n>" suffix (all digits) caps buffered events per thread. Also kicks
-/// the profiler's and exporter's env inits: the explicit calls keep their
-/// translation units in static-library links (an unreferenced object file
-/// is dropped by the archive linker, env-init globals and all).
+/// ":<n>" suffix (all digits) caps buffered events per thread.
 struct EnvInit {
   EnvInit() {
-    Profiler::envInit();
-    Exporter::envInit();
     const char *Spec = std::getenv("GADT_TRACE");
     if (!Spec || !*Spec)
       return;

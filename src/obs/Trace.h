@@ -14,18 +14,19 @@
 /// Perfetto after wrapping the lines in a JSON array (see README,
 /// "Observability").
 ///
-/// Spans form a hierarchy: each thread keeps a stack of its open spans, so
-/// every exported event carries a span id (`sid`) and its parent's id
-/// (`psid`), and instants (judgement events, log marks) attach to the span
-/// they occurred under. The same stack is what obs::Profiler samples. A
-/// FlowContext carries a logical-flow id across threads (e.g. one batch
-/// session from the enqueuing thread to the worker that runs it); flows
-/// render as Chrome-Trace flow events ('s'/'t'/'f'), which Perfetto draws
-/// as arrows connecting the slices of one session across worker threads.
+/// Spans form a hierarchy: each thread keeps the id of its innermost open
+/// span, so every exported event carries a span id (`sid`) and its
+/// parent's id (`psid`), and instants (judgement events) and flow events
+/// attach to the span they occurred under. gadt_report folds these links
+/// into exact self time per span. A FlowContext carries a logical-flow id
+/// across threads (e.g. one batch session from the enqueuing thread to the
+/// worker that runs it); flows render as Chrome-Trace flow events
+/// ('s'/'t'/'f'), which Perfetto draws as arrows connecting the slices of
+/// one session across worker threads.
 ///
 /// Tracing is off by default and costs a single relaxed atomic load plus a
-/// branch per span when disabled — no allocation, no clock read, no lock,
-/// no stack maintenance. Enable it by either:
+/// branch per span when disabled — no allocation, no clock read, no lock.
+/// Enable it by either:
 ///
 ///  - setting GADT_TRACE=<path>[:cap] in the environment: every
 ///    process-lifetime event is flushed to <path> at exit (and on explicit
@@ -37,14 +38,15 @@
 /// Per-thread buffers are bounded (setMaxEventsPerThread, default 2^20):
 /// once a thread's buffer is full, further events are dropped and counted
 /// on the global registry's `obs.trace.dropped` counter instead of growing
-/// without limit under long traced batch runs.
+/// without limit under long traced batch runs. The next export ends with
+/// one `trace.dropped` instant naming the count, so a cut trace says so
+/// itself.
 ///
 /// Threading: each thread appends to its own buffer under its own
 /// (uncontended) mutex; the exporter takes the buffer-list lock and each
-/// buffer lock briefly. The span stack is written with release stores and
-/// read by the profiler with acquire loads; names must be static string
-/// literals. Safe to use concurrently from any number of threads,
-/// including under ThreadSanitizer.
+/// buffer lock briefly. Names must be static string literals. Safe to use
+/// concurrently from any number of threads, including under
+/// ThreadSanitizer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,26 +67,16 @@ namespace gadt {
 namespace obs {
 
 namespace detail {
-/// Which telemetry modes want spans maintained, read on every span open.
-/// Bit 0: the global tracer is recording events; bit 1: the profiler is
-/// sampling span stacks. Lives outside the Tracer so the disabled-path
-/// check needs no function-local-static guard.
-constexpr uint32_t ModeTrace = 1u;
-constexpr uint32_t ModeProfile = 2u;
-extern std::atomic<uint32_t> ActiveModes;
+/// Whether the global tracer is recording, read on every span open. Lives
+/// outside the Tracer so the disabled-path check needs no
+/// function-local-static guard.
+extern std::atomic<bool> TraceOn;
 } // namespace detail
 
 /// True when the global tracer is collecting events. The one branch paid on
-/// the hot path when all telemetry is off.
+/// the hot path when tracing is off.
 inline bool enabled() {
-  return detail::ActiveModes.load(std::memory_order_relaxed) &
-         detail::ModeTrace;
-}
-
-/// True when spans must maintain the per-thread stack (tracing needs it for
-/// parent ids, the profiler for samples).
-inline bool spansActive() {
-  return detail::ActiveModes.load(std::memory_order_relaxed) != 0;
+  return detail::TraceOn.load(std::memory_order_relaxed);
 }
 
 /// One key/value annotation on an event. \c Quote distinguishes string
@@ -108,26 +100,6 @@ struct TraceEvent {
   uint64_t FlowId = 0;   ///< rendered as "id" (flow events only)
   std::vector<TraceArg> Args;
 };
-
-/// The fixed-depth stack of spans a thread currently has open, readable by
-/// the profiler thread while the owner pushes and pops. Slots only ever
-/// hold nullptr or static string literals, so a stale read during a pop is
-/// still a valid name (it is simply attributed to the previous sample).
-struct SpanStack {
-  static constexpr unsigned MaxDepth = 64;
-  std::atomic<const char *> Names[MaxDepth] = {};
-  std::atomic<uint64_t> Ids[MaxDepth] = {};
-  std::atomic<uint32_t> Depth{0};
-};
-
-namespace detail {
-/// The calling thread's span stack, registered for profiling on first use.
-SpanStack &threadSpanStack();
-/// Stacks of all threads that ever opened a span (dead threads pruned).
-std::vector<std::shared_ptr<SpanStack>> allSpanStacks();
-/// Id of the innermost open span on this thread, 0 when none.
-uint64_t currentSpanId();
-} // namespace detail
 
 /// A logical-flow id carried across threads, connecting the spans of one
 /// unit of work (a batch session) from the thread that enqueued it to the
@@ -186,7 +158,9 @@ public:
     return MaxEventsPerThread.load(std::memory_order_relaxed);
   }
 
-  /// Drains all buffered events, rendered one JSON object per line.
+  /// Drains all buffered events, rendered one JSON object per line. When
+  /// events were dropped since the last export, the last line is a
+  /// `trace.dropped` instant whose `events` arg is their count.
   std::string exportJsonl();
 
   /// Drains buffered events to the enableToFile() path (first flush
@@ -197,13 +171,8 @@ public:
   uint64_t eventCount() const;
 
   /// Nanoseconds since this tracer's epoch (plain clock read; works whether
-  /// or not tracing is enabled). obs::Log shares this epoch so logs and
-  /// spans interleave on one timeline.
+  /// or not tracing is enabled).
   uint64_t nowNanos() const;
-
-  /// The calling thread's dense tracer thread id (assigned on first use;
-  /// also stamped on log records so they join the trace timeline).
-  uint32_t threadId();
 
   /// Appends \p E (stamped by the caller) to the calling thread's buffer.
   void record(TraceEvent E);
@@ -244,6 +213,8 @@ private:
 
   std::atomic<bool> Enabled{false};
   std::atomic<size_t> MaxEventsPerThread{size_t(1) << 20};
+  /// Events dropped at the cap since the last export.
+  std::atomic<uint64_t> Dropped{0};
   const std::chrono::steady_clock::time_point Epoch;
 
   mutable std::mutex BufsM;
@@ -255,20 +226,18 @@ private:
   bool FileStarted = false;
 };
 
-/// RAII span: opens on construction, pushes itself on the thread's span
-/// stack, and records a complete event on destruction. When all telemetry
-/// is disabled, construction is a relaxed atomic load and a branch;
-/// nothing else runs and nothing is allocated.
+/// RAII span: opens on construction, becomes the thread's innermost open
+/// span, and records a complete event on destruction. When tracing is
+/// disabled, construction is a relaxed atomic load and a branch; nothing
+/// else runs and nothing is allocated.
 class Span {
 public:
   explicit Span(const char *Name, const char *Cat = "gadt") {
-    uint32_t Modes = detail::ActiveModes.load(std::memory_order_relaxed);
-    if (!Modes)
-      return;
-    begin(Name, Cat, Modes);
+    if (enabled())
+      begin(Name, Cat);
   }
   ~Span() {
-    if (Live)
+    if (Rec)
       end();
   }
 
@@ -298,24 +267,21 @@ public:
       Args.push_back({K, V ? "true" : "false", /*Quote=*/false});
   }
 
-  /// True when the span is live on the thread's span stack (some telemetry
-  /// mode is active).
-  bool active() const { return Live; }
-  /// This span's id (0 when not live).
+  /// True when the span is being recorded (tracing was on at open).
+  bool active() const { return Rec; }
+  /// This span's id (0 when not recorded).
   uint64_t id() const { return SpanId; }
 
 private:
-  void begin(const char *Name, const char *Cat, uint32_t Modes);
+  void begin(const char *Name, const char *Cat);
   void end();
 
-  bool Live = false;   ///< pushed on the span stack
-  bool Rec = false;    ///< tracing was on at open: record an event at close
-  bool Pushed = false; ///< false when the stack saturated at MaxDepth
+  bool Rec = false; ///< tracing was on at open: record an event at close
   const char *Name = nullptr;
   const char *Cat = nullptr;
   uint64_t StartNanos = 0;
   uint64_t SpanId = 0;
-  uint64_t ParentId = 0;
+  uint64_t ParentId = 0; ///< the thread's innermost open span at open
   std::vector<TraceArg> Args;
 };
 

@@ -18,9 +18,14 @@ std::string SessionResult::summary() const {
   Out += "fp=" + hashHex(Fingerprint);
   Out += " prepared=" + std::string(Prepared ? "1" : "0");
   Out += " found=" + std::string(Found ? "1" : "0");
-  Out += " unit=" + UnitName;
-  Out += " wrong=" + WrongOutput;
-  Out += " msg=" + Message;
+  // Two appends each: a temporary `" unit=" + UnitName` trips GCC 12's
+  // -Wrestrict false positive in Release builds.
+  Out += " unit=";
+  Out += UnitName;
+  Out += " wrong=";
+  Out += WrongOutput;
+  Out += " msg=";
+  Out += Message;
   Out += "\njudgements=" + std::to_string(Stats.Judgements);
   Out += " unanswered=" + std::to_string(Stats.Unanswered);
   Out += " memo=" + std::to_string(Stats.MemoHits);

@@ -5,7 +5,6 @@
 #include "bytecode/Bytecode.h"
 #include "obs/Trace.h"
 #include "pascal/Frontend.h"
-#include "pascal/PrettyPrinter.h"
 #include "slicing/StaticSlicer.h"
 #include "support/Hashing.h"
 
@@ -33,7 +32,7 @@ struct RuntimeContext::ProgramEntry {
   std::string Errors;
 };
 
-RuntimeContext::RuntimeContext(obs::Registry *Metrics, RuntimeOptions Opts)
+RuntimeContext::RuntimeContext(obs::Registry *Metrics)
     : Reg(Metrics ? *Metrics : obs::Registry::global()),
       ProgramC{Reg.counter("runtime.cache.program.hits"),
                Reg.counter("runtime.cache.program.misses")},
@@ -44,18 +43,7 @@ RuntimeContext::RuntimeContext(obs::Registry *Metrics, RuntimeOptions Opts)
       CodeC{Reg.counter("runtime.cache.code.hits"),
             Reg.counter("runtime.cache.code.misses")},
       SliceC{Reg.counter("runtime.cache.slice.hits"),
-             Reg.counter("runtime.cache.slice.misses")},
-      ProgramG{Reg.gauge("runtime.cache.program.entries"),
-               Reg.gauge("runtime.cache.program.bytes")},
-      TransformG{Reg.gauge("runtime.cache.transform.entries"),
-                 Reg.gauge("runtime.cache.transform.bytes")},
-      SdgG{Reg.gauge("runtime.cache.sdg.entries"),
-           Reg.gauge("runtime.cache.sdg.bytes")},
-      CodeG{Reg.gauge("runtime.cache.code.entries"),
-            Reg.gauge("runtime.cache.code.bytes")},
-      SliceG{Reg.gauge("runtime.cache.slice.entries"),
-             Reg.gauge("runtime.cache.slice.bytes")},
-      Options(Opts), EvictionC(Reg.counter("runtime.cache.evictions")) {}
+             Reg.counter("runtime.cache.slice.misses")} {}
 
 RuntimeContext::~RuntimeContext() = default;
 
@@ -68,57 +56,6 @@ void noteLookup(Counters &C, obs::Span &Span, bool WasMiss) {
 }
 
 } // namespace
-
-void RuntimeContext::publishOccupancy() {
-  auto Publish = [](CacheGauges &G, size_t Entries, size_t Bytes) {
-    G.Entries.set(static_cast<int64_t>(Entries));
-    G.Bytes.set(static_cast<int64_t>(Bytes));
-  };
-  Publish(ProgramG, Programs.size(), Programs.totalBytes());
-  Publish(TransformG, Transforms.size(), Transforms.totalBytes());
-  Publish(SdgG, Sdgs.size(), Sdgs.totalBytes());
-  Publish(CodeG, Codes.size(), Codes.totalBytes());
-  Publish(SliceG, Slices.size(), Slices.totalBytes());
-}
-
-void RuntimeContext::enforceBudget() {
-  if (!Options.CacheBudgetBytes)
-    return;
-  for (;;) {
-    size_t Total = Programs.totalBytes() + Transforms.totalBytes() +
-                   Sdgs.totalBytes() + Codes.totalBytes() +
-                   Slices.totalBytes();
-    if (Total <= Options.CacheBudgetBytes)
-      return;
-    // Evict the globally oldest ready entry (OnceCache ticks are drawn
-    // from one process-wide clock, so ticks compare across caches).
-    uint64_t Best = UINT64_MAX;
-    int Which = -1;
-    auto Consider = [&](uint64_t Tick, int I) {
-      if (Tick < Best) {
-        Best = Tick;
-        Which = I;
-      }
-    };
-    Consider(Programs.oldestReadyTick(), 0);
-    Consider(Transforms.oldestReadyTick(), 1);
-    Consider(Sdgs.oldestReadyTick(), 2);
-    Consider(Codes.oldestReadyTick(), 3);
-    Consider(Slices.oldestReadyTick(), 4);
-    size_t Freed = 0;
-    switch (Which) {
-    case 0: Freed = Programs.evictOldest(); break;
-    case 1: Freed = Transforms.evictOldest(); break;
-    case 2: Freed = Sdgs.evictOldest(); break;
-    case 3: Freed = Codes.evictOldest(); break;
-    case 4: Freed = Slices.evictOldest(); break;
-    default:
-      return; // nothing evictable (entries still building)
-    }
-    (void)Freed;
-    EvictionC.add();
-  }
-}
 
 std::shared_ptr<const RuntimeContext::ProgramEntry>
 RuntimeContext::internEntry(const std::string &Source,
@@ -140,12 +77,6 @@ RuntimeContext::internEntry(const std::string &Source,
       },
       &WasMiss);
   noteLookup(ProgramC, Span, WasMiss);
-  if (WasMiss) {
-    Programs.noteBytes(SourceHash, Source.size() + E->Errors.size() +
-                                       sizeof(ProgramEntry));
-    enforceBudget();
-  }
-  publishOccupancy();
   if (!E->Program)
     Diags.error(SourceLoc(), "batch runtime: cached parse failure: " +
                                  E->Errors);
@@ -176,12 +107,6 @@ RuntimeContext::compiled(uint64_t Fingerprint, bool Transformed,
       },
       &WasMiss);
   noteLookup(CodeC, Span, WasMiss);
-  if (WasMiss) {
-    Codes.noteBytes(Key, sizeof(CodeEntry) +
-                             (E->Code ? E->Code->memoryBytes() : 0));
-    enforceBudget();
-  }
-  publishOccupancy();
   return E;
 }
 
@@ -230,15 +155,6 @@ RuntimeContext::prepare(const std::string &Source,
         },
         &WasMiss);
     noteLookup(TransformC, Span, WasMiss);
-    if (WasMiss) {
-      uint64_t NewBytes = sizeof(TransformEntry) + X->Errors.size();
-      if (X->Transformed)
-        NewBytes += pascal::printProgram(*X->Transformed).size();
-      Transforms.noteBytes(Fingerprint, NewBytes);
-      enforceBudget();
-    }
-    publishOccupancy();
-    Reg.gauge("runtime.subjects").set(static_cast<int64_t>(Transforms.size()));
     if (!X->Transformed) {
       Diags.error(SourceLoc(), "batch runtime: cached transform failure: " +
                                    X->Errors);
@@ -272,14 +188,6 @@ RuntimeContext::prepare(const std::string &Source,
         },
         &WasMiss);
     noteLookup(SdgC, Span, WasMiss);
-    if (WasMiss) {
-      Sdgs.noteBytes(SdgKey, sizeof(SdgEntry) +
-                                 G->Graph->nodes().size() *
-                                     sizeof(analysis::SDGNode) +
-                                 uint64_t(G->Graph->numEdges()) * 8);
-      enforceBudget();
-    }
-    publishOccupancy();
     // Alias the SDG's lifetime to its cache entry, and debug the exact
     // program object the graph was built over — textual variants of one
     // fingerprint intern as distinct ASTs, but slices resolve by pointer.
@@ -310,11 +218,6 @@ RuntimeContext::prepare(const std::string &Source,
           },
           &WasMiss);
       noteLookup(SliceC, Span, WasMiss);
-      if (WasMiss) {
-        Slices.noteBytes(Key, sizeof(slicing::StaticSlice) + S->size() * 4);
-        enforceBudget();
-      }
-      publishOccupancy();
       return S;
     };
   }

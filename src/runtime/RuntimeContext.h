@@ -47,16 +47,6 @@
 namespace gadt {
 namespace runtime {
 
-/// Construction-time knobs of a RuntimeContext.
-struct RuntimeOptions {
-  /// Byte budget across all five caches; 0 = unlimited (the default, and
-  /// the previous behavior). When a miss pushes the summed byte estimate
-  /// over the budget, the globally least-recently-built ready entries are
-  /// evicted until the estimate fits again. Eviction drops the cache's
-  /// reference only — sessions already holding an entry keep it alive.
-  size_t CacheBudgetBytes = 0;
-};
-
 /// Counter snapshot across all caches of a context.
 struct RuntimeStats {
   uint64_t ProgramHits = 0, ProgramMisses = 0;
@@ -103,8 +93,7 @@ public:
   /// counters (`runtime.cache.*`), session accounting and wall-time
   /// histograms. Defaults to the process-wide registry; tests pass a
   /// private one for exact accounting. Must outlive the context.
-  explicit RuntimeContext(obs::Registry *Metrics = nullptr,
-                          RuntimeOptions Opts = RuntimeOptions());
+  explicit RuntimeContext(obs::Registry *Metrics = nullptr);
   ~RuntimeContext();
 
   RuntimeContext(const RuntimeContext &) = delete;
@@ -172,26 +161,6 @@ private:
     obs::Counter &Hits, &Misses;
   };
   CacheCounters ProgramC, TransformC, SdgC, CodeC, SliceC;
-
-  /// `runtime.cache.<cache>.{entries,bytes}` occupancy gauges, refreshed on
-  /// every lookup. Bytes are an estimate of what an entry retains (source
-  /// text, canonical print, graph nodes+edges, slice payload) — good enough
-  /// to watch growth under long batch runs, not an allocator measurement.
-  /// The per-entry estimates live in the OnceCaches themselves (noteBytes),
-  /// which is what makes budget eviction subtract the right amount.
-  struct CacheGauges {
-    obs::Gauge &Entries, &Bytes;
-  };
-  CacheGauges ProgramG, TransformG, SdgG, CodeG, SliceG;
-
-  RuntimeOptions Options;
-  obs::Counter &EvictionC; ///< `runtime.cache.evictions`
-
-  /// Evicts globally least-recently-built ready entries until the summed
-  /// byte estimate fits Options.CacheBudgetBytes. No-op when unlimited.
-  void enforceBudget();
-  /// Refreshes all ten occupancy gauges from the caches.
-  void publishOccupancy();
 };
 
 } // namespace runtime

@@ -22,10 +22,7 @@
 ///    return null as hits without re-building);
 ///  - a builder that *throws* does not poison the slot: the exception
 ///    propagates to the caller that ran the builder, the slot is removed,
-///    and concurrent or subsequent requesters retry the build;
-///  - entries carry an optional byte weight and a last-build tick, so an
-///    owner holding several caches can enforce a global byte budget by
-///    evicting the oldest entries (see noteBytes/evictOldest/totalBytes).
+///    and concurrent or subsequent requesters retry the build.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,14 +38,6 @@
 #include <mutex>
 
 namespace gadt {
-
-/// One logical clock shared by every OnceCache instantiation in the
-/// process, so "oldest entry" is comparable across caches of different
-/// value types (the runtime budget enforcer needs exactly that).
-inline std::atomic<uint64_t> &onceCacheClock() {
-  static std::atomic<uint64_t> Clock{1};
-  return Clock;
-}
 
 template <typename Key, typename T> class OnceCache {
 public:
@@ -74,8 +63,8 @@ public:
         S = Entry;
         if (!Owner && !S->Ready) {
           // Another thread is building this key. Wait until its slot is
-          // published, or until it vanishes (builder threw, or the entry
-          // was evicted mid-wait) — in which case retry from the top.
+          // published, or until it vanishes (the builder threw) — in which
+          // case retry from the top.
           CV.wait(Lock, [&] {
             auto It = Slots.find(K);
             return It == Slots.end() || It->second != S || S->Ready;
@@ -105,7 +94,6 @@ public:
           std::lock_guard<std::mutex> Lock(M);
           S->V = std::move(V);
           S->Ready = true;
-          S->Tick = onceCacheClock().fetch_add(1, std::memory_order_relaxed);
         }
         CV.notify_all();
         Misses.fetch_add(1, std::memory_order_relaxed);
@@ -128,67 +116,6 @@ public:
     return It == Slots.end() || !It->second->Ready ? nullptr : It->second->V;
   }
 
-  /// Records \p Bytes as the weight of the (ready) entry for \p K, for
-  /// budget accounting. Typically called right after a miss.
-  void noteBytes(const Key &K, size_t Bytes) {
-    std::lock_guard<std::mutex> Lock(M);
-    auto It = Slots.find(K);
-    if (It == Slots.end() || !It->second->Ready)
-      return;
-    Total += Bytes - It->second->Bytes;
-    It->second->Bytes = Bytes;
-  }
-
-  /// Sum of the recorded byte weights of all ready entries.
-  size_t totalBytes() const {
-    std::lock_guard<std::mutex> Lock(M);
-    return Total;
-  }
-
-  /// The build tick of the least-recently-built ready entry, or UINT64_MAX
-  /// when there is none. Comparable across caches via onceCacheClock().
-  uint64_t oldestReadyTick() const {
-    std::lock_guard<std::mutex> Lock(M);
-    uint64_t Oldest = UINT64_MAX;
-    for (const auto &KV : Slots)
-      if (KV.second->Ready && KV.second->Tick < Oldest)
-        Oldest = KV.second->Tick;
-    return Oldest;
-  }
-
-  /// Evicts the least-recently-built ready entry. Entries still being built
-  /// are never evicted. Returns the freed byte weight, or 0 if nothing was
-  /// evictable. A shared_ptr handed out earlier keeps the value alive; only
-  /// the cache's reference is dropped.
-  size_t evictOldest() {
-    std::lock_guard<std::mutex> Lock(M);
-    auto Victim = Slots.end();
-    uint64_t Oldest = UINT64_MAX;
-    for (auto It = Slots.begin(); It != Slots.end(); ++It)
-      if (It->second->Ready && It->second->Tick < Oldest) {
-        Oldest = It->second->Tick;
-        Victim = It;
-      }
-    if (Victim == Slots.end())
-      return 0;
-    size_t Freed = Victim->second->Bytes;
-    Total -= Freed;
-    Slots.erase(Victim);
-    return Freed;
-  }
-
-  /// Drops the entry for \p K if it is ready. Returns its byte weight.
-  size_t erase(const Key &K) {
-    std::lock_guard<std::mutex> Lock(M);
-    auto It = Slots.find(K);
-    if (It == Slots.end() || !It->second->Ready)
-      return 0;
-    size_t Freed = It->second->Bytes;
-    Total -= Freed;
-    Slots.erase(It);
-    return Freed;
-  }
-
   uint64_t hits() const { return Hits.load(std::memory_order_relaxed); }
   uint64_t misses() const { return Misses.load(std::memory_order_relaxed); }
 
@@ -201,14 +128,11 @@ private:
   struct Slot {
     std::shared_ptr<const T> V;
     bool Ready = false;
-    size_t Bytes = 0;
-    uint64_t Tick = 0;
   };
 
   mutable std::mutex M;
   mutable std::condition_variable CV;
   std::map<Key, std::shared_ptr<Slot>> Slots;
-  size_t Total = 0;
   std::atomic<uint64_t> Hits{0};
   std::atomic<uint64_t> Misses{0};
 };

@@ -312,48 +312,6 @@ TEST(RuntimeContextTest, CachedParseFailureIsReported) {
 }
 
 //===----------------------------------------------------------------------===//
-// Cache byte budget
-//===----------------------------------------------------------------------===//
-
-TEST(RuntimeContextTest, CacheBudgetEvictsOldestEntriesGlobally) {
-  // Feed one context many distinct subjects under a budget far smaller than
-  // their summed footprint: it must evict (counter moves) and the occupancy
-  // gauges must settle at or under the budget. An unlimited control context
-  // over the same workload never evicts.
-  std::vector<std::string> Sources;
-  for (unsigned N = 4; N <= 9; ++N)
-    Sources.push_back(chainProgram(N, 1).Buggy);
-
-  obs::Registry Limited, Unlimited;
-  RuntimeOptions Budgeted;
-  Budgeted.CacheBudgetBytes = 4 * 1024;
-  RuntimeContext Small(&Limited, Budgeted);
-  RuntimeContext Big(&Unlimited);
-
-  for (const std::string &Src : Sources) {
-    DiagnosticsEngine D1, D2;
-    ASSERT_TRUE(Small.prepare(Src, GADTOptions(), D1)) << D1.str();
-    ASSERT_TRUE(Big.prepare(Src, GADTOptions(), D2)) << D2.str();
-  }
-
-  EXPECT_GT(Limited.counter("runtime.cache.evictions").value(), 0u);
-  EXPECT_EQ(Unlimited.counter("runtime.cache.evictions").value(), 0u);
-
-  int64_t Resident = 0;
-  for (const char *Cache :
-       {"program", "transform", "sdg", "code", "slice"})
-    Resident += Limited.gauge(std::string("runtime.cache.") + Cache +
-                              ".bytes")
-                    .value();
-  EXPECT_LE(Resident, static_cast<int64_t>(Budgeted.CacheBudgetBytes));
-
-  // Eviction only drops the cache's reference; re-preparing an evicted
-  // subject rebuilds it and still succeeds.
-  DiagnosticsEngine D;
-  ASSERT_TRUE(Small.prepare(Sources.front(), GADTOptions(), D)) << D.str();
-}
-
-//===----------------------------------------------------------------------===//
 // Fingerprints
 //===----------------------------------------------------------------------===//
 

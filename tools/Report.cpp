@@ -1,0 +1,347 @@
+//===- Report.cpp - The ops report behind gadt_report ---------------------===//
+//
+// Folds the span trace a traced run leaves behind (GADT_TRACE) plus any
+// number of committed BENCH_*.json captures into a single markdown ops
+// report. The report answers the questions an operator asks first: where
+// did the time go (exact self time per span), did sessions cross threads
+// cleanly (flow accounting), did the tracer drop anything — and how do the
+// numbers compare with the committed benchmark trajectory.
+//
+//===----------------------------------------------------------------------===//
+
+#include "Report.h"
+
+#include "obs/Log.h"
+#include "support/JSON.h"
+
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+
+using namespace gadt;
+using namespace gadt::report;
+
+namespace {
+
+bool readFile(const std::string &Path, std::string &Out) {
+  std::ifstream In(Path);
+  if (!In) {
+    obs::logError("gadt_report", "cannot open " + Path);
+    return false;
+  }
+  std::ostringstream Buf;
+  Buf << In.rdbuf();
+  Out = Buf.str();
+  return true;
+}
+
+std::vector<std::string> splitLines(const std::string &Text) {
+  std::vector<std::string> Lines;
+  size_t Pos = 0;
+  while (Pos < Text.size()) {
+    size_t Nl = Text.find('\n', Pos);
+    if (Nl == std::string::npos)
+      Nl = Text.size();
+    if (Nl > Pos)
+      Lines.push_back(Text.substr(Pos, Nl - Pos));
+    Pos = Nl + 1;
+  }
+  return Lines;
+}
+
+std::string baseName(const std::string &Path) {
+  size_t Slash = Path.find_last_of('/');
+  return Slash == std::string::npos ? Path : Path.substr(Slash + 1);
+}
+
+std::string fmtMicros(double Us) {
+  char Buf[32];
+  if (Us >= 1e6)
+    std::snprintf(Buf, sizeof(Buf), "%.2f s", Us / 1e6);
+  else if (Us >= 1e3)
+    std::snprintf(Buf, sizeof(Buf), "%.2f ms", Us / 1e3);
+  else
+    std::snprintf(Buf, sizeof(Buf), "%.1f us", Us);
+  return Buf;
+}
+
+//===----------------------------------------------------------------------===//
+// Trace section
+//===----------------------------------------------------------------------===//
+
+/// A rendered fractional-microsecond field, as integer nanoseconds.
+int64_t nanos(double Us) { return std::llround(Us * 1000.0); }
+
+bool traceSection(const std::string &Path, std::string &Md) {
+  std::string Text;
+  if (!readFile(Path, Text))
+    return false;
+  TraceFold F = foldTrace(Text);
+
+  Md += "## Span trace\n\n";
+  Md += "- events: " + std::to_string(F.Events) + " (" +
+        std::to_string(F.Instants) + " instants";
+  if (F.Unparsed)
+    Md += ", " + std::to_string(F.Unparsed) + " unparsed lines";
+  Md += ")\n- threads: " + std::to_string(F.Threads.size());
+  std::string Names;
+  for (const auto &[Tid, N] : F.Threads)
+    if (!N.empty())
+      Names += (Names.empty() ? "" : ", ") + N;
+  if (!Names.empty())
+    Md += " (" + Names + ")";
+  Md += "\n";
+  if (F.FlowsStarted)
+    Md += "- session flows: " + std::to_string(F.FlowsStarted) +
+          " started, " + std::to_string(F.FlowsCompleted) + " completed, " +
+          std::to_string(F.FlowsCrossed) + " crossed threads\n";
+  Md += "- root spans: " + fmtMicros(F.RootNs / 1000.0) +
+        " in total; the self column sums to it\n";
+  if (F.Dropped)
+    Md += "\n> **Warning:** the tracer dropped " +
+          std::to_string(F.Dropped) +
+          " events at its per-thread cap. Their spans are missing below, "
+          "and their time counts as their parents' self time.\n";
+
+  Md += "\n| span | count | self | total | mean | max |\n";
+  Md += "|---|---:|---:|---:|---:|---:|\n";
+  for (const SpanRow &R : F.Spans)
+    Md += "| `" + R.Name + "` | " + std::to_string(R.Count) + " | " +
+          fmtMicros(R.SelfNs / 1000.0) + " | " +
+          fmtMicros(R.TotalNs / 1000.0) + " | " +
+          fmtMicros(R.TotalNs / 1000.0 / R.Count) + " | " +
+          fmtMicros(R.MaxNs / 1000.0) + " |\n";
+  Md += "\n";
+  return true;
+}
+
+//===----------------------------------------------------------------------===//
+// Bench-trajectory section
+//===----------------------------------------------------------------------===//
+
+bool benchSection(const std::vector<std::string> &Paths, std::string &Md) {
+  struct Capture {
+    std::string Label;
+    std::map<std::string, double> RealNs;
+  };
+  std::vector<Capture> Captures;
+  std::vector<std::string> AllNames; // first-seen order
+  bool Ok = true;
+  for (const std::string &Path : Paths) {
+    std::string Text;
+    if (!readFile(Path, Text)) {
+      Ok = false;
+      continue;
+    }
+    std::optional<json::Value> V = json::parse(Text);
+    const json::Value *Results =
+        V && V->isObject() ? V->find("results") : nullptr;
+    if (!Results || !Results->isArray()) {
+      obs::logError("gadt_report", "not a perf_micro capture: " + Path);
+      Ok = false;
+      continue;
+    }
+    Capture C;
+    C.Label = baseName(Path);
+    for (const json::Value &R : Results->Arr) {
+      std::string Name = R.getString("name");
+      C.RealNs[Name] = R.getNumber("real_ns");
+      if (std::find(AllNames.begin(), AllNames.end(), Name) == AllNames.end())
+        AllNames.push_back(Name);
+    }
+    Captures.push_back(std::move(C));
+  }
+  if (Captures.empty())
+    return Ok;
+  Md += "## Benchmark trajectory\n\nmin-of-N real time per iteration.\n\n";
+  Md += "| benchmark |";
+  for (const Capture &C : Captures)
+    Md += " " + C.Label + " |";
+  if (Captures.size() >= 2)
+    Md += " last vs first |";
+  Md += "\n|---|";
+  for (size_t I = 0; I < Captures.size(); ++I)
+    Md += "---:|";
+  if (Captures.size() >= 2)
+    Md += "---:|";
+  Md += "\n";
+  for (const std::string &Name : AllNames) {
+    Md += "| `" + Name + "` |";
+    for (const Capture &C : Captures) {
+      auto It = C.RealNs.find(Name);
+      if (It == C.RealNs.end()) {
+        Md += " — |";
+        continue;
+      }
+      Md += ' ';
+      Md += fmtMicros(It->second / 1000.0);
+      Md += " |";
+    }
+    if (Captures.size() >= 2) {
+      auto FirstIt = Captures.front().RealNs.find(Name);
+      auto LastIt = Captures.back().RealNs.find(Name);
+      if (FirstIt != Captures.front().RealNs.end() &&
+          LastIt != Captures.back().RealNs.end() && FirstIt->second > 0) {
+        char Buf[32];
+        std::snprintf(Buf, sizeof(Buf), " %+.1f%% |",
+                      100.0 * (LastIt->second - FirstIt->second) /
+                          FirstIt->second);
+        Md += Buf;
+      } else {
+        Md += " — |";
+      }
+    }
+    Md += "\n";
+  }
+  Md += "\n";
+  return Ok;
+}
+
+} // namespace
+
+//===----------------------------------------------------------------------===//
+// The fold
+//===----------------------------------------------------------------------===//
+
+TraceFold gadt::report::foldTrace(const std::string &Jsonl) {
+  struct Complete {
+    std::string Name;
+    uint64_t Sid = 0, Psid = 0;
+    int64_t DurNs = 0;
+  };
+  struct Flow {
+    int StartTid = -1, FinishTid = -1;
+  };
+  TraceFold F;
+  std::vector<Complete> Spans;
+  std::map<uint64_t, Flow> Flows;
+  for (const std::string &Line : splitLines(Jsonl)) {
+    std::optional<json::Value> V = json::parse(Line);
+    if (!V || !V->isObject()) {
+      ++F.Unparsed;
+      continue;
+    }
+    std::string Ph = V->getString("ph");
+    std::string Name = V->getString("name");
+    if (Ph == "i" && Name == "trace.dropped") {
+      if (const json::Value *Args = V->find("args"))
+        F.Dropped += static_cast<uint64_t>(Args->getNumber("events"));
+      continue;
+    }
+    ++F.Events;
+    int Tid = static_cast<int>(V->getNumber("tid"));
+    std::string &ThreadName = F.Threads[Tid];
+    if (Ph == "X") {
+      Spans.push_back({std::move(Name),
+                       static_cast<uint64_t>(V->getNumber("sid")),
+                       static_cast<uint64_t>(V->getNumber("psid")),
+                       nanos(V->getNumber("dur"))});
+    } else if (Ph == "i") {
+      ++F.Instants;
+    } else if (Ph == "s" || Ph == "t" || Ph == "f") {
+      Flow &Fl = Flows[static_cast<uint64_t>(V->getNumber("id"))];
+      if (Ph == "s")
+        Fl.StartTid = Tid;
+      else if (Ph == "f")
+        Fl.FinishTid = Tid;
+    } else if (Ph == "M" && Name == "thread_name") {
+      if (const json::Value *Args = V->find("args"))
+        ThreadName = Args->getString("name");
+    }
+  }
+
+  for (const auto &[Id, Fl] : Flows) {
+    ++F.FlowsStarted;
+    if (Fl.StartTid >= 0 && Fl.FinishTid >= 0) {
+      ++F.FlowsCompleted;
+      if (Fl.StartTid != Fl.FinishTid)
+        ++F.FlowsCrossed;
+    }
+  }
+
+  // Self time: every complete event whose parent is in the trace is
+  // subtracted from that parent; the rest are roots.
+  std::map<uint64_t, size_t> BySid;
+  for (size_t I = 0; I < Spans.size(); ++I)
+    if (Spans[I].Sid)
+      BySid[Spans[I].Sid] = I;
+  std::vector<int64_t> Self;
+  for (const Complete &S : Spans)
+    Self.push_back(S.DurNs);
+  for (const Complete &S : Spans) {
+    auto Parent = S.Sid ? BySid.find(S.Psid) : BySid.end();
+    if (Parent == BySid.end())
+      F.RootNs += S.DurNs;
+    else
+      Self[Parent->second] -= S.DurNs;
+  }
+
+  std::map<std::string, SpanRow> ByName;
+  for (size_t I = 0; I < Spans.size(); ++I) {
+    SpanRow &R = ByName[Spans[I].Name];
+    R.Name = Spans[I].Name;
+    ++R.Count;
+    R.TotalNs += Spans[I].DurNs;
+    R.SelfNs += Self[I];
+    R.MaxNs = std::max(R.MaxNs, Spans[I].DurNs);
+  }
+  for (auto &[Name, R] : ByName)
+    F.Spans.push_back(std::move(R));
+  std::stable_sort(F.Spans.begin(), F.Spans.end(),
+                   [](const SpanRow &A, const SpanRow &B) {
+                     return A.SelfNs > B.SelfNs;
+                   });
+  return F;
+}
+
+//===----------------------------------------------------------------------===//
+// The driver
+//===----------------------------------------------------------------------===//
+
+int gadt::report::runReport(const std::vector<std::string> &Args) {
+  std::string TracePath, OutPath;
+  std::vector<std::string> BenchPaths;
+  for (size_t I = 0; I < Args.size(); ++I) {
+    const std::string &Arg = Args[I];
+    bool HasValue = I + 1 < Args.size();
+    if (Arg == "--trace" && HasValue)
+      TracePath = Args[++I];
+    else if (Arg == "--bench" && HasValue)
+      BenchPaths.push_back(Args[++I]);
+    else if (Arg == "--out" && HasValue)
+      OutPath = Args[++I];
+    else {
+      std::printf("usage: gadt_report [--trace t.jsonl] "
+                  "[--bench BENCH.json]... [--out report.md]\n");
+      return Arg == "--help" ? 0 : 1;
+    }
+  }
+
+  std::string Md = "# GADT ops report\n\nInputs:";
+  if (!TracePath.empty())
+    Md += " trace=`" + TracePath + "`";
+  for (const std::string &B : BenchPaths)
+    Md += " bench=`" + B + "`";
+  Md += "\n\n";
+
+  bool Ok = true;
+  if (!TracePath.empty())
+    Ok &= traceSection(TracePath, Md);
+  if (!BenchPaths.empty())
+    Ok &= benchSection(BenchPaths, Md);
+
+  if (OutPath.empty()) {
+    std::fputs(Md.c_str(), stdout);
+    return Ok ? 0 : 1;
+  }
+  std::ofstream Out(OutPath, std::ios::trunc);
+  if (!Out) {
+    obs::logError("gadt_report", "cannot write " + OutPath);
+    return 1;
+  }
+  Out << Md;
+  std::printf("wrote %s\n", OutPath.c_str());
+  return Ok ? 0 : 1;
+}
