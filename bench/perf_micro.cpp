@@ -283,8 +283,7 @@ void BM_BatchThroughputSerial(benchmark::State &State) {
   std::vector<std::string> Sources = {
       workload::Figure4Buggy, workload::Figure4Fixed,
       workload::chainProgram(32, 1).Fixed, syntheticSubject().Fixed};
-  obs::Registry Reg;
-  runtime::RuntimeContext Ctx(&Reg);
+  runtime::RuntimeContext Ctx;
   core::GADTOptions Opts;
   core::LambdaOracle O(
       [](const trace::ExecNode &) {

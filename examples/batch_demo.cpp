@@ -20,7 +20,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "runtime/BatchRunner.h"
 #include "workload/PaperPrograms.h"
@@ -65,18 +64,22 @@ int main() {
       std::printf("  [%2zu] no bug found: %s\n", I, R.Message.c_str());
   }
 
-  std::printf("\ncache accounting after the cold batch:\n  %s\n",
+  unsigned Judgements = 0, UserQueries = 0;
+  for (const SessionResult &R : Results) {
+    Judgements += R.Stats.Judgements;
+    UserQueries += R.Stats.userQueries();
+  }
+  std::printf("\noracle accounting over the batch:\n  %u judgements, %u "
+              "answered by the user\n",
+              Judgements, UserQueries);
+
+  std::printf("cache accounting after the cold batch:\n  %s\n",
               Ctx->stats().str().c_str());
 
   // Run the same fleet again: every artifact is already cached.
   Runner.run(Requests);
   std::printf("after a warm batch over the same fleet:\n  %s\n",
               Ctx->stats().str().c_str());
-
-  // The same numbers (and more: per-phase counters, session wall-time and
-  // queue-wait histograms) live in the unified metrics registry.
-  std::printf("\nmetrics registry snapshot:\n%s",
-              obs::Registry::global().str().c_str());
 
   if (const char *TracePath = std::getenv("GADT_TRACE"))
     std::printf("\ntracing: %llu events will be flushed to %s "

@@ -6,7 +6,6 @@
 #include "analysis/ControlDep.h"
 #include "analysis/Dataflow.h"
 #include "analysis/DefUse.h"
-#include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "pascal/ASTMatch.h"
 #include "support/Casting.h"
@@ -617,7 +616,6 @@ void SDGBuilder::computeSummaryEdges(std::vector<PendingEdge> &Edges,
   std::vector<std::vector<SDGNodeId>> SummaryIns(N);
   std::unordered_set<uint64_t> SummarySeen;
   std::deque<std::pair<SDGNodeId, uint32_t>> Work;
-  uint64_t PathPairs = 0;
 
   // The portable result: per-routine (fi, fo) pair sets, in discovery
   // order here, sorted before materialization.
@@ -629,7 +627,6 @@ void SDGBuilder::computeSummaryEdges(std::vector<PendingEdge> &Edges,
     if (Pairs[Bit / 64] & Mask)
       return;
     Pairs[Bit / 64] |= Mask;
-    ++PathPairs;
     Work.push_back({Node, Fo});
     FosReached[Node].push_back(Fo);
   };
@@ -717,10 +714,6 @@ void SDGBuilder::computeSummaryEdges(std::vector<PendingEdge> &Edges,
     }
   }
   G.SummaryPairsV = std::move(RoutinePairs);
-
-  static obs::Counter &PairC =
-      obs::Registry::global().counter("analysis.sdg.summary.pairs");
-  PairC.add(PathPairs);
 }
 
 void SDGBuilder::finalizeCSR(const std::vector<PendingEdge> &Edges,
@@ -894,15 +887,6 @@ SDG::SDG(const Program &P, SDGBuildOptions Opts)
   Span.arg("routines", Routines.size());
   Span.arg("nodes", NodesV.size());
   Span.arg("edges", NumEdges);
-  static obs::Counter &Builds =
-      obs::Registry::global().counter("analysis.sdg.builds");
-  static obs::Counter &NodeC =
-      obs::Registry::global().counter("analysis.sdg.nodes");
-  static obs::Counter &EdgeC =
-      obs::Registry::global().counter("analysis.sdg.edges");
-  Builds.add();
-  NodeC.add(NodesV.size());
-  EdgeC.add(NumEdges);
 }
 
 //===----------------------------------------------------------------------===//

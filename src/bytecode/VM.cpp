@@ -422,7 +422,7 @@ ExecResult bytecode::run(ExecState &S, const CompiledProgram &CP,
   Res.Output = S.Output;
   Res.Steps = S.Steps;
   Res.UnitsExecuted = S.NodeCounter;
-  S.flushPoolStats();
+  Res.CellsPooled = S.PooledReuses;
   return Res;
 }
 
@@ -540,6 +540,5 @@ CallOutcome bytecode::call(ExecState &S, const CompiledProgram &CP,
       Out.Outputs.push_back(
           {Param->getName(), S.Arena[Act.Slots[Param->getSlot()]].V});
   }
-  S.flushPoolStats();
   return Out;
 }

@@ -103,18 +103,5 @@ BugReport GADTSession::debug(Oracle &UserOracle, std::vector<int64_t> Input) {
     Span.arg("memo_hits", LastStats.MemoHits);
     Span.arg("nodes_pruned", LastStats.NodesPruned);
   }
-
-  // Route the session's interaction accounting — the paper's figure of
-  // merit — into the unified registry. The SessionStats struct remains the
-  // per-run API; these counters are the cross-session totals.
-  Metrics->counter("debug.sessions").add();
-  Metrics->counter("debug.queries.total").add(LastStats.Judgements);
-  Metrics->counter("debug.queries.unanswered").add(LastStats.Unanswered);
-  for (const auto &[Source, N] : LastStats.AnswersBySource)
-    Metrics->counter("debug.queries." + Source).add(N);
-  Metrics->counter("debug.memo.hits").add(LastStats.MemoHits);
-  Metrics->counter("debug.slicing.activations")
-      .add(LastStats.SlicingActivations);
-  Metrics->counter("debug.slicing.nodes_pruned").add(LastStats.NodesPruned);
   return Report;
 }

@@ -31,7 +31,6 @@
 #include "core/Oracle.h"
 #include "core/TestOracle.h"
 #include "interp/Interpreter.h"
-#include "obs/Metrics.h"
 #include "pascal/AST.h"
 #include "tgen/ReportDB.h"
 #include "transform/Transform.h"
@@ -106,14 +105,6 @@ public:
     return TransformInfo;
   }
 
-  /// Where this session's interaction accounting is aggregated (dotted
-  /// `debug.*` counters) in addition to the per-run SessionStats struct.
-  /// Defaults to the process-wide registry; the batch runtime points
-  /// sessions at their RuntimeContext's registry.
-  void setMetricsRegistry(obs::Registry *R) {
-    Metrics = R ? R : &obs::Registry::global();
-  }
-
   /// Registers a test database for the test-lookup component.
   void addTestDatabase(std::shared_ptr<const tgen::TestSpec> Spec,
                        std::shared_ptr<const tgen::TestReportDB> DB);
@@ -145,7 +136,6 @@ private:
   /// Set when constructed from shared artifacts; keeps injected programs,
   /// graph and slice memo alive for the session's lifetime.
   std::shared_ptr<const SessionArtifacts> Artifacts;
-  obs::Registry *Metrics = &obs::Registry::global();
   AssertionOracle Assertions;
   TestDatabaseOracle TestOracleImpl;
   std::unique_ptr<trace::ExecTree> LastTree;

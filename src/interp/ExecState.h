@@ -23,7 +23,6 @@
 #define GADT_INTERP_EXECSTATE_H
 
 #include "interp/Interpreter.h"
-#include "obs/Metrics.h"
 #include "support/Casting.h"
 
 #include <algorithm>
@@ -128,6 +127,7 @@ struct ExecState {
     NodeCounter = 0;
     CellSerial = 0;
     FrameCounter = 0;
+    PooledReuses = 0;
     InputPos = 0;
     CallDepth = 0;
     Arena.clear();
@@ -149,17 +149,6 @@ struct ExecState {
     F.FirstReads.clear();
     F.Writes.clear();
     return F;
-  }
-
-  /// Publishes per-run pool statistics; called at the end of each entry
-  /// point so hot paths pay plain increments, not atomics.
-  void flushPoolStats() {
-    if (PooledReuses == 0)
-      return;
-    static obs::Counter &Pooled =
-        obs::Registry::global().counter("interp.cells.pooled");
-    Pooled.add(PooledReuses);
-    PooledReuses = 0;
   }
 
   void fail(SourceLoc Loc, std::string Msg) {

@@ -5,7 +5,6 @@
 #include "bytecode/Bytecode.h"
 #include "bytecode/VM.h"
 #include "interp/ExecState.h"
-#include "obs/Metrics.h"
 #include "obs/Trace.h"
 
 using namespace gadt;
@@ -143,16 +142,6 @@ ExecResult Interpreter::run() {
   ExecResult R = P->run();
   Span.arg("steps", R.Steps);
   Span.arg("units", R.UnitsExecuted);
-  // Per-run execution profile, unified in the central registry. The
-  // references are resolved once; subsequent runs pay three relaxed adds.
-  static obs::Counter &Runs = obs::Registry::global().counter("interp.runs");
-  static obs::Counter &Steps =
-      obs::Registry::global().counter("interp.steps");
-  static obs::Counter &Units =
-      obs::Registry::global().counter("interp.units");
-  Runs.add();
-  Steps.add(R.Steps);
-  Units.add(R.UnitsExecuted);
   return R;
 }
 

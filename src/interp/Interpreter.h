@@ -133,6 +133,8 @@ struct ExecResult {
   std::vector<Binding> FinalGlobals;
   uint64_t Steps = 0;
   uint32_t UnitsExecuted = 0;
+  /// Cells allocated from the arena's free list instead of grown.
+  uint64_t CellsPooled = 0;
 };
 
 /// Result of invoking one routine directly (used by the T-GEN test runner

@@ -2,7 +2,6 @@
 
 #include "obs/Trace.h"
 
-#include "obs/Metrics.h"
 #include "support/JSON.h"
 
 #include <algorithm>
@@ -191,10 +190,6 @@ void Tracer::record(TraceEvent E) {
   if (B.Events.size() >= Max) {
     Lock.unlock();
     Dropped.fetch_add(1, std::memory_order_relaxed);
-    // The global counter survives the tracer and is cheap to resolve once.
-    static Counter &DroppedTotal =
-        Registry::global().counter("obs.trace.dropped");
-    DroppedTotal.add();
     return;
   }
   B.Events.push_back(std::move(E));

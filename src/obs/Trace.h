@@ -37,10 +37,9 @@
 ///
 /// Per-thread buffers are bounded (setMaxEventsPerThread, default 2^20):
 /// once a thread's buffer is full, further events are dropped and counted
-/// on the global registry's `obs.trace.dropped` counter instead of growing
-/// without limit under long traced batch runs. The next export ends with
-/// one `trace.dropped` instant naming the count, so a cut trace says so
-/// itself.
+/// instead of growing without limit under long traced batch runs. The next
+/// export ends with one `trace.dropped` instant naming the count, so a cut
+/// trace says so itself.
 ///
 /// Threading: each thread appends to its own buffer under its own
 /// (uncontended) mutex; the exporter takes the buffer-list lock and each
@@ -150,7 +149,7 @@ public:
   bool isEnabled() const { return Enabled.load(std::memory_order_relaxed); }
 
   /// Caps each thread's event buffer; once full, events are dropped and
-  /// counted on the global registry's `obs.trace.dropped` counter.
+  /// counted for the next export's `trace.dropped` instant.
   void setMaxEventsPerThread(size_t N) {
     MaxEventsPerThread.store(N, std::memory_order_relaxed);
   }

@@ -2,7 +2,6 @@
 
 #include "pascal/Frontend.h"
 
-#include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "pascal/Parser.h"
 #include "pascal/Sema.h"
@@ -12,13 +11,6 @@ using namespace gadt::pascal;
 
 std::unique_ptr<Program> gadt::pascal::parseAndCheck(std::string_view Source,
                                                      DiagnosticsEngine &Diags) {
-  // Instrument references are stable for the registry's lifetime, so the
-  // name lookup runs once, not per parse.
-  static obs::Counter &Parses =
-      obs::Registry::global().counter("frontend.parses");
-  static obs::Counter &Errors =
-      obs::Registry::global().counter("frontend.errors");
-  Parses.add();
   std::unique_ptr<Program> Prog;
   {
     obs::Span S("parse", "frontend");
@@ -27,18 +19,12 @@ std::unique_ptr<Program> gadt::pascal::parseAndCheck(std::string_view Source,
     Prog = P.parseProgram();
     S.arg("ok", Prog != nullptr);
   }
-  if (!Prog) {
-    Errors.add();
+  if (!Prog)
     return nullptr;
-  }
-  {
-    obs::Span S("sema", "frontend");
-    if (!analyze(*Prog, Diags)) {
-      S.arg("ok", false);
-      Errors.add();
-      return nullptr;
-    }
-    S.arg("ok", true);
-  }
+  obs::Span S("sema", "frontend");
+  bool Ok = analyze(*Prog, Diags);
+  S.arg("ok", Ok);
+  if (!Ok)
+    return nullptr;
   return Prog;
 }

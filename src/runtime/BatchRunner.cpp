@@ -37,10 +37,6 @@ std::string SessionResult::summary() const {
 
 SessionResult gadt::runtime::runSession(RuntimeContext &Ctx,
                                         const SessionRequest &Req) {
-  // Wall time is measured through the tracer clock so the histogram and
-  // the trace span agree; the clock read costs nothing extra when tracing
-  // is off.
-  uint64_t StartNs = obs::Tracer::global().nowNanos();
   obs::Span Span("session", "runtime");
   // Close the flow opened at enqueue time: the finish event binds to this
   // session slice ("bp":"e"), so Perfetto draws the arrow from the
@@ -53,10 +49,6 @@ SessionResult gadt::runtime::runSession(RuntimeContext &Ctx,
   DiagnosticsEngine Diags;
 
   auto Finish = [&](SessionResult R) {
-    uint64_t DurNs = obs::Tracer::global().nowNanos() - StartNs;
-    obs::Registry &Reg = Ctx.metrics();
-    Reg.counter("runtime.sessions").add();
-    Reg.histogram("runtime.session.micros").observe(DurNs / 1000);
     Span.arg("fp", hashHex(R.Fingerprint));
     Span.arg("prepared", R.Prepared);
     Span.arg("found", R.Found);
@@ -76,7 +68,6 @@ SessionResult gadt::runtime::runSession(RuntimeContext &Ctx,
     Res.Message = Diags.str();
     return Finish(std::move(Res));
   }
-  Session.setMetricsRegistry(&Ctx.metrics());
 
   // Build this session's private oracle (oracles are stateful; the
   // intended program's parse and bytecode are shared through the context).
@@ -167,12 +158,12 @@ BatchRunner::run(const std::vector<SessionRequest> &Requests) {
   {
     std::lock_guard<std::mutex> Lock(M);
     for (size_t I = 0; I < Requests.size(); ++I) {
-      uint64_t EnqueuedNs = obs::Tracer::global().nowNanos();
       // Each request gets a flow id linking its spans across threads: the
       // enqueue slice here starts the flow, the worker steps it at pickup
       // and the session span finishes it.
-      uint64_t FlowId = 0;
+      uint64_t EnqueuedNs = 0, FlowId = 0;
       if (obs::enabled()) {
+        EnqueuedNs = obs::Tracer::global().nowNanos();
         FlowId = obs::FlowContext::nextId();
         obs::Span Enq("enqueue", "runtime");
         Enq.arg("flow", FlowId);
@@ -184,13 +175,9 @@ BatchRunner::run(const std::vector<SessionRequest> &Requests) {
                        FlowId] {
         obs::FlowContext::Scope FlowScope(FlowId);
         // Time between enqueue and a worker picking the job up: the
-        // batch's queueing delay, visible per job in the trace and as a
-        // histogram in the context's registry.
-        uint64_t WaitNs = obs::Tracer::global().nowNanos() - EnqueuedNs;
-        Ctx->metrics()
-            .histogram("runtime.queue_wait.micros")
-            .observe(WaitNs / 1000);
-        if (obs::enabled()) {
+        // batch's queueing delay, one event per job traced at enqueue.
+        if (FlowId && obs::enabled()) {
+          uint64_t WaitNs = obs::Tracer::global().nowNanos() - EnqueuedNs;
           obs::Tracer::global().completeEvent(
               "queue.wait", "runtime", EnqueuedNs, WaitNs,
               {{"flow", std::to_string(FlowId), /*Quote=*/false}});

@@ -62,13 +62,7 @@ effectSigsFor(const analysis::SideEffectAnalysis &SE,
 
 } // namespace
 
-EditSession::EditSession(EditSessionOptions O)
-    : Opts(O), Reg(O.Metrics ? *O.Metrics : obs::Registry::global()),
-      RoutinesDirtyC(Reg.counter("runtime.incremental.routines_dirty")),
-      PdgRebuiltC(Reg.counter("runtime.incremental.pdg_rebuilt")),
-      SummaryRecomputedC(Reg.counter("runtime.incremental.summary_recomputed")),
-      SlicesInvalidatedC(Reg.counter("runtime.incremental.slices_invalidated")),
-      CodeRecompiledC(Reg.counter("runtime.incremental.code_recompiled")) {}
+EditSession::EditSession(EditSessionOptions O) : Opts(O) {}
 
 EditSession::~EditSession() = default;
 
@@ -122,7 +116,6 @@ void EditSession::coldBuild(
   S.SummaryRecomputed = N;
   S.SlicesInvalidated = static_cast<unsigned>(St.Slices.size());
   analysis::SDGBuildOptions O;
-  O.Threads = Opts.Threads;
   O.KeepReplayData = true;
   O.SharedCG = Staged.CG;
   O.SharedSEA = std::move(SEA);
@@ -303,7 +296,6 @@ IncrementalStats EditSession::commitStaged(
     Plan.SummaryAffected = Affected;
     analysis::SDGRebuildStats RS;
     analysis::SDGBuildOptions O;
-    O.Threads = Opts.Threads;
     O.KeepReplayData = true;
     O.Reuse = &Plan;
     O.Stats = &RS;
@@ -426,11 +418,6 @@ IncrementalStats EditSession::commitStaged(
   St = std::move(Staged);
   Last = S;
 
-  RoutinesDirtyC.add(S.RoutinesDirty);
-  PdgRebuiltC.add(S.PdgRebuilt);
-  SummaryRecomputedC.add(S.SummaryRecomputed);
-  SlicesInvalidatedC.add(S.SlicesInvalidated);
-  CodeRecompiledC.add(S.CodeRecompiled);
   if (Span.active()) {
     Span.arg("full_rebuild", S.FullRebuild);
     Span.arg("routines_total", S.RoutinesTotal);

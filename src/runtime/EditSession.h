@@ -37,13 +37,12 @@
 /// prints guarantee identical AST shape, so replay is exact; any matcher or
 /// replay mismatch falls back to rebuilding the routine (or the whole
 /// artifact) — slower, never wrong. A commit is observable through the
-/// returned IncrementalStats, the `runtime.incremental.*` counters and an
-/// `incremental.commit` span.
+/// returned IncrementalStats and an `incremental.commit` span.
 ///
-/// Sessions are single-threaded by contract (Threads only parallelizes the
-/// PDG rebuild inside a commit). Artifacts handed out (sdg(), slices) are
-/// valid until the next successful commit; program() and code() are
-/// shared_ptr-pinned and survive it.
+/// Sessions are single-threaded by contract, and a commit rebuilds its
+/// PDGs serially on the calling thread. Artifacts handed out (sdg(),
+/// slices) are valid until the next successful commit; program() and
+/// code() are shared_ptr-pinned and survive it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,7 +51,6 @@
 
 #include "analysis/SDG.h"
 #include "bytecode/Bytecode.h"
-#include "obs/Metrics.h"
 #include "slicing/StaticSlicer.h"
 #include "support/Hashing.h"
 #include "transform/Transform.h"
@@ -74,14 +72,9 @@ struct EditSessionOptions {
   bool Transform = false;
   /// Compile bytecode with use-before-assign checking.
   bool Checked = false;
-  /// PDG rebuild parallelism inside a commit (0 = hardware concurrency).
-  unsigned Threads = 1;
   /// Disable all reuse: every commit is a cold rebuild. For baseline
   /// measurement (bench/perf_micro.cpp) and differential testing.
   bool ForceFullRebuild = false;
-  /// Registry for the `runtime.incremental.*` counters and commit spans;
-  /// defaults to the process-wide one.
-  obs::Registry *Metrics = nullptr;
 };
 
 /// What one commit did. Counters are per-commit (not cumulative).
@@ -200,9 +193,6 @@ private:
   State Retired;
   IncrementalStats Last;
   EditSessionOptions Opts;
-  obs::Registry &Reg;
-  obs::Counter &RoutinesDirtyC, &PdgRebuiltC, &SummaryRecomputedC,
-      &SlicesInvalidatedC, &CodeRecompiledC;
 };
 
 } // namespace runtime

@@ -32,30 +32,8 @@ struct RuntimeContext::ProgramEntry {
   std::string Errors;
 };
 
-RuntimeContext::RuntimeContext(obs::Registry *Metrics)
-    : Reg(Metrics ? *Metrics : obs::Registry::global()),
-      ProgramC{Reg.counter("runtime.cache.program.hits"),
-               Reg.counter("runtime.cache.program.misses")},
-      TransformC{Reg.counter("runtime.cache.transform.hits"),
-                 Reg.counter("runtime.cache.transform.misses")},
-      SdgC{Reg.counter("runtime.cache.sdg.hits"),
-           Reg.counter("runtime.cache.sdg.misses")},
-      CodeC{Reg.counter("runtime.cache.code.hits"),
-            Reg.counter("runtime.cache.code.misses")},
-      SliceC{Reg.counter("runtime.cache.slice.hits"),
-             Reg.counter("runtime.cache.slice.misses")} {}
-
+RuntimeContext::RuntimeContext() = default;
 RuntimeContext::~RuntimeContext() = default;
-
-namespace {
-/// Forwards one lookup outcome to the registry and the active trace span.
-template <typename Counters>
-void noteLookup(Counters &C, obs::Span &Span, bool WasMiss) {
-  (WasMiss ? C.Misses : C.Hits).add();
-  Span.arg("hit", !WasMiss);
-}
-
-} // namespace
 
 std::shared_ptr<const RuntimeContext::ProgramEntry>
 RuntimeContext::internEntry(const std::string &Source,
@@ -76,7 +54,7 @@ RuntimeContext::internEntry(const std::string &Source,
         return Entry;
       },
       &WasMiss);
-  noteLookup(ProgramC, Span, WasMiss);
+  Span.arg("hit", !WasMiss);
   if (!E->Program)
     Diags.error(SourceLoc(), "batch runtime: cached parse failure: " +
                                  E->Errors);
@@ -106,7 +84,7 @@ RuntimeContext::compiled(uint64_t Fingerprint, bool Transformed,
         return Entry;
       },
       &WasMiss);
-  noteLookup(CodeC, Span, WasMiss);
+  Span.arg("hit", !WasMiss);
   return E;
 }
 
@@ -154,7 +132,7 @@ RuntimeContext::prepare(const std::string &Source,
           return Entry;
         },
         &WasMiss);
-    noteLookup(TransformC, Span, WasMiss);
+    Span.arg("hit", !WasMiss);
     if (!X->Transformed) {
       Diags.error(SourceLoc(), "batch runtime: cached transform failure: " +
                                    X->Errors);
@@ -187,7 +165,7 @@ RuntimeContext::prepare(const std::string &Source,
           return Entry;
         },
         &WasMiss);
-    noteLookup(SdgC, Span, WasMiss);
+    Span.arg("hit", !WasMiss);
     // Alias the SDG's lifetime to its cache entry, and debug the exact
     // program object the graph was built over — textual variants of one
     // fingerprint intern as distinct ASTs, but slices resolve by pointer.
@@ -217,7 +195,7 @@ RuntimeContext::prepare(const std::string &Source,
                 slicing::sliceOnRoutineOutput(*Sdg, R, Out));
           },
           &WasMiss);
-      noteLookup(SliceC, Span, WasMiss);
+      Span.arg("hit", !WasMiss);
       return S;
     };
   }

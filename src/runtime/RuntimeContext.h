@@ -36,7 +36,6 @@
 #define GADT_RUNTIME_RUNTIMECONTEXT_H
 
 #include "core/GADT.h"
-#include "obs/Metrics.h"
 #include "support/OnceCache.h"
 
 #include <atomic>
@@ -89,11 +88,7 @@ struct CodeEntry {
 /// The shared cache layer. Thread-safe; see file comment.
 class RuntimeContext {
 public:
-  /// \p Metrics receives this context's telemetry — cache hit/miss
-  /// counters (`runtime.cache.*`), session accounting and wall-time
-  /// histograms. Defaults to the process-wide registry; tests pass a
-  /// private one for exact accounting. Must outlive the context.
-  explicit RuntimeContext(obs::Registry *Metrics = nullptr);
+  RuntimeContext();
   ~RuntimeContext();
 
   RuntimeContext(const RuntimeContext &) = delete;
@@ -125,9 +120,6 @@ public:
 
   RuntimeStats stats() const;
 
-  /// The registry this context reports into (see the constructor).
-  obs::Registry &metrics() { return Reg; }
-
 private:
   struct ProgramEntry;
 
@@ -152,15 +144,6 @@ private:
   OnceCache<std::pair<uint64_t, bool>, SdgEntry> Sdgs;
   OnceCache<std::pair<uint64_t, bool>, CodeEntry> Codes;
   OnceCache<SliceKey, slicing::StaticSlice> Slices;
-
-  obs::Registry &Reg;
-  /// `runtime.cache.<cache>.{hits,misses}`, resolved once at construction.
-  /// Kept exactly in sync with the OnceCache counters above (every
-  /// getOrBuild bumps both); tests/ObsTest.cpp asserts the equality.
-  struct CacheCounters {
-    obs::Counter &Hits, &Misses;
-  };
-  CacheCounters ProgramC, TransformC, SdgC, CodeC, SliceC;
 };
 
 } // namespace runtime

@@ -2,7 +2,6 @@
 
 #include "slicing/DynamicSlicer.h"
 
-#include "obs/Metrics.h"
 #include "obs/Trace.h"
 
 #include <algorithm>
@@ -48,11 +47,5 @@ support::NodeSet gadt::slicing::dynamicSlice(const ExecNode *Criterion,
     });
   }
   Span.arg("kept", Kept.size());
-  static obs::Counter &Slices =
-      obs::Registry::global().counter("slicing.dynamic.slices");
-  static obs::Counter &KeptC =
-      obs::Registry::global().counter("slicing.dynamic.kept");
-  Slices.add();
-  KeptC.add(Kept.size());
   return Kept;
 }

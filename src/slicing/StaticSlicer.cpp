@@ -2,7 +2,6 @@
 
 #include "slicing/StaticSlicer.h"
 
-#include "obs/Metrics.h"
 #include "obs/Trace.h"
 
 using namespace gadt;
@@ -88,22 +87,6 @@ StaticSlice gadt::slicing::sliceFromNodes(const SDG &G,
   return Result;
 }
 
-namespace {
-
-/// Shared epilogue of the criterion helpers: per-slice span arg + the
-/// static-slicing counters, registered once.
-void recordSlice(obs::Span &Span, const StaticSlice &S) {
-  Span.arg("nodes", S.size());
-  static obs::Counter &Slices =
-      obs::Registry::global().counter("slicing.static.slices");
-  static obs::Counter &Nodes =
-      obs::Registry::global().counter("slicing.static.nodes");
-  Slices.add();
-  Nodes.add(S.size());
-}
-
-} // namespace
-
 StaticSlice gadt::slicing::sliceOnRoutineOutput(const SDG &G,
                                                 const RoutineDecl *R,
                                                 const std::string &VarName) {
@@ -119,7 +102,7 @@ StaticSlice gadt::slicing::sliceOnRoutineOutput(const SDG &G,
   if (Criterion == SDGNoNode)
     return StaticSlice();
   StaticSlice S = backwardSlice(G, {Criterion});
-  recordSlice(Span, S);
+  Span.arg("nodes", S.size());
   return S;
 }
 
@@ -134,6 +117,6 @@ StaticSlice gadt::slicing::sliceOnProgramVar(const SDG &G, const Program &P,
   if (Criterion == SDGNoNode)
     return StaticSlice();
   StaticSlice S = backwardSlice(G, {Criterion});
-  recordSlice(Span, S);
+  Span.arg("nodes", S.size());
   return S;
 }

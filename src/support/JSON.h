@@ -6,11 +6,10 @@
 ///
 /// \file
 /// The one JSON implementation the repo shares: a streaming writer used by
-/// the span tracer (src/obs/Trace.h), metrics-registry snapshots
-/// (src/obs/Metrics.h) and the benches' --json exports, plus a small
-/// recursive-descent parser so tests can round-trip what the writer (and
-/// the JSONL trace exporter) produced. Header-only; no dependencies beyond
-/// the standard library.
+/// the span tracer (src/obs/Trace.h) and the benches' --json exports, plus
+/// a small recursive-descent parser so tests can round-trip what the
+/// writer (and the JSONL trace exporter) produced. Header-only; no
+/// dependencies beyond the standard library.
 ///
 /// The writer manages commas itself: interleave beginObject()/key()/value()
 /// calls freely and the punctuation comes out right. Numbers are emitted
@@ -236,6 +235,12 @@ struct Value {
   }
 };
 
+/// The deepest nesting of arrays and objects parse() accepts. The parser
+/// recurses once per level, so the bound keeps hostile input (a trace file
+/// handed to gadt_report) from exhausting the stack; the traces and bench
+/// captures this repo writes nest a few levels at most.
+constexpr unsigned MaxNestingDepth = 512;
+
 namespace detail {
 
 class Parser {
@@ -354,49 +359,15 @@ private:
     if (Pos >= S.size())
       return std::nullopt;
     char C = S[Pos];
+    if (C == '{' || C == '[') {
+      if (Depth == MaxNestingDepth)
+        return std::nullopt;
+      ++Depth;
+      std::optional<Value> V = C == '{' ? parseObject() : parseArray();
+      --Depth;
+      return V;
+    }
     Value V;
-    if (C == '{') {
-      ++Pos;
-      V.K = Value::Kind::Object;
-      skipWs();
-      if (consume('}'))
-        return V;
-      for (;;) {
-        std::optional<std::string> Key = [&]() {
-          skipWs();
-          return parseString();
-        }();
-        if (!Key || !consume(':'))
-          return std::nullopt;
-        std::optional<Value> Member = parseValue();
-        if (!Member)
-          return std::nullopt;
-        V.Obj.emplace_back(std::move(*Key), std::move(*Member));
-        if (consume(','))
-          continue;
-        if (consume('}'))
-          return V;
-        return std::nullopt;
-      }
-    }
-    if (C == '[') {
-      ++Pos;
-      V.K = Value::Kind::Array;
-      skipWs();
-      if (consume(']'))
-        return V;
-      for (;;) {
-        std::optional<Value> Elem = parseValue();
-        if (!Elem)
-          return std::nullopt;
-        V.Arr.push_back(std::move(*Elem));
-        if (consume(','))
-          continue;
-        if (consume(']'))
-          return V;
-        return std::nullopt;
-      }
-    }
     if (C == '"') {
       std::optional<std::string> Str = parseString();
       if (!Str)
@@ -437,14 +408,62 @@ private:
     return V;
   }
 
+  std::optional<Value> parseObject() {
+    ++Pos;
+    Value V;
+    V.K = Value::Kind::Object;
+    skipWs();
+    if (consume('}'))
+      return V;
+    for (;;) {
+      std::optional<std::string> Key = [&]() {
+        skipWs();
+        return parseString();
+      }();
+      if (!Key || !consume(':'))
+        return std::nullopt;
+      std::optional<Value> Member = parseValue();
+      if (!Member)
+        return std::nullopt;
+      V.Obj.emplace_back(std::move(*Key), std::move(*Member));
+      if (consume(','))
+        continue;
+      if (consume('}'))
+        return V;
+      return std::nullopt;
+    }
+  }
+
+  std::optional<Value> parseArray() {
+    ++Pos;
+    Value V;
+    V.K = Value::Kind::Array;
+    skipWs();
+    if (consume(']'))
+      return V;
+    for (;;) {
+      std::optional<Value> Elem = parseValue();
+      if (!Elem)
+        return std::nullopt;
+      V.Arr.push_back(std::move(*Elem));
+      if (consume(','))
+        continue;
+      if (consume(']'))
+        return V;
+      return std::nullopt;
+    }
+  }
+
   std::string_view S;
   size_t Pos = 0;
+  /// Arrays and objects open around the value being parsed.
+  unsigned Depth = 0;
 };
 
 } // namespace detail
 
-/// Parses one JSON document. Returns nullopt on any syntax error or
-/// trailing garbage.
+/// Parses one JSON document. Returns nullopt on any syntax error, trailing
+/// garbage or nesting deeper than MaxNestingDepth.
 inline std::optional<Value> parse(std::string_view S) {
   return detail::Parser(S).parse();
 }

@@ -3,6 +3,7 @@
 #include "tgen/SpecParser.h"
 
 #include "pascal/Lexer.h"
+#include "pascal/Parser.h"
 #include "support/StringUtils.h"
 
 using namespace gadt;
@@ -52,6 +53,29 @@ private:
     return false;
   }
 
+  /// Restores the nesting depth on scope exit; descend() opens one level.
+  /// Levels count as in the Pascal parser (pascal/Parser.h): each
+  /// expression or selector (so each parenthesis), each `not` or unary
+  /// minus and each binary operator opens one. Past
+  /// Parser::MaxNestingDepth descend() reports an error and returns false,
+  /// before the recursion can exhaust the stack.
+  class NestingScope {
+  public:
+    explicit NestingScope(SpecParserImpl &P) : P(P), Entry(P.Depth) {}
+    ~NestingScope() { P.Depth = Entry; }
+    bool descend() {
+      if (++P.Depth <= Parser::MaxNestingDepth)
+        return true;
+      P.error("expression nests deeper than the limit of " +
+              std::to_string(Parser::MaxNestingDepth) + " levels");
+      return false;
+    }
+
+  private:
+    SpecParserImpl &P;
+    unsigned Entry;
+  };
+
   bool parseCategory(TestSpec &Spec);
   bool parseChoice(Category &Cat);
   bool parseBuckets(std::vector<Bucket> &Out);
@@ -71,6 +95,7 @@ private:
   std::vector<Token> Tokens;
   size_t Index = 0;
   DiagnosticsEngine &Diags;
+  unsigned Depth = 0; ///< nesting levels open (see NestingScope)
 };
 
 std::unique_ptr<TestSpec> SpecParserImpl::parse() {
@@ -253,9 +278,12 @@ bool SpecParserImpl::parseBuckets(std::vector<Bucket> &Out) {
 //===----------------------------------------------------------------------===//
 
 bool SpecParserImpl::parseSelector(Selector &Out) {
-  if (!parseSelTerm(Out))
+  NestingScope Nesting(*this);
+  if (!Nesting.descend() || !parseSelTerm(Out))
     return false;
   while (consumeIf(TokenKind::KwOr)) {
+    if (!Nesting.descend())
+      return false;
     Selector RHS = Selector::alwaysTrue();
     if (!parseSelTerm(RHS))
       return false;
@@ -265,9 +293,12 @@ bool SpecParserImpl::parseSelector(Selector &Out) {
 }
 
 bool SpecParserImpl::parseSelTerm(Selector &Out) {
+  NestingScope Nesting(*this);
   if (!parseSelFactor(Out))
     return false;
   while (consumeIf(TokenKind::KwAnd)) {
+    if (!Nesting.descend())
+      return false;
     Selector RHS = Selector::alwaysTrue();
     if (!parseSelFactor(RHS))
       return false;
@@ -277,7 +308,10 @@ bool SpecParserImpl::parseSelTerm(Selector &Out) {
 }
 
 bool SpecParserImpl::parseSelFactor(Selector &Out) {
+  NestingScope Nesting(*this);
   if (consumeIf(TokenKind::KwNot)) {
+    if (!Nesting.descend())
+      return false;
     Selector Sub = Selector::alwaysTrue();
     if (!parseSelFactor(Sub))
       return false;
@@ -302,13 +336,21 @@ bool SpecParserImpl::parseSelFactor(Selector &Out) {
 // Classifier (when) expressions
 //===----------------------------------------------------------------------===//
 
-ExprPtr SpecParserImpl::parseWhenExpr() { return parseWhenOr(); }
+ExprPtr SpecParserImpl::parseWhenExpr() {
+  NestingScope Nesting(*this);
+  if (!Nesting.descend())
+    return nullptr;
+  return parseWhenOr();
+}
 
 ExprPtr SpecParserImpl::parseWhenOr() {
+  NestingScope Nesting(*this);
   ExprPtr LHS = parseWhenAnd();
   if (!LHS)
     return nullptr;
   while (tok().is(TokenKind::KwOr)) {
+    if (!Nesting.descend())
+      return nullptr;
     SourceLoc Loc = tok().Loc;
     consume();
     ExprPtr RHS = parseWhenAnd();
@@ -321,10 +363,13 @@ ExprPtr SpecParserImpl::parseWhenOr() {
 }
 
 ExprPtr SpecParserImpl::parseWhenAnd() {
+  NestingScope Nesting(*this);
   ExprPtr LHS = parseWhenRel();
   if (!LHS)
     return nullptr;
   while (tok().is(TokenKind::KwAnd)) {
+    if (!Nesting.descend())
+      return nullptr;
     SourceLoc Loc = tok().Loc;
     consume();
     ExprPtr RHS = parseWhenRel();
@@ -373,6 +418,7 @@ ExprPtr SpecParserImpl::parseWhenRel() {
 }
 
 ExprPtr SpecParserImpl::parseWhenAdd() {
+  NestingScope Nesting(*this);
   ExprPtr LHS = parseWhenMul();
   if (!LHS)
     return nullptr;
@@ -384,6 +430,8 @@ ExprPtr SpecParserImpl::parseWhenAdd() {
       Op = BinaryOp::Sub;
     else
       return LHS;
+    if (!Nesting.descend())
+      return nullptr;
     SourceLoc Loc = tok().Loc;
     consume();
     ExprPtr RHS = parseWhenMul();
@@ -395,6 +443,7 @@ ExprPtr SpecParserImpl::parseWhenAdd() {
 }
 
 ExprPtr SpecParserImpl::parseWhenMul() {
+  NestingScope Nesting(*this);
   ExprPtr LHS = parseWhenFactor();
   if (!LHS)
     return nullptr;
@@ -408,6 +457,8 @@ ExprPtr SpecParserImpl::parseWhenMul() {
       Op = BinaryOp::Mod;
     else
       return LHS;
+    if (!Nesting.descend())
+      return nullptr;
     SourceLoc Loc = tok().Loc;
     consume();
     ExprPtr RHS = parseWhenFactor();
@@ -419,6 +470,7 @@ ExprPtr SpecParserImpl::parseWhenMul() {
 }
 
 ExprPtr SpecParserImpl::parseWhenFactor() {
+  NestingScope Nesting(*this);
   SourceLoc Loc = tok().Loc;
   switch (tok().Kind) {
   case TokenKind::IntLiteral: {
@@ -433,6 +485,8 @@ ExprPtr SpecParserImpl::parseWhenFactor() {
     consume();
     return std::make_unique<BoolLiteralExpr>(Loc, false);
   case TokenKind::KwNot: {
+    if (!Nesting.descend())
+      return nullptr;
     consume();
     ExprPtr Sub = parseWhenFactor();
     if (!Sub)
@@ -440,6 +494,8 @@ ExprPtr SpecParserImpl::parseWhenFactor() {
     return std::make_unique<UnaryExpr>(Loc, UnaryOp::Not, std::move(Sub));
   }
   case TokenKind::Minus: {
+    if (!Nesting.descend())
+      return nullptr;
     consume();
     ExprPtr Sub = parseWhenFactor();
     if (!Sub)

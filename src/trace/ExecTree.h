@@ -205,8 +205,7 @@ public:
   /// string-valued bindings produce valid DOT.
   std::string dot(const support::NodeSet *Kept = nullptr) const;
 
-  /// Approximate heap footprint of the arena and its bindings, for the
-  /// tree.bytes gauge.
+  /// Approximate heap footprint of the arena and its bindings.
   size_t memoryBytes() const;
 
 private:

@@ -2,7 +2,6 @@
 
 #include "trace/ExecTreeBuilder.h"
 
-#include "obs/Metrics.h"
 #include "obs/Trace.h"
 
 #include <cassert>
@@ -50,14 +49,6 @@ std::unique_ptr<ExecTree> ExecTreeBuilder::takeTree() {
   for (auto It = OpenIds.rbegin(); It != OpenIds.rend(); ++It)
     Tree->Nodes[*It].Size = static_cast<uint32_t>(Tree->Nodes.size()) - *It;
   OpenIds.clear();
-  if (Tree->size() != 0) {
-    static obs::Counter &NodesC =
-        obs::Registry::global().counter("tree.nodes");
-    static obs::Counter &BytesC =
-        obs::Registry::global().counter("tree.bytes");
-    NodesC.add(Tree->size());
-    BytesC.add(Tree->memoryBytes());
-  }
   return std::move(Tree);
 }
 

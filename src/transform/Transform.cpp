@@ -4,7 +4,6 @@
 
 #include "analysis/CallGraph.h"
 #include "analysis/SideEffects.h"
-#include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "pascal/Sema.h"
 
@@ -45,25 +44,6 @@ TransformResult gadt::transform::transformProgram(const Program &P,
     return Result;
 
   Result.Transformed = std::move(Work);
-
-  // Route the run's TransformStats into the unified registry; the struct
-  // itself stays the per-run API. Instrument references are stable, so
-  // the name lookups run once.
-  static obs::Counter &Runs =
-      obs::Registry::global().counter("transform.runs");
-  static obs::Counter &Loops =
-      obs::Registry::global().counter("transform.loops_rewritten");
-  static obs::Counter &Gotos =
-      obs::Registry::global().counter("transform.gotos_broken");
-  static obs::Counter &ExitParams =
-      obs::Registry::global().counter("transform.exit_params_added");
-  static obs::Counter &Globals =
-      obs::Registry::global().counter("transform.globals_converted");
-  Runs.add();
-  Loops.add(Result.Stats.LoopsRewritten);
-  Gotos.add(Result.Stats.GotosBroken);
-  ExitParams.add(Result.Stats.ExitParamsAdded);
-  Globals.add(Result.Stats.GlobalsConverted);
   Span.arg("loops_rewritten", Result.Stats.LoopsRewritten);
   Span.arg("gotos_broken", Result.Stats.GotosBroken);
   Span.arg("globals_converted", Result.Stats.GlobalsConverted);

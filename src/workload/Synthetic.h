@@ -57,7 +57,9 @@ struct SyntheticOptions {
 /// A random structured program pair: flat routines calling lower-numbered
 /// ones, global side effects, bounded loops, optional non-local gotos, and
 /// one off-by-one bug in a random routine. Programs always terminate and
-/// never fault.
+/// raise no runtime error, but their integer arithmetic is unbounded: some
+/// seeds (3 among them) multiply past INT64_MAX, where the VM's unchecked
+/// arithmetic wraps.
 ProgramPair randomProgram(const SyntheticOptions &Opts);
 
 /// A hub-and-leaves program for the incremental-recompute benchmarks and

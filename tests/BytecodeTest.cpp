@@ -19,7 +19,6 @@
 
 #include "bytecode/Bytecode.h"
 #include "interp/Interpreter.h"
-#include "obs/Metrics.h"
 #include "pascal/Frontend.h"
 #include "workload/PaperPrograms.h"
 #include "workload/Synthetic.h"
@@ -123,18 +122,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BytecodeSeededDifferential,
                          ::testing::Range(1u, 9u));
 
 //===----------------------------------------------------------------------===//
-// Interpreter mechanics: run accounting, injected code
+// Interpreter mechanics: injected code
 //===----------------------------------------------------------------------===//
-
-TEST(BytecodeTier, CountsBytecodeRuns) {
-  auto Prog = compile(chainProgram(3, 1).Fixed);
-  obs::Counter &C = obs::Registry::global().counter("interp.runs");
-  uint64_t Before = C.value();
-  Interpreter I(*Prog);
-  ExecResult R = I.run();
-  ASSERT_TRUE(R.Ok) << R.Error.Message;
-  EXPECT_EQ(C.value(), Before + 1);
-}
 
 TEST(BytecodeTier, InjectedCodeIsUsed) {
   auto Prog = compile(chainProgram(4, 2).Fixed);
@@ -427,20 +416,16 @@ const char *PoolSrc = "program p;\n"
 
 TEST(CellArena, FreeListRecyclesHandlesAcrossCalls) {
   auto Prog = compile(PoolSrc);
-  obs::Counter &Pooled =
-      obs::Registry::global().counter("interp.cells.pooled");
-  uint64_t Before = Pooled.value();
   Interpreter I(*Prog);
-  ASSERT_TRUE(I.run().Ok);
+  ExecResult R = I.run();
+  ASSERT_TRUE(R.Ok);
   // 50 calls x 5 cells (param + 3 locals + result): all but the first
   // call's allocations must come from the free list.
-  EXPECT_GE(Pooled.value() - Before, 49u * 5u);
+  EXPECT_GE(R.CellsPooled, 49u * 5u);
 }
 
 TEST(CellArena, WatermarkResetsAcrossSessions) {
   auto Prog = compile(PoolSrc);
-  obs::Counter &Pooled =
-      obs::Registry::global().counter("interp.cells.pooled");
   InterpOptions Opts;
   Opts.TrackDeps = true;
   Interpreter I(*Prog, Opts);
@@ -449,15 +434,15 @@ TEST(CellArena, WatermarkResetsAcrossSessions) {
   ASSERT_TRUE(First.Ok);
 
   // Second session on the same Interpreter: reset() must restart the
-  // arena watermark, so the run is observably identical (same output,
-  // same steps) and pools at least as many handles as the first.
-  uint64_t Before = Pooled.value();
+  // arena watermark and the pool count, so the run is observably identical
+  // (same output, same steps, same handles pooled).
   ExecResult Second = I.run();
   ASSERT_TRUE(Second.Ok);
   EXPECT_EQ(First.Output, Second.Output);
   EXPECT_EQ(First.Steps, Second.Steps);
   EXPECT_EQ(First.UnitsExecuted, Second.UnitsExecuted);
-  EXPECT_GE(Pooled.value() - Before, 49u * 5u);
+  EXPECT_GE(First.CellsPooled, 49u * 5u);
+  EXPECT_EQ(First.CellsPooled, Second.CellsPooled);
 }
 
 TEST(CellArena, RepeatedSessionsStayByteIdentical) {

@@ -6,7 +6,8 @@
 //    different depths, caller-measured events without a sid, spans whose
 //    parent is absent, and instants and flow events that carry a psid;
 //  - the self column sums to the roots' total, to the nanosecond;
-//  - a trace cut at the tracer's cap says so;
+//  - a trace cut at the tracer's cap says so, and a line nested past the
+//    JSON parser's depth limit is counted as unparsed, not followed;
 //  - gadt_report exits 1 when a named input cannot be read or a --bench
 //    file is not a perf_micro capture.
 //
@@ -109,6 +110,20 @@ TEST(TraceFoldTest, CountsEventsThreadsFlowsAndDrops) {
   EXPECT_EQ(F.FlowsStarted, 1u);
   EXPECT_EQ(F.FlowsCompleted, 1u);
   EXPECT_EQ(F.FlowsCrossed, 1u);
+}
+
+TEST(TraceFoldTest, DeeplyNestedLineIsUnparsed) {
+  // Without the parser's depth limit this line overflows the stack.
+  std::string Deep = std::string(100000, '[') + std::string(100000, ']');
+  TraceFold F = foldTrace(
+      "{\"name\":\"parse\",\"cat\":\"frontend\",\"ph\":\"X\",\"pid\":1,"
+      "\"tid\":1,\"ts\":1.000,\"dur\":2.000,\"sid\":1}\n" +
+      Deep + "\n");
+  EXPECT_EQ(F.Unparsed, 1u);
+  EXPECT_EQ(F.Events, 1u);
+  ASSERT_EQ(F.Spans.size(), 1u);
+  EXPECT_EQ(F.Spans[0].Name, "parse");
+  EXPECT_EQ(F.Spans[0].SelfNs, 2000);
 }
 
 //===----------------------------------------------------------------------===//

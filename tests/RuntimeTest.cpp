@@ -137,6 +137,8 @@ TEST(BatchRunnerTest, CacheHitCountersAreExact) {
   EXPECT_EQ(S1.TransformMisses, 1u);
   EXPECT_EQ(S1.TransformHits, 0u);
   EXPECT_EQ(S1.SdgMisses, 1u);
+  EXPECT_EQ(S1.CodeMisses, 2u) << "subject + intended compiled once each";
+  EXPECT_EQ(S1.CodeHits, 0u);
   EXPECT_EQ(S1.Subjects, 1u);
   uint64_t SliceCallsPerSession = S1.SliceMisses + S1.SliceHits;
 
@@ -155,6 +157,8 @@ TEST(BatchRunnerTest, CacheHitCountersAreExact) {
   EXPECT_EQ(S12.TransformHits, 11u);
   EXPECT_EQ(S12.SdgMisses, 1u);
   EXPECT_EQ(S12.SdgHits, 11u);
+  EXPECT_EQ(S12.CodeMisses, 2u);
+  EXPECT_EQ(S12.CodeHits, 22u);
   EXPECT_EQ(S12.SliceMisses, S1.SliceMisses)
       << "identical sessions never rebuild a slice";
   EXPECT_EQ(S12.SliceHits, S1.SliceHits + 11 * SliceCallsPerSession);
@@ -201,6 +205,7 @@ TEST(BatchRunnerTest, WarmCacheChangesNothingButTheCounters) {
   EXPECT_EQ(AfterWarm.ProgramMisses, AfterCold.ProgramMisses);
   EXPECT_EQ(AfterWarm.TransformMisses, AfterCold.TransformMisses);
   EXPECT_EQ(AfterWarm.SdgMisses, AfterCold.SdgMisses);
+  EXPECT_EQ(AfterWarm.CodeMisses, AfterCold.CodeMisses);
   EXPECT_EQ(AfterWarm.SliceMisses, AfterCold.SliceMisses);
 }
 

@@ -8,6 +8,7 @@
 #include "tgen/SpecParser.h"
 
 #include "pascal/Frontend.h"
+#include "pascal/Parser.h"
 #include "support/Casting.h"
 #include "workload/ArrsumFixture.h"
 #include "workload/PaperPrograms.h"
@@ -87,6 +88,79 @@ TEST(SpecParserTest, RejectsEmptyCategory) {
 TEST(SpecParserTest, RejectsMissingEnd) {
   DiagnosticsEngine Diags;
   EXPECT_EQ(parseSpec("test t; category c; a : ;", Diags), nullptr);
+}
+
+//===----------------------------------------------------------------------===//
+// Nesting limit: specs and assertions are outside input
+//===----------------------------------------------------------------------===//
+
+constexpr unsigned MaxDepth = Parser::MaxNestingDepth;
+
+/// \p N parentheses around `x`, \p N copies of a unary \p Op before `x`,
+/// or a chain of \p N additions: N + 1 nesting levels each, since the
+/// outermost expression opens the first.
+std::string nestedParens(unsigned N) {
+  return std::string(N, '(') + "x" + std::string(N, ')');
+}
+std::string unaryChain(const char *Op, unsigned N) {
+  std::string Out;
+  for (unsigned I = 0; I < N; ++I)
+    Out += Op;
+  return Out + "x";
+}
+std::string additionChain(unsigned N) {
+  std::string Out = "x";
+  for (unsigned I = 0; I < N; ++I)
+    Out += " + x";
+  return Out;
+}
+std::vector<std::string> nestings(unsigned N) {
+  return {nestedParens(N), unaryChain("not ", N), unaryChain("- ", N),
+          additionChain(N)};
+}
+
+/// A spec whose only choice is classified by \p When.
+std::string whenSpec(const std::string &When) {
+  return "test t; category c; a : when " + When + "; end.";
+}
+
+bool rejectedAsTooDeep(const DiagnosticsEngine &Diags) {
+  return Diags.str().find("nests deeper than the limit") != std::string::npos;
+}
+
+TEST(SpecParserNestingTest, DeepExpressionsAreRejectedWithADiagnostic) {
+  // Without the limit, each of these overflows the stack of the parser or
+  // of the recursive passes over the expression it builds.
+  for (const std::string &E : nestings(100000)) {
+    DiagnosticsEngine ExprDiags;
+    EXPECT_EQ(parseClassifierExpr(E, ExprDiags), nullptr);
+    EXPECT_TRUE(rejectedAsTooDeep(ExprDiags));
+    DiagnosticsEngine SpecDiags;
+    EXPECT_EQ(parseSpec(whenSpec(E), SpecDiags), nullptr);
+    EXPECT_TRUE(rejectedAsTooDeep(SpecDiags));
+  }
+  // Selectors nest the same way.
+  DiagnosticsEngine Diags;
+  EXPECT_EQ(parseSpec("test t; category c; a : if " + nestedParens(100000) +
+                          "; end.",
+                      Diags),
+            nullptr);
+  EXPECT_TRUE(rejectedAsTooDeep(Diags));
+}
+
+TEST(SpecParserNestingTest, OneLevelUnderTheLimitParses) {
+  unsigned N = MaxDepth - 2; // N + 1 = MaxDepth - 1 levels
+  for (const std::string &E : nestings(N)) {
+    DiagnosticsEngine Diags;
+    EXPECT_NE(parseClassifierExpr(E, Diags), nullptr) << Diags.str();
+    EXPECT_NE(parseSpec(whenSpec(E), Diags), nullptr) << Diags.str();
+  }
+  // The limit is exact: MaxDepth levels parse, one more does not.
+  DiagnosticsEngine Diags;
+  EXPECT_NE(parseClassifierExpr(nestedParens(MaxDepth - 1), Diags), nullptr)
+      << Diags.str();
+  EXPECT_EQ(parseClassifierExpr(nestedParens(MaxDepth), Diags), nullptr);
+  EXPECT_TRUE(rejectedAsTooDeep(Diags));
 }
 
 //===----------------------------------------------------------------------===//
