@@ -122,7 +122,9 @@ enum class Op : uint16_t {
   ForPrep,     ///< bind loop var cell, bounds from fetch(A)/fetch(B), pushCtrl
   ForTest,     ///< if (loop var out of range) pc = Aux
   ForIter,     ///< ++iter, step, store loop var, enter iteration unit
-  ForEnd,      ///< exit iteration unit, advance loop var, pc = Aux
+  ForEnd,      ///< exit iteration unit; unless the loop var is at the
+               ///< limit, advance it and pc = Aux, else fall through to
+               ///< the loop's exit, which follows
   LoopExit,    ///< exit loop unit, pop loop state (while/repeat)
   ForExit,     ///< popCtrl, exit loop unit, pop loop state
   // Calls.

@@ -4,6 +4,11 @@
 // into the shared substrate for every observable effect — reads, writes,
 // dependence merges and unit events happen in source evaluation order.
 //
+// Registers hold plain 16-byte values. A run with dependence tracking keeps
+// each register's dependence set in VMState::RegDeps, beside the register
+// file, as ExecState keeps each cell's in CellDeps; dispatch<false> never
+// touches either.
+//
 // On a runtime failure the VM unwinds its frame stack top-down, raising the
 // iteration, loop and call exit events of everything the failure abandons.
 // A goto unwinds the same way down to the activation declaring its label,
@@ -33,7 +38,8 @@ struct LoopState {
   uint32_t LoopNode = 0; ///< loop unit node id (0 = untraced)
   uint32_t IterNode = 0; ///< current iteration unit (0 = between iterations)
   uint32_t Iter = 0;
-  /// While/repeat: accumulated condition deps; for: the bound deps.
+  /// Tracked runs only. While/repeat: accumulated condition deps; for: the
+  /// bound deps.
   DepSet CondAccum;
   CellRef ForCell = NoCell;
   int64_t I = 0;
@@ -53,7 +59,7 @@ struct VMFrame {
   uint16_t Dest = NoDest; ///< caller register receiving the result
   Activation *Act = nullptr;
   Activation *CallerAct = nullptr;
-  size_t LoopBase = 0; ///< VMState::Loops size at frame entry
+  size_t LoopBase = 0; ///< VMState::LoopTop at frame entry
   const pascal::RoutineDecl *Callee = nullptr;
   std::vector<Binding> EntryInputs;
 };
@@ -68,10 +74,17 @@ namespace bytecode {
 /// keep their capacity and the activation pointers stay stable.
 struct VMState {
   std::vector<Value> Regs;
+  /// Tracked runs only: RegDeps[R] is the dependence set of Regs[R].
+  std::vector<DepSet> RegDeps;
   std::vector<VMFrame> Frames;
   size_t Depth = 0;
   std::vector<std::unique_ptr<Activation>> ActPool;
+  /// Loop states of the executing frames, innermost last: [0, LoopTop)
+  /// are live. Slots above LoopTop stay constructed for the next loop, so
+  /// entering a loop allocates nothing and an untracked run constructs no
+  /// DepSet.
   std::vector<LoopState> Loops;
+  size_t LoopTop = 0;
   std::vector<CellRef> RefScratch;
   /// call(): the main program and the callee's lexical ancestors. They are
   /// static-chain targets only, never VM frames.
@@ -82,6 +95,15 @@ struct VMState {
   /// under test; the loc is the goto's.
   bool Escaped = false;
   SourceLoc EscapeLoc;
+
+  LoopState &topLoop() { return Loops[LoopTop - 1]; }
+  /// A recycled slot for a loop being entered; the caller assigns every
+  /// field.
+  LoopState &pushLoop() {
+    if (LoopTop == Loops.size())
+      Loops.emplace_back();
+    return Loops[LoopTop++];
+  }
 
   VMFrame &frameAt(size_t I) {
     if (Frames.size() <= I)
@@ -136,22 +158,38 @@ CellRef resolveCell(ExecState &S, const CompiledProgram &CP, Activation *A,
   return NoCell;
 }
 
+/// The dependence set of a constant.
+const DepSet NoDeps;
+
+/// A fetched source operand: its value and, on tracked runs, its
+/// dependence set (null on untracked runs). V is null after a resolution
+/// failure.
+struct Src {
+  const Value *V;
+  const DepSet *D;
+
+  explicit operator bool() const { return V != nullptr; }
+  const Value &operator*() const { return *V; }
+  const Value *operator->() const { return V; }
+  const DepSet &deps() const { return *D; }
+};
+
 /// Fetches a source operand: a register, a constant, or a frame cell (the
-/// cell path performs the observeRead of reading the variable). Returns
-/// null after a resolution failure.
-const Value *fetchSrc(ExecState &S, const CompiledProgram &CP,
-                      Activation *Act, Value *Regs, uint16_t Operand) {
+/// cell path performs the observeRead of reading the variable).
+template <bool TrackDeps>
+Src fetchSrc(ExecState &S, const CompiledProgram &CP, Activation *Act,
+             Value *Regs, DepSet *RegDeps, uint16_t Operand) {
   switch (Operand & OpModeMask) {
   case OpReg:
-    return &Regs[Operand];
+    return {&Regs[Operand], TrackDeps ? &RegDeps[Operand] : nullptr};
   case OpConst:
-    return &CP.Consts[Operand & ~OpModeMask];
+    return {&CP.Consts[Operand & ~OpModeMask], TrackDeps ? &NoDeps : nullptr};
   default: {
     CellRef H = resolveCell(S, CP, Act, Operand);
     if (H == NoCell)
-      return nullptr;
+      return {nullptr, nullptr};
     S.observeRead(H);
-    return &S.Arena[H].V;
+    return {&S.Arena[H].V, TrackDeps ? &S.CellDeps[H] : nullptr};
   }
   }
 }
@@ -160,8 +198,8 @@ const Value *fetchSrc(ExecState &S, const CompiledProgram &CP,
 /// innermost first, iteration before loop, with the control stack
 /// truncated to where each loop's own pops would have left it.
 void unwindLoops(ExecState &S, VMState &VS, VMFrame &F, size_t Floor) {
-  while (VS.Loops.size() > Floor) {
-    LoopState &LS = VS.Loops.back();
+  while (VS.LoopTop > Floor) {
+    LoopState &LS = VS.topLoop();
     Activation &A = *F.Act;
     if (S.Opts.TrackDeps && A.CtrlStack.size() > LS.CtrlIterDepth)
       A.CtrlStack.resize(LS.CtrlIterDepth);
@@ -169,7 +207,7 @@ void unwindLoops(ExecState &S, VMState &VS, VMFrame &F, size_t Floor) {
     if (S.Opts.TrackDeps && A.CtrlStack.size() > LS.CtrlLoopDepth)
       A.CtrlStack.resize(LS.CtrlLoopDepth);
     S.exitLoopUnit(LS.LoopNode, A);
-    VS.Loops.pop_back();
+    --VS.LoopTop;
   }
 }
 
@@ -179,9 +217,8 @@ void popFrame(ExecState &S, VMState &VS) {
   VMFrame &F = VS.Frames[VS.Depth - 1];
   unwindLoops(S, VS, F, F.LoopBase);
   --S.CallDepth;
-  Value Result;
   S.finishCallUnit(*F.Act, F.Callee, std::move(F.EntryInputs), F.NodeId,
-                   F.CallerAct, nullptr, &Result);
+                   F.CallerAct, nullptr, nullptr);
   S.freeActivationCells(*F.Act);
   --VS.Depth;
 }
@@ -292,6 +329,7 @@ void dispatch(ExecState &S, const CompiledProgram &CP, VMState &VS) {
   const Instr *Code = CP.Routines[F->RoutineIdx].Code.data();
   uint32_t PC = F->PC;
   Value *Regs = VS.Regs.data() + F->RegBase;
+  DepSet *RegDeps = TrackDeps ? VS.RegDeps.data() + F->RegBase : nullptr;
   Activation *Act = F->Act;
   const Instr *IP = nullptr;
 
@@ -300,7 +338,12 @@ void dispatch(ExecState &S, const CompiledProgram &CP, VMState &VS) {
     Code = CP.Routines[F->RoutineIdx].Code.data();
     PC = F->PC;
     Regs = VS.Regs.data() + F->RegBase;
+    if (TrackDeps)
+      RegDeps = VS.RegDeps.data() + F->RegBase;
     Act = F->Act;
+  };
+  auto fetch = [&](uint16_t Operand) {
+    return fetchSrc<TrackDeps>(S, CP, Act, Regs, RegDeps, Operand);
   };
 
   // Label addresses are function-local; each template instantiation gets
@@ -344,6 +387,7 @@ void dispatch(ExecState &S, const CompiledProgram &CP, VMState &VS) {
   const Instr *Code = CP.Routines[F->RoutineIdx].Code.data();
   uint32_t PC = F->PC;
   Value *Regs = VS.Regs.data() + F->RegBase;
+  DepSet *RegDeps = TrackDeps ? VS.RegDeps.data() + F->RegBase : nullptr;
   Activation *Act = F->Act;
 
   auto reload = [&] {
@@ -351,7 +395,12 @@ void dispatch(ExecState &S, const CompiledProgram &CP, VMState &VS) {
     Code = CP.Routines[F->RoutineIdx].Code.data();
     PC = F->PC;
     Regs = VS.Regs.data() + F->RegBase;
+    if (TrackDeps)
+      RegDeps = VS.RegDeps.data() + F->RegBase;
     Act = F->Act;
+  };
+  auto fetch = [&](uint16_t Operand) {
+    return fetchSrc<TrackDeps>(S, CP, Act, Regs, RegDeps, Operand);
   };
 
   for (;;) {
@@ -394,10 +443,13 @@ void runFrame0(ExecState &S, const CompiledProgram &CP, VMState &VS,
   F.EntryInputs.clear();
   if (VS.Regs.size() < CP.Routines[Idx].NumRegs)
     VS.Regs.resize(CP.Routines[Idx].NumRegs);
-  if (S.Opts.TrackDeps)
+  if (S.Opts.TrackDeps) {
+    if (VS.RegDeps.size() < VS.Regs.size())
+      VS.RegDeps.resize(VS.Regs.size());
     dispatch<true>(S, CP, VS);
-  else
+  } else {
     dispatch<false>(S, CP, VS);
+  }
 }
 
 } // namespace
@@ -406,7 +458,7 @@ ExecResult bytecode::run(ExecState &S, const CompiledProgram &CP,
                          VMState &VS) {
   S.reset();
   VS.Depth = 1;
-  VS.Loops.clear();
+  VS.LoopTop = 0;
   VS.RoutineEntry = false;
   VS.Escaped = false;
   ExecResult Res;
@@ -432,7 +484,7 @@ CallOutcome bytecode::call(ExecState &S, const CompiledProgram &CP,
                            const std::vector<Binding> &Presets) {
   S.reset();
   VS.Depth = 1;
-  VS.Loops.clear();
+  VS.LoopTop = 0;
   VS.RoutineEntry = true;
   VS.Escaped = false;
   CallOutcome Out;
@@ -516,9 +568,8 @@ CallOutcome bytecode::call(ExecState &S, const CompiledProgram &CP,
   --S.CallDepth;
 
   std::vector<Binding> Outputs;
-  Value Result;
   S.finishCallUnit(Act, Callee, std::move(EntryInputs), NodeId, nullptr,
-                   &Outputs, &Result);
+                   &Outputs, nullptr);
   if (VS.Escaped)
     S.fail(VS.EscapeLoc, "non-local goto escaped the routine under test");
 

@@ -131,7 +131,9 @@ bool valueRenderEqual(const interp::Value &A, const interp::Value &B) {
   case K::Str:
     return A.asStr() == B.asStr();
   case K::Array:
-    return A.asArray().Elems == B.asArray().Elems;
+    // Copies of one value share its elements.
+    return &A.asArray() == &B.asArray() ||
+           A.asArray().Elems == B.asArray().Elems;
   }
   return false;
 }

@@ -14,6 +14,9 @@
 /// through this one struct, so *what* an execution records is defined here
 /// and the VM only decides *when*.
 ///
+/// Dependence sets live beside the cells, in CellDeps, and only on runs
+/// with InterpOptions::TrackDeps; an untracked run keeps none.
+///
 /// This is an internal header: everything here is an implementation detail
 /// of interp::Interpreter and may change freely.
 ///
@@ -26,6 +29,7 @@
 #include "support/Casting.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -108,6 +112,9 @@ struct ExecState {
   size_t InputPos = 0;
   unsigned CallDepth = 0;
   std::vector<Cell> Arena;
+  /// TrackDeps runs only: CellDeps[H] is the dependence set of Arena[H].V.
+  /// Parallel to Arena on tracked runs, empty on untracked ones.
+  std::vector<DepSet> CellDeps;
   std::vector<CellRef> FreeList;
   /// Pooled unit-frame stack: [0, FrameTop) are live; slots above FrameTop
   /// keep their FirstReads/Writes buffer capacity for the next unit at that
@@ -131,6 +138,7 @@ struct ExecState {
     InputPos = 0;
     CallDepth = 0;
     Arena.clear();
+    CellDeps.clear();
     FreeList.clear();
     // Keep the frame pool's buffers but release the Values they pin.
     for (UnitFrame &F : Frames) {
@@ -159,6 +167,8 @@ struct ExecState {
     Error.Message = std::move(Msg);
   }
 
+  /// A fresh cell holding \p V; on tracked runs its dependence set is
+  /// empty.
   CellRef newCell(const pascal::VarDecl *Decl, Value V) {
     CellRef H;
     if (!FreeList.empty()) {
@@ -168,6 +178,8 @@ struct ExecState {
     } else {
       H = static_cast<CellRef>(Arena.size());
       Arena.emplace_back();
+      if (Opts.TrackDeps)
+        CellDeps.emplace_back();
     }
     Cell &C = Arena[H];
     C.V = std::move(V);
@@ -178,10 +190,18 @@ struct ExecState {
     return H;
   }
 
-  /// Returns the cells this activation created to the pool. Safe because no
-  /// retained handle can reach them afterwards: enclosing unit frames only
-  /// record cells below their watermark, which is at or below this
-  /// activation's, and the activation's own frames are popped first.
+  /// Tracked runs: a fresh cell holding \p V with dependence set \p Deps.
+  CellRef newCell(const pascal::VarDecl *Decl, Value V, DepSet Deps) {
+    CellRef H = newCell(Decl, std::move(V));
+    CellDeps[H] = std::move(Deps);
+    return H;
+  }
+
+  /// Returns the cells this activation created to the pool, emptied so
+  /// that pooled cells pin no array payload or dependence vector. Safe
+  /// because no retained handle can reach them afterwards: enclosing unit
+  /// frames only record cells below their watermark, which is at or below
+  /// this activation's, and the activation's own frames are popped first.
   void freeActivationCells(Activation &Act) {
     for (CellRef H : Act.Slots) {
       if (H == NoCell)
@@ -189,7 +209,9 @@ struct ExecState {
       Cell &C = Arena[H];
       if (C.Serial < Act.Watermark)
         continue; // aliased from the caller
-      C.V.poolReset(); // don't let pooled cells pin heap payload
+      C.V = Value();
+      if (Opts.TrackDeps)
+        CellDeps[H].clear();
       FreeList.push_back(H);
     }
   }
@@ -259,13 +281,19 @@ struct ExecState {
     return Arena[H].WriteUpTo >= F.FrameId && Arena[H].Serial < F.Watermark;
   }
 
-  /// Full store: observes the write and applies active control deps.
-  void storeCell(Activation &A, CellRef H, Value V) {
+  /// Stores \p V into \p H, observing the write.
+  void storeCell(CellRef H, Value V) {
     observeWrite(H);
-    if (Opts.TrackDeps)
-      if (const DepSet *Ctrl = A.activeCtrlDeps())
-        V.deps().mergeWith(*Ctrl);
     Arena[H].V = std::move(V);
+  }
+
+  /// Tracked runs: the store above, with \p Deps plus the control
+  /// dependences active in \p A as the cell's new dependence set.
+  void storeCell(Activation &A, CellRef H, Value V, DepSet Deps) {
+    storeCell(H, std::move(V));
+    if (const DepSet *Ctrl = A.activeCtrlDeps())
+      Deps.mergeWith(*Ctrl);
+    CellDeps[H] = std::move(Deps);
   }
 
   //===--------------------------------------------------------------------===//
@@ -310,19 +338,27 @@ struct ExecState {
     return true;
   }
 
+  /// Tracked runs: opens a control region governed by \p CondDeps (plus
+  /// the regions already open).
   void pushCtrl(Activation &A, const DepSet &CondDeps) {
-    if (!Opts.TrackDeps)
-      return;
     DepSet Merged = CondDeps;
     if (const DepSet *Active = A.activeCtrlDeps())
       Merged.mergeWith(*Active);
     A.CtrlStack.push_back(std::move(Merged));
   }
 
-  void popCtrl(Activation &A) {
-    if (!Opts.TrackDeps)
-      return;
-    A.CtrlStack.pop_back();
+  /// Tracked runs: closes the innermost control region.
+  void popCtrl(Activation &A) { A.CtrlStack.pop_back(); }
+
+  /// Tracked runs: what every output of unit \p NodeId depends on — the
+  /// unit itself and the control dependences active in \p Ctl (null: none).
+  static DepSet unitDeps(uint32_t NodeId, const Activation *Ctl) {
+    DepSet D;
+    D.insert(NodeId);
+    if (Ctl)
+      if (const DepSet *Ctrl = Ctl->activeCtrlDeps())
+        D.mergeWith(*Ctrl);
+    return D;
   }
 
   //===--------------------------------------------------------------------===//
@@ -366,10 +402,12 @@ struct ExecState {
   /// entry — only when bindings are wanted). \p OutputsOut, when non-null,
   /// receives the output bindings even without a listener (callRoutine
   /// needs them); otherwise bindings are only assembled for the listener.
+  /// A function's result moves to \p Result and, when \p ResultDeps is
+  /// non-null (tracked runs), its dependence set to \p ResultDeps.
   void finishCallUnit(Activation &Act, const pascal::RoutineDecl *Callee,
                       std::vector<Binding> EntryInputs, uint32_t NodeId,
                       Activation *Caller, std::vector<Binding> *OutputsOut,
-                      Value *Result) {
+                      Value *Result, DepSet *ResultDeps = nullptr) {
     // Pop by decrement; the slot stays valid (nothing below pushes a unit
     // frame before this function returns) and its buffers get recycled.
     UnitFrame &Frame = Frames[--FrameTop];
@@ -396,16 +434,18 @@ struct ExecState {
     // then the function result. The dependence merges are semantics (they
     // persist in the written cells), so they run with or without bindings.
     std::vector<Binding> Outputs;
-    DepSet OutDeps;
-    if (Opts.TrackDeps) {
-      OutDeps.insert(NodeId);
-      if (Caller)
-        if (const DepSet *Ctrl = Caller->activeCtrlDeps())
-          OutDeps.mergeWith(*Ctrl);
-    }
-    auto finalizeOut = [&](Value &V) {
-      if (Opts.TrackDeps)
-        V.deps().mergeWith(OutDeps);
+    std::vector<DepSet> OutputDeps;
+    std::optional<DepSet> UnitDeps;
+    if (Opts.TrackDeps)
+      UnitDeps = unitDeps(NodeId, Caller);
+    // The listener's OutputDeps stay parallel to Outputs: a listener implies
+    // WantOut.
+    auto finalizeOut = [&](CellRef C) {
+      if (UnitDeps) {
+        CellDeps[C].mergeWith(*UnitDeps);
+        if (Listener)
+          OutputDeps.push_back(CellDeps[C]);
+      }
     };
     for (const auto &P : Callee->getParams()) {
       if (!P->isReference())
@@ -414,14 +454,14 @@ struct ExecState {
       if (C == NoCell)
         continue;
       if (writtenInFrame(Frame, C) || P->getMode() == pascal::ParamMode::Out) {
-        finalizeOut(Arena[C].V);
+        finalizeOut(C);
         if (WantOut)
           Outputs.push_back({P->getName(), Arena[C].V});
       }
     }
     for (CellRef C : Frame.Writes)
       if (!paramOfCell(Act, Callee, C)) {
-        finalizeOut(Arena[C].V);
+        finalizeOut(C);
         if (WantOut)
           Outputs.push_back({nameOfCell(&Act, C), Arena[C].V});
       }
@@ -432,19 +472,23 @@ struct ExecState {
           fail(Callee->getLoc(), "function '" + Callee->getName() +
                                      "' returns without assigning its "
                                      "result");
-        finalizeOut(Arena[C].V);
+        finalizeOut(C);
         if (WantOut)
           Outputs.push_back({Callee->getName(), Arena[C].V});
         if (Result)
           *Result = std::move(Arena[C].V);
+        if (ResultDeps)
+          *ResultDeps = std::move(CellDeps[C]);
       }
     }
 
     if (Listener) {
       if (OutputsOut)
-        Listener->exitUnit(NodeId, std::move(Inputs), Outputs);
+        Listener->exitUnit(NodeId, std::move(Inputs), Outputs,
+                           std::move(OutputDeps));
       else
-        Listener->exitUnit(NodeId, std::move(Inputs), std::move(Outputs));
+        Listener->exitUnit(NodeId, std::move(Inputs), std::move(Outputs),
+                           std::move(OutputDeps));
     }
     if (OutputsOut)
       *OutputsOut = std::move(Outputs);
@@ -488,23 +532,25 @@ struct ExecState {
       return;
     UnitFrame &Frame = Frames[--FrameTop]; // pop; see finishCallUnit
     std::vector<Binding> Inputs, Outputs;
+    std::vector<DepSet> OutputDeps;
     if (Listener)
       for (const auto &[C, V] : Frame.FirstReads)
         Inputs.push_back({nameOfCell(&A, C), V});
-    DepSet OutDeps;
-    if (Opts.TrackDeps) {
-      OutDeps.insert(NodeId);
-      if (const DepSet *Ctrl = A.activeCtrlDeps())
-        OutDeps.mergeWith(*Ctrl);
-    }
+    std::optional<DepSet> UnitDeps;
+    if (Opts.TrackDeps)
+      UnitDeps = unitDeps(NodeId, &A);
     for (CellRef C : Frame.Writes) {
-      if (Opts.TrackDeps)
-        Arena[C].V.deps().mergeWith(OutDeps);
+      if (UnitDeps) {
+        CellDeps[C].mergeWith(*UnitDeps);
+        if (Listener)
+          OutputDeps.push_back(CellDeps[C]);
+      }
       if (Listener)
         Outputs.push_back({nameOfCell(&A, C), Arena[C].V});
     }
     if (Listener)
-      Listener->exitUnit(NodeId, std::move(Inputs), std::move(Outputs));
+      Listener->exitUnit(NodeId, std::move(Inputs), std::move(Outputs),
+                         std::move(OutputDeps));
   }
 
   //===--------------------------------------------------------------------===//
@@ -554,9 +600,17 @@ struct ExecState {
           {G->getName(), Arena[Main.Slots[G->getSlot()]].V});
     if (Listener) {
       std::vector<Binding> Outputs = Res.FinalGlobals;
-      if (!Output.empty())
+      std::vector<DepSet> OutputDeps;
+      if (Opts.TrackDeps)
+        for (const auto &G : Prog.getMain()->getLocals())
+          OutputDeps.push_back(CellDeps[Main.Slots[G->getSlot()]]);
+      if (!Output.empty()) {
         Outputs.push_back({"<output>", Value::makeStr(Output)});
-      Listener->exitUnit(RootId, {}, std::move(Outputs));
+        if (Opts.TrackDeps)
+          OutputDeps.emplace_back();
+      }
+      Listener->exitUnit(RootId, {}, std::move(Outputs),
+                         std::move(OutputDeps));
     }
   }
 };

@@ -21,9 +21,11 @@
 ///    values and value of variables which cause global side-effects within
 ///    the unit" without relying on static analysis.
 ///
-///  - Dependence tracking: when enabled, every value carries the set of unit
-///    executions whose outputs flowed into it (including dynamic control
-///    dependences), which the dynamic slicer consumes.
+///  - Dependence tracking: when enabled, every register and cell has the
+///    set of unit executions whose outputs flowed into its value (including
+///    dynamic control dependences), kept in side arrays beside them, and
+///    each unit's output bindings come with their sets, which the dynamic
+///    slicer consumes.
 ///
 ///  - Gotos execute with exit-side-effect semantics: a goto leaves every
 ///    loop and call between it and its label, raising their exit events
@@ -36,6 +38,7 @@
 #ifndef GADT_INTERP_INTERPRETER_H
 #define GADT_INTERP_INTERPRETER_H
 
+#include "interp/DepSet.h"
 #include "interp/Value.h"
 #include "pascal/AST.h"
 #include "support/SourceLoc.h"
@@ -92,8 +95,12 @@ class TraceListener {
 public:
   virtual ~TraceListener();
   virtual void enterUnit(const UnitStart &Start) = 0;
+  /// \p OutputDeps is parallel to \p Outputs on runs with
+  /// InterpOptions::TrackDeps — the dependence set of each output value —
+  /// and empty otherwise.
   virtual void exitUnit(uint32_t NodeId, std::vector<Binding> Inputs,
-                        std::vector<Binding> Outputs) = 0;
+                        std::vector<Binding> Outputs,
+                        std::vector<DepSet> OutputDeps) = 0;
 };
 
 /// Execution knobs.

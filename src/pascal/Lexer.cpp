@@ -5,6 +5,7 @@
 #include "support/StringUtils.h"
 
 #include <cctype>
+#include <charconv>
 #include <unordered_map>
 
 using namespace gadt;
@@ -135,9 +136,12 @@ Token Lexer::lexNumber(SourceLoc Loc) {
   size_t Start = Pos;
   while (std::isdigit(static_cast<unsigned char>(peek())))
     advance();
-  std::string Spelling(Source.substr(Start, Pos - Start));
-  Token T = makeToken(TokenKind::IntLiteral, Loc, Spelling);
-  T.IntValue = std::stoll(Spelling);
+  std::string_view Digits = Source.substr(Start, Pos - Start);
+  Token T = makeToken(TokenKind::IntLiteral, Loc, std::string(Digits));
+  if (std::from_chars(Digits.data(), Digits.data() + Digits.size(),
+                      T.IntValue)
+          .ec != std::errc())
+    Diags.error(Loc, "integer literal out of range");
   return T;
 }
 

@@ -429,6 +429,14 @@ const Type *Parser::parseType() {
       error("array lower bound exceeds upper bound");
       return nullptr;
     }
+    // Hi - Lo + 1 elements; with Lo <= Hi the difference is exact in
+    // uint64_t, where int64_t could overflow.
+    if (static_cast<uint64_t>(Hi) - static_cast<uint64_t>(Lo) >=
+        static_cast<uint64_t>(MaxArrayElements)) {
+      error("array type has more elements than the limit of " +
+            std::to_string(MaxArrayElements));
+      return nullptr;
+    }
     if (!expect(TokenKind::RBracket, "after array bounds"))
       return nullptr;
     if (!expect(TokenKind::KwOf, "in array type"))

@@ -45,6 +45,14 @@ public:
   /// about 1,500 nested blocks still run every pass.
   static constexpr unsigned MaxNestingDepth = 1000;
 
+  /// The most elements an array may have: the parser rejects a larger
+  /// array type with a diagnostic, and T-GEN's fill() generates no larger
+  /// array. Every array is allocated in full when its variable is created,
+  /// so without a bound a single declaration could exhaust memory (or, at
+  /// the extremes of int64, overflow the element count). The largest array
+  /// in the paper's programs and the test corpus has 100 elements.
+  static constexpr int64_t MaxArrayElements = 1000000;
+
 private:
   /// Restores the nesting depth on scope exit; descend() opens one level.
   class NestingScope {

@@ -26,7 +26,8 @@ support::NodeSet gadt::slicing::dynamicSlice(const ExecNode *Criterion,
   uint32_t End = Criterion->subtreeEnd();
   Kept = support::NodeSet(End);
   Kept.insert(CritId);
-  if (const interp::Binding *B = Criterion->findOutput(OutputName)) {
+  const interp::Binding *B = Criterion->findOutput(OutputName);
+  if (const interp::DepSet *Deps = B ? Criterion->getOutputDeps(*B) : nullptr) {
     // Relevant = dependence ids inside the proper subtree (CritId, End),
     // closed over ancestry. Each dependence run, clamped to that interval,
     // is marked whole. In a preorder arena every ancestor of a node in the
@@ -34,7 +35,7 @@ support::NodeSet gadt::slicing::dynamicSlice(const ExecNode *Criterion,
     // so one walk up from there, stopping at the first marked node, closes
     // the whole run. Each node is marked at most once, so the closure is
     // linear in the slice size.
-    B->V.deps().forEachRun([&](uint32_t Lo, uint32_t Hi) {
+    Deps->forEachRun([&](uint32_t Lo, uint32_t Hi) {
       uint32_t L = std::max(Lo, CritId + 1);
       uint32_t E = static_cast<uint32_t>(
           std::min<uint64_t>(uint64_t(Hi) + 1, End));

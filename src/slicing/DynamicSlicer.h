@@ -7,10 +7,11 @@
 /// \file
 /// Interprocedural *dynamic* slicing at procedure granularity, the
 /// [Kamkar-91b] variant the paper lists as under implementation: while
-/// tracing, every value carries the set of unit executions whose outputs
-/// flowed into it (data and dynamic control dependences — see
-/// InterpOptions::TrackDeps). A slice on one output of one execution-tree
-/// node is then simply the recorded dependence set of that output value,
+/// tracing, the interpreter tracks for every value the set of unit
+/// executions whose outputs flowed into it (data and dynamic control
+/// dependences — see InterpOptions::TrackDeps), and the tree records it
+/// for each output binding. A slice on one output of one execution-tree
+/// node is then simply the recorded dependence set of that output,
 /// closed over tree ancestry.
 ///
 /// Dynamic slices are at most as large as static ones on the same
@@ -35,8 +36,7 @@ namespace slicing {
 /// \p Criterion: every node in the subtree whose execution contributed to
 /// that output value, plus the ancestors needed to keep the result a tree.
 /// Requires the tree to have been built with dependence tracking; without
-/// it every output has an empty dependence set and only \p Criterion is
-/// retained.
+/// it no output has a dependence set and only \p Criterion is retained.
 support::NodeSet dynamicSlice(const trace::ExecNode *Criterion,
                             const std::string &OutputName);
 

@@ -27,7 +27,8 @@ ValueEnv gadt::tgen::extractFeatures(const std::vector<Binding> &Inputs) {
           std::minmax_element(Arr.Elems.begin(), Arr.Elems.end());
       Env[Name + "_min"] = Value::makeInt(*MinIt);
       Env[Name + "_max"] = Value::makeInt(*MaxIt);
-      Env[Name + "_spread"] = Value::makeInt(*MaxIt - *MinIt);
+      Env[Name + "_spread"] =
+          Value::makeInt(intArith(IntOp::Sub, *MaxIt, *MinIt));
     }
   }
   return Env;

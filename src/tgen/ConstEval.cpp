@@ -53,7 +53,7 @@ std::optional<Value> gadt::tgen::evalClosedExpr(const Expr *E,
     if (UE->getOp() == UnaryOp::Neg) {
       if (!Op->isInt())
         return std::nullopt;
-      return Value::makeInt(-Op->asInt());
+      return Value::makeInt(intArith(IntOp::Neg, Op->asInt()));
     }
     if (!Op->isBool())
       return std::nullopt;
@@ -77,11 +77,11 @@ std::optional<Value> gadt::tgen::evalClosedExpr(const Expr *E,
       int64_t A = L->asInt(), B = R->asInt();
       switch (BE->getOp()) {
       case BinaryOp::Add:
-        return Value::makeInt(A + B);
+        return Value::makeInt(intArith(IntOp::Add, A, B));
       case BinaryOp::Sub:
-        return Value::makeInt(A - B);
+        return Value::makeInt(intArith(IntOp::Sub, A, B));
       case BinaryOp::Mul:
-        return Value::makeInt(A * B);
+        return Value::makeInt(intArith(IntOp::Mul, A, B));
       case BinaryOp::Div:
         // The VM's runtime errors are undefined here: a zero divisor, and
         // INT64_MIN div -1, the one quotient int64 cannot hold.

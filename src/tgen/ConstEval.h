@@ -29,7 +29,8 @@ using ValueEnv = std::map<std::string, interp::Value>;
 
 /// Evaluates \p E over \p Env. Returns nullopt when the expression uses an
 /// unbound name, an unsupported construct (calls, indexing), divides by
-/// zero, overflows a division (INT64_MIN div -1), or mixes types.
+/// zero, overflows a division (INT64_MIN div -1), or mixes types. Integer
+/// +, - and * and negation wrap on overflow, as in the VM (interp::intArith).
 std::optional<interp::Value> evalClosedExpr(const pascal::Expr *E,
                                             const ValueEnv &Env);
 

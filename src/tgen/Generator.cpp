@@ -2,6 +2,7 @@
 
 #include "tgen/Generator.h"
 
+#include "pascal/Parser.h"
 #include "support/Casting.h"
 
 #include <algorithm>
@@ -22,7 +23,7 @@ std::optional<Value> gadt::tgen::evalGenExpr(const Expr *E,
         return std::nullopt;
       auto Count = evalGenExpr(Args[0].get(), Env);
       if (!Count || !Count->isInt() || Count->asInt() < 0 ||
-          Count->asInt() > 1000000)
+          Count->asInt() > Parser::MaxArrayElements)
         return std::nullopt;
       ArrayVal Arr;
       Arr.Lo = 1;
@@ -56,7 +57,8 @@ std::optional<Value> gadt::tgen::evalGenExpr(const Expr *E,
       auto V = evalGenExpr(Args[0].get(), Env);
       if (!V || !V->isInt())
         return std::nullopt;
-      return Value::makeInt(V->asInt() < 0 ? -V->asInt() : V->asInt());
+      return Value::makeInt(V->asInt() < 0 ? intArith(IntOp::Neg, V->asInt())
+                                            : V->asInt());
     }
 
     return std::nullopt; // unknown builtin

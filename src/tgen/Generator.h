@@ -14,6 +14,7 @@
 ///
 /// Generator expressions use the classifier grammar plus builtins:
 ///   fill(count, elem)  — array [1..count], elem evaluated with i = 1..count
+///                        (count at most pascal::Parser::MaxArrayElements)
 ///   max(x, y), min(x, y), abs(x)
 ///
 /// Bindings evaluate in category order; later bindings see (and may

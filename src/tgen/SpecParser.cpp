@@ -15,7 +15,7 @@ namespace {
 class SpecParserImpl {
 public:
   SpecParserImpl(std::string_view Source, DiagnosticsEngine &Diags)
-      : Diags(Diags) {
+      : Diags(Diags), EntryErrors(Diags.errorCount()) {
     Lexer Lex(Source, Diags);
     Tokens = Lex.lexAll();
   }
@@ -95,6 +95,9 @@ private:
   std::vector<Token> Tokens;
   size_t Index = 0;
   DiagnosticsEngine &Diags;
+  /// Errors Diags held before this parse (parseStandaloneExpr fails only
+  /// on its own).
+  unsigned EntryErrors;
   unsigned Depth = 0; ///< nesting levels open (see NestingScope)
 };
 
@@ -549,6 +552,8 @@ ExprPtr SpecParserImpl::parseStandaloneExpr() {
     error("unexpected trailing input after expression");
     return nullptr;
   }
+  if (Diags.errorCount() != EntryErrors)
+    return nullptr; // the lexer diagnosed a token
   return E;
 }
 

@@ -118,6 +118,7 @@ size_t ExecTree::memoryBytes() const {
   for (const ExecNode &N : Nodes) {
     Bytes += (N.getInputs().capacity() + N.getOutputs().capacity()) *
              sizeof(Binding);
+    Bytes += N.OutputDeps.capacity() * sizeof(DepSet);
     for (const Binding &B : N.getInputs())
       if (B.V.isArray())
         Bytes += B.V.asArray().Elems.capacity() * sizeof(int64_t);

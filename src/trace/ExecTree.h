@@ -54,6 +54,12 @@ public:
 
   const std::vector<interp::Binding> &getInputs() const { return Inputs; }
   const std::vector<interp::Binding> &getOutputs() const { return Outputs; }
+  /// The dependence set of output binding \p Out (an element of
+  /// getOutputs()): the units whose results flowed into its value. Null
+  /// when the tree was traced without InterpOptions::TrackDeps.
+  const interp::DepSet *getOutputDeps(const interp::Binding &Out) const {
+    return OutputDeps.empty() ? nullptr : &OutputDeps[&Out - Outputs.data()];
+  }
 
   /// Number of nodes in this subtree (including this node) — O(1), stored
   /// when the unit exited during tracing.
@@ -167,6 +173,8 @@ private:
   SourceLoc Loc;
   std::vector<interp::Binding> Inputs;
   std::vector<interp::Binding> Outputs;
+  /// Parallel to Outputs on tracked runs, empty otherwise.
+  std::vector<interp::DepSet> OutputDeps;
 };
 
 /// The whole tree: a flat preorder arena, index == unit id.
@@ -205,7 +213,9 @@ public:
   /// string-valued bindings produce valid DOT.
   std::string dot(const support::NodeSet *Kept = nullptr) const;
 
-  /// Approximate heap footprint of the arena and its bindings.
+  /// Approximate heap footprint of the arena and its bindings: nodes,
+  /// bindings, array payload bytes once per binding that references them,
+  /// and the output dependence sets of a tracked run.
   size_t memoryBytes() const;
 
 private:

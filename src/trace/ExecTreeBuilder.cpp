@@ -32,12 +32,16 @@ void ExecTreeBuilder::enterUnit(const UnitStart &Start) {
 }
 
 void ExecTreeBuilder::exitUnit(uint32_t NodeId, std::vector<Binding> Inputs,
-                               std::vector<Binding> Outputs) {
+                               std::vector<Binding> Outputs,
+                               std::vector<DepSet> OutputDeps) {
   assert(!OpenIds.empty() && OpenIds.back() == NodeId &&
          "exitUnit without matching enterUnit");
+  assert((OutputDeps.empty() || OutputDeps.size() == Outputs.size()) &&
+         "output dependence sets must be parallel to the outputs");
   ExecNode &N = Tree->Nodes[NodeId];
   N.Inputs = std::move(Inputs);
   N.Outputs = std::move(Outputs);
+  N.OutputDeps = std::move(OutputDeps);
   // Every node allocated since this unit entered belongs to its subtree.
   N.Size = static_cast<uint32_t>(Tree->Nodes.size()) - NodeId;
   OpenIds.pop_back();

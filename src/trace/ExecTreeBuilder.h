@@ -35,7 +35,8 @@ public:
 
   void enterUnit(const interp::UnitStart &Start) override;
   void exitUnit(uint32_t NodeId, std::vector<interp::Binding> Inputs,
-                std::vector<interp::Binding> Outputs) override;
+                std::vector<interp::Binding> Outputs,
+                std::vector<interp::DepSet> OutputDeps) override;
 
   /// Hands over the finished tree (the builder is empty afterwards).
   /// Tolerates an aborted run: units that never exited get their subtree

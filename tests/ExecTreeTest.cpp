@@ -228,7 +228,7 @@ TEST(ExecTreeTest, DotEscapesQuotesAndBackslashes) {
   S.NodeId = 1;
   S.Name = "we\"ird\\name";
   B.enterUnit(S);
-  B.exitUnit(1, {}, {});
+  B.exitUnit(1, {}, {}, {});
   auto Tree = B.takeTree();
   std::string Dot = Tree->dot();
   EXPECT_NE(Dot.find("we\\\"ird\\\\name"), std::string::npos) << Dot;
@@ -248,7 +248,7 @@ std::unique_ptr<ExecTree> chainTree(uint32_t Depth) {
     B.enterUnit(S);
   }
   for (uint32_t Id = Depth; Id >= 1; --Id)
-    B.exitUnit(Id, {}, {});
+    B.exitUnit(Id, {}, {}, {});
   return B.takeTree();
 }
 

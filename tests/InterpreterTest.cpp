@@ -3,6 +3,9 @@
 #include "interp/Interpreter.h"
 
 #include "pascal/Frontend.h"
+#include "tgen/ConstEval.h"
+#include "tgen/SpecParser.h"
+#include "trace/ExecTreeBuilder.h"
 #include "workload/PaperPrograms.h"
 
 #include <gtest/gtest.h>
@@ -102,29 +105,41 @@ TEST(InterpreterTest, ArraysAndIndexing) {
 }
 
 TEST(InterpreterTest, ArrayValueSemanticsOnAssignment) {
+  // Both sides of b := a share the elements until one of them is stored
+  // into; a store on either side must not reach the other.
   auto R = runProgram("program p; var a, b: array[1..2] of integer;"
                       "x: integer;"
-                      "begin a[1] := 1; b := a; b[1] := 99; x := a[1]; end.");
+                      "begin a[1] := 1; b := a; b[1] := 99; x := a[1];"
+                      " a[2] := 5; end.");
   ASSERT_TRUE(R.Ok);
   EXPECT_EQ(findGlobal(R, "x")->asInt(), 1);
+  EXPECT_EQ(findGlobal(R, "a")->str(), "[1, 5]");
+  EXPECT_EQ(findGlobal(R, "b")->str(), "[99, 0]");
 }
 
 TEST(InterpreterTest, ValueParamsCopyArrays) {
   auto R = runProgram("program p; type arr = array[1..2] of integer;"
-                      "var a: arr; x: integer;"
-                      "procedure q(v: arr); begin v[1] := 42; end;"
+                      "var a: arr; x, inner: integer;"
+                      "procedure q(v: arr); begin v[1] := 42; inner := v[1];"
+                      " end;"
                       "begin a[1] := 7; q(a); x := a[1]; end.");
   ASSERT_TRUE(R.Ok);
   EXPECT_EQ(findGlobal(R, "x")->asInt(), 7);
+  EXPECT_EQ(findGlobal(R, "inner")->asInt(), 42);
 }
 
 TEST(InterpreterTest, VarParamsAlias) {
-  auto R = runProgram("program p; var x: integer;"
+  auto R = runProgram("program p; type arr = array[1..2] of integer;"
+                      "var x: integer; a, b: arr;"
                       "procedure bump(var v: integer);"
                       "begin v := v + 1; end;"
-                      "begin x := 1; bump(x); bump(x); end.");
+                      "procedure set2(var v: arr); begin v[2] := 43; end;"
+                      "begin x := 1; bump(x); bump(x);"
+                      " a[1] := 7; b := a; set2(b); end.");
   ASSERT_TRUE(R.Ok);
   EXPECT_EQ(findGlobal(R, "x")->asInt(), 3);
+  EXPECT_EQ(findGlobal(R, "a")->str(), "[7, 0]");
+  EXPECT_EQ(findGlobal(R, "b")->str(), "[7, 43]");
 }
 
 TEST(InterpreterTest, FunctionsReturnValues) {
@@ -431,6 +446,125 @@ TEST(InterpreterTest, LaxModeToleratesUninitializedReads) {
                       "begin y := x + 1; end.");
   ASSERT_TRUE(R.Ok);
   EXPECT_EQ(findGlobal(R, "y")->asInt(), 1) << "defaults to zero";
+}
+
+// Integer overflow and loop bounds at the ends of int64 ---------------------
+
+TEST(InterpreterTest, IntegerOverflowWrapsLikeConstEval) {
+  auto R = runProgram("program p; var x: integer;"
+                      "begin x := 9223372036854775807; x := x + 1;"
+                      " writeln(x) end.");
+  ASSERT_TRUE(R.Ok) << R.Error.Message;
+  EXPECT_EQ(R.Output, "-9223372036854775808\n");
+
+  // Each expression overflows in the VM's Mul, Add, Sub or NegI handler;
+  // T-GEN's closed evaluator must compute the same wrapped value.
+  for (const char *E :
+       {"3037000500 * 3037000500", "9223372036854775807 * 2",
+        "(0 - 9223372036854775807) * 3 - 5",
+        "9223372036854775807 + 9223372036854775807",
+        "-(-9223372036854775807 - 1)", "0 - (-9223372036854775807 - 1)"}) {
+    R = runProgram(std::string("program p; begin writeln(") + E + ") end.");
+    ASSERT_TRUE(R.Ok) << E << ": " << R.Error.Message;
+    DiagnosticsEngine Diags;
+    ExprPtr Closed = tgen::parseClassifierExpr(E, Diags);
+    ASSERT_NE(Closed, nullptr) << Diags.str();
+    std::optional<Value> V = tgen::evalClosedExpr(Closed.get(), {});
+    ASSERT_TRUE(V && V->isInt()) << E;
+    EXPECT_EQ(R.Output, V->str() + "\n") << E;
+  }
+}
+
+/// Runs a for loop ending at an extreme of int64 under every loop-tracing
+/// setting: it runs three iterations and stops, traced as three iteration
+/// units when iterations are traced.
+void expectForLoopStopsAtTheLimit(const std::string &Header) {
+  auto Prog = compile("program p; var i, n: integer;"
+                      "begin n := 0; " + Header + " do n := n + 1;"
+                      " writeln(n) end.");
+  ASSERT_TRUE(Prog);
+  for (int Tracing = 0; Tracing != 3; ++Tracing) {
+    InterpOptions Opts;
+    Opts.TraceLoops = Tracing >= 1;
+    Opts.TraceIterations = Tracing == 2;
+    Opts.MaxSteps = 1000; // a runaway loop fails fast
+    ExecResult R;
+    auto Tree = trace::buildExecTree(*Prog, Opts, {}, &R);
+    ASSERT_TRUE(R.Ok) << Header << ": " << R.Error.Message;
+    EXPECT_EQ(R.Output, "3\n") << Header;
+    unsigned Loops = 0, Iterations = 0;
+    Tree->forEachNode([&](trace::ExecNode *N) {
+      Loops += N->getKind() == UnitKind::Loop;
+      Iterations += N->getKind() == UnitKind::Iteration;
+    });
+    EXPECT_EQ(Loops, Opts.TraceLoops ? 1u : 0u) << Header;
+    EXPECT_EQ(Iterations, Opts.TraceIterations ? 3u : 0u) << Header;
+  }
+}
+
+TEST(InterpreterTest, ForLoopEndingAtAnInt64ExtremeStops) {
+  expectForLoopStopsAtTheLimit(
+      "for i := 9223372036854775805 to 9223372036854775807");
+  expectForLoopStopsAtTheLimit(
+      "for i := -9223372036854775806 downto -9223372036854775807 - 1");
+}
+
+// Array value semantics over shared payloads ---------------------------------
+
+TEST(InterpreterTest, FunctionReturnsArray) {
+  auto R = runProgram("program p; type arr = array[1..3] of integer;"
+                      "var a, b: arr;"
+                      "function squares(n: integer): arr;"
+                      "var t: arr; i: integer;"
+                      "begin for i := 1 to 3 do t[i] := (n + i) * (n + i);"
+                      " squares := t; end;"
+                      "begin a := squares(0); b := squares(1); a[1] := -1;"
+                      " end.");
+  ASSERT_TRUE(R.Ok) << R.Error.Message;
+  EXPECT_EQ(findGlobal(R, "a")->str(), "[-1, 4, 9]");
+  EXPECT_EQ(findGlobal(R, "b")->str(), "[4, 9, 16]");
+}
+
+TEST(InterpreterTest, RecordedInputKeepsArrayReadBeforeLaterStore) {
+  // Each unit reads the array (a first read, recorded as an input binding
+  // that shares the cell's elements) and then stores into it: the store
+  // must copy, and leave the recorded input as it was read.
+  auto Prog = compile("program p; type arr = array[1..2] of integer;"
+                      "var a: arr; i: integer;"
+                      "procedure bump; begin a[1] := a[1] + 10; end;"
+                      "procedure bumpv(var v: arr);"
+                      "begin v[2] := v[2] + 100; end;"
+                      "begin a[1] := 1; a[2] := 2; bump; bumpv(a);"
+                      " for i := 1 to 2 do a[i] := 0; end.");
+  ASSERT_TRUE(Prog);
+  InterpOptions Opts;
+  Opts.TraceLoops = true;
+  Opts.TraceIterations = true;
+  ExecResult R;
+  auto Tree = trace::buildExecTree(*Prog, Opts, {}, &R);
+  ASSERT_TRUE(R.Ok) << R.Error.Message;
+  EXPECT_EQ(Tree->str(), "p(Out a: [0, 0], Out i: 2)\n"
+                         "  bump(In a: [1, 2], Out a: [11, 2])\n"
+                         "  bumpv(In v: [11, 2], Out v: [11, 102])\n"
+                         "  p.for#1(In a: [11, 102], Out i: 2, Out a: [0, 0])\n"
+                         "    p.for#1 iteration 1(In i: 1, In a: [11, 102], "
+                         "Out a: [0, 102])\n"
+                         "    p.for#1 iteration 2(In i: 2, In a: [0, 102], "
+                         "Out a: [0, 0])\n");
+
+  // An oracle replay receives the recorded input as its argument; the
+  // replayed routine's stores into its value parameter leave it intact.
+  auto Replay = compile("program p; type arr = array[1..2] of integer;"
+                        "var a: arr;"
+                        "procedure bump(v: arr); begin v[1] := v[1] + 10;"
+                        " end; begin end.");
+  ASSERT_TRUE(Replay);
+  const Binding *In = Tree->getRoot()->firstChild()->findInput("a");
+  ASSERT_NE(In, nullptr);
+  Interpreter I(*Replay);
+  CallOutcome Out = I.callRoutine("bump", {In->V});
+  ASSERT_TRUE(Out.Ok) << Out.Error.Message;
+  EXPECT_EQ(In->V.str(), "[1, 2]");
 }
 
 } // namespace

@@ -66,10 +66,26 @@ TEST(LexerTest, IdentifiersAreLowercased) {
 
 TEST(LexerTest, IntegerLiterals) {
   DiagnosticsEngine Diags;
-  auto Tokens = lex("0 42 123456789", Diags);
+  auto Tokens = lex("0 42 123456789 9223372036854775807", Diags);
+  EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
   EXPECT_EQ(Tokens[0].IntValue, 0);
   EXPECT_EQ(Tokens[1].IntValue, 42);
   EXPECT_EQ(Tokens[2].IntValue, 123456789);
+  EXPECT_EQ(Tokens[3].IntValue, INT64_MAX);
+}
+
+TEST(LexerTest, IntegerLiteralPastInt64MaxIsDiagnosed) {
+  for (const char *Src : {"9223372036854775808", "99999999999999999999"}) {
+    DiagnosticsEngine Diags;
+    auto Tokens = lex(std::string("x := ") + Src, Diags);
+    ASSERT_EQ(Diags.errorCount(), 1u) << Src;
+    EXPECT_NE(Diags.str().find("1:6: error: integer literal out of range"),
+              std::string::npos)
+        << Diags.str();
+    // Lexing goes on past the literal, as after any other lexical error.
+    EXPECT_EQ(Tokens[2].Kind, TokenKind::IntLiteral);
+    EXPECT_EQ(Tokens[3].Kind, TokenKind::Eof);
+  }
 }
 
 TEST(LexerTest, OperatorsAndPunctuation) {

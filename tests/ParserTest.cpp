@@ -235,6 +235,42 @@ TEST(ParserTest, ErrorBadArrayBounds) {
   expectParseError("program p; var a: array[10..1] of integer; begin end.");
 }
 
+TEST(ParserTest, HugeArrayTypesAreRejected) {
+  // The first three passed the parser and Sema before the element limit
+  // and then aborted the process at run time: the first two with a
+  // length_error (the second after a signed overflow counting its
+  // elements), the third with a bad_alloc under a 4 GB address-space
+  // limit (it needs 2.4 GB). The last is one element past the limit.
+  for (const char *Bounds :
+       {"1..9000000000000000000",
+        "-9223372036854775807..9223372036854775807", "1..300000000",
+        "0..1000000"}) {
+    DiagnosticsEngine Diags;
+    std::string Src = std::string("program p; var a: array[") + Bounds +
+                      "] of integer; begin a[1] := 1 end.";
+    EXPECT_EQ(parseAndCheck(Src, Diags), nullptr) << Bounds;
+    EXPECT_NE(Diags.str().find("error: array type has more elements than "
+                               "the limit of 1000000"),
+              std::string::npos)
+        << Diags.str();
+  }
+}
+
+TEST(ParserTest, ArrayAtTheElementLimitRuns) {
+  static_assert(Parser::MaxArrayElements == 1000000);
+  DiagnosticsEngine Diags;
+  std::unique_ptr<Program> Prog =
+      parseAndCheck("program p; var a: array[-499999..500000] of integer;"
+                    " begin a[-499999] := 1; a[500000] := 2;"
+                    " writeln(a[-499999] + a[500000]) end.",
+                    Diags);
+  ASSERT_NE(Prog, nullptr) << Diags.str();
+  interp::Interpreter I(*Prog);
+  interp::ExecResult R = I.run();
+  ASSERT_TRUE(R.Ok) << R.Error.Message;
+  EXPECT_EQ(R.Output, "3\n");
+}
+
 TEST(ParserTest, ErrorMissingEndDot) {
   expectParseError("program p; begin end");
 }

@@ -441,19 +441,22 @@ TEST(DynamicSliceTest, WithoutTrackingOnlyCriterionRemains) {
 
 /// Hand-builds a tree by replaying enter/exit events: \p Parents[i] is the
 /// parent id of node i+1 (0 for the root). Children must follow parents in
-/// id (preorder) order, as the interpreter emits them. \p Outputs go to
-/// node \p OutputsAt.
+/// id (preorder) order, as the interpreter emits them. \p Outputs, with
+/// the parallel dependence sets \p OutputDeps, go to node \p OutputsAt.
 std::unique_ptr<ExecTree>
 syntheticTree(const std::vector<uint32_t> &Parents,
-              std::vector<Binding> Outputs = {}, uint32_t OutputsAt = 1) {
+              std::vector<Binding> Outputs = {},
+              std::vector<DepSet> OutputDeps = {}, uint32_t OutputsAt = 1) {
   ExecTreeBuilder B;
   std::vector<uint32_t> Open; // entered-but-not-exited, innermost last
   auto CloseTo = [&](uint32_t ParentId) {
     while (!Open.empty() && Open.back() != ParentId) {
       uint32_t Id = Open.back();
       Open.pop_back();
-      B.exitUnit(Id, {}, Id == OutputsAt ? std::move(Outputs)
-                                         : std::vector<Binding>{});
+      if (Id == OutputsAt)
+        B.exitUnit(Id, {}, std::move(Outputs), std::move(OutputDeps));
+      else
+        B.exitUnit(Id, {}, {}, {});
     }
   };
   for (uint32_t I = 0; I < Parents.size(); ++I) {
@@ -473,9 +476,9 @@ TEST(DynamicSliceTest, NullCriterionYieldsEmptySlice) {
 }
 
 TEST(DynamicSliceTest, UnknownOutputNameKeepsOnlyCriterion) {
-  Value V = Value::makeInt(7);
-  V.deps().insert(2);
-  auto Tree = syntheticTree({0, 1}, {{"y", V}});
+  DepSet Deps;
+  Deps.insert(2);
+  auto Tree = syntheticTree({0, 1}, {{"y", Value::makeInt(7)}}, {Deps});
   auto Kept = dynamicSlice(Tree->getRoot(), "nosuch");
   EXPECT_EQ(Kept.ids(), (std::vector<uint32_t>{1}));
 }
@@ -484,9 +487,10 @@ TEST(DynamicSliceTest, IntermediateKeptViaMarkedDescendant) {
   // root(1) -> mid(2) -> leaf(3), plus an irrelevant sibling other(4).
   // The output depends only on leaf; mid must be retained purely through
   // the ancestry closure, and other must not.
-  Value V = Value::makeInt(42);
-  V.deps().insert(3);
-  auto Tree = syntheticTree({0, 1, 2, 1}, {{"y", V}});
+  DepSet Deps;
+  Deps.insert(3);
+  auto Tree =
+      syntheticTree({0, 1, 2, 1}, {{"y", Value::makeInt(42)}}, {Deps});
 
   auto Kept = dynamicSlice(Tree->getRoot(), "y");
   EXPECT_EQ(Kept.ids(), (std::vector<uint32_t>{1, 2, 3}));
@@ -523,20 +527,20 @@ TEST(DynamicSliceTest, RunsClampAndCloseLikeTheIdWalk) {
   //  [7, 7]   its parent 5 was marked by the run before;
   //  [9, 9]   inside the subtree: the walk up marks 8;
   //  [11, 13] ends past the subtree: only 11 counts.
-  Value V = Value::makeInt(1);
+  DepSet Deps;
   for (uint32_t Id : {2u, 3u, 4u, 5u, 7u, 9u, 11u, 12u, 13u})
-    V.deps().insert(Id);
+    Deps.insert(Id);
   unsigned Runs = 0;
-  V.deps().forEachRun([&](uint32_t, uint32_t) { ++Runs; });
+  Deps.forEachRun([&](uint32_t, uint32_t) { ++Runs; });
   ASSERT_EQ(Runs, 4u);
-  auto Tree =
-      syntheticTree({0, 1, 2, 1, 4, 5, 5, 4, 8, 8, 4, 1, 12}, {{"y", V}}, 4);
+  auto Tree = syntheticTree({0, 1, 2, 1, 4, 5, 5, 4, 8, 8, 4, 1, 12},
+                            {{"y", Value::makeInt(1)}}, {Deps}, 4);
   const ExecNode *Crit = Tree->getRoot()->nodeAt(4);
   ASSERT_EQ(Crit->subtreeEnd(), 12u);
 
   auto Kept = dynamicSlice(Crit, "y");
   EXPECT_EQ(Kept.ids(), (std::vector<uint32_t>{4, 5, 7, 8, 9, 11}));
-  EXPECT_EQ(Kept, idWalkSlice(Crit, V.deps()));
+  EXPECT_EQ(Kept, idWalkSlice(Crit, Deps));
 }
 
 TEST(DynamicSliceTest, RunsMatchTheIdWalkOnRandomTrees) {
@@ -554,16 +558,17 @@ TEST(DynamicSliceTest, RunsMatchTheIdWalkOnRandomTrees) {
       Path.push_back(Id);
     }
     // Dependences: a few random runs, some reaching outside the tree.
-    Value V = Value::makeInt(0);
+    DepSet Deps;
     for (unsigned K = Below(6); K != 0; --K) {
       uint32_t Lo = Below(N + 3), Len = Below(5);
       for (uint32_t Id = Lo; Id <= Lo + Len; ++Id)
-        V.deps().insert(Id);
+        Deps.insert(Id);
     }
     uint32_t CritId = 1 + Below(N);
-    auto Tree = syntheticTree(Parents, {{"y", V}}, CritId);
+    auto Tree =
+        syntheticTree(Parents, {{"y", Value::makeInt(0)}}, {Deps}, CritId);
     const ExecNode *Crit = Tree->getRoot()->nodeAt(CritId);
-    ASSERT_EQ(dynamicSlice(Crit, "y"), idWalkSlice(Crit, V.deps()))
+    ASSERT_EQ(dynamicSlice(Crit, "y"), idWalkSlice(Crit, Deps))
         << "round " << Round;
   }
 }

@@ -1,5 +1,6 @@
 //===- SupportTest.cpp - Support library and value-model unit tests -------===//
 
+#include "interp/DepSet.h"
 #include "interp/Value.h"
 #include "pascal/Frontend.h"
 #include "pascal/PrettyPrinter.h"
@@ -495,6 +496,57 @@ TEST(ValueTest, ArrayHelpers) {
   EXPECT_EQ(A.at(0), 20);
   A.at(-1) = 99;
   EXPECT_EQ(A.Elems[0], 99);
+}
+
+static_assert(sizeof(interp::Value) == 16,
+              "a Value is a kind tag plus one 64-bit word");
+
+TEST(ValueTest, CopiesShareArrayPayloadUntilOneIsWritten) {
+  using interp::Value;
+  interp::ArrayVal A;
+  A.Lo = 1;
+  A.Hi = 3;
+  A.Elems = {1, 2, 3};
+  Value V = Value::makeArray(A);
+  Value Copy = V;
+  EXPECT_EQ(&V.asArray(), &Copy.asArray()) << "a copy shares the payload";
+  Copy.arrayForWrite().at(2) = 9;
+  EXPECT_NE(&V.asArray(), &Copy.asArray()) << "a shared payload is copied";
+  EXPECT_EQ(V.str(), "[1, 2, 3]");
+  EXPECT_EQ(Copy.str(), "[1, 9, 3]");
+  // The sole holder writes in place.
+  const interp::ArrayVal *Before = &Copy.asArray();
+  Copy.arrayForWrite().at(3) = 7;
+  EXPECT_EQ(&Copy.asArray(), Before);
+  EXPECT_EQ(Copy.str(), "[1, 9, 7]");
+  // Moving leaves the source unset and the payload with the target.
+  Value Moved = std::move(Copy);
+  EXPECT_TRUE(Copy.isUnset());
+  EXPECT_EQ(&Moved.asArray(), Before);
+  EXPECT_TRUE(Value::makeStr("s").equals(Value::makeStr("s")));
+}
+
+TEST(ValueTest, SharedPayloadsCopyAcrossThreads) {
+  // Compiled constants and report databases share payloads between
+  // BatchRunner threads: copies and releases race on the refcount only.
+  using interp::Value;
+  const Value Str = Value::makeStr("shared");
+  interp::ArrayVal A;
+  A.Hi = 2;
+  A.Elems = {4, 5};
+  const Value Arr = Value::makeArray(A);
+  std::vector<std::thread> Threads;
+  for (int T = 0; T != 4; ++T)
+    Threads.emplace_back([&] {
+      for (int I = 0; I != 20000; ++I) {
+        Value S = Str, V = Arr;
+        V.arrayForWrite().at(1) = I; // private copy: Arr is shared
+        ASSERT_EQ(S.asStr(), "shared");
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Arr.str(), "[4, 5]");
 }
 
 //===----------------------------------------------------------------------===//

@@ -163,6 +163,25 @@ TEST(SpecParserNestingTest, OneLevelUnderTheLimitParses) {
   EXPECT_TRUE(rejectedAsTooDeep(Diags));
 }
 
+bool rejectedAsOutOfRange(const DiagnosticsEngine &Diags) {
+  return Diags.str().find("error: integer literal out of range") !=
+         std::string::npos;
+}
+
+TEST(SpecParserTest, LiteralOutOfRangeIsDiagnosed) {
+  // The --assert reproducer: the literal used to abort the process.
+  DiagnosticsEngine Diags;
+  EXPECT_EQ(parseClassifierExpr("y >= 99999999999999999999", Diags), nullptr);
+  EXPECT_TRUE(rejectedAsOutOfRange(Diags)) << Diags.str();
+  DiagnosticsEngine SpecDiags;
+  EXPECT_EQ(parseSpec(whenSpec("y >= 99999999999999999999"), SpecDiags),
+            nullptr);
+  EXPECT_TRUE(rejectedAsOutOfRange(SpecDiags)) << SpecDiags.str();
+  DiagnosticsEngine MaxDiags;
+  EXPECT_NE(parseClassifierExpr("y >= 9223372036854775807", MaxDiags), nullptr)
+      << MaxDiags.str();
+}
+
 //===----------------------------------------------------------------------===//
 // Closed expression evaluation
 //===----------------------------------------------------------------------===//
