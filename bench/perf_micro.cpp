@@ -438,17 +438,15 @@ BENCHMARK(BM_RunArrsumTestSuite);
 
 //===--------------------------------------------------------------------===//
 // Incremental-recompute benchmarks (X13): one edit-commit against a warm
-// EditSession versus a forced cold rebuild of the same program. The
-// sessions live outside the timing loop and each iteration alternates
-// between two variants of the same routine, so every commit is a real
-// edit (the fingerprint diff never short-circuits on identical text).
-// Timing covers commit() only — parsing and checking the staged source is
-// byte-for-byte identical work on both paths (and has its own benchmark,
-// BM_ParseAndCheckFigure4), so the numbers isolate the recompute pipeline
-// the transaction layer actually controls: fingerprint diff, dirty rules,
-// PDG build/replay, summary solve, slice eviction and code splice.
-// GADT_INCREMENTAL=0 forces full rebuilds inside the BM_Incremental*
-// loops — that run is the baseline the CI perf gate compares against.
+// EditSession versus a cold rebuild of the same program. Each iteration
+// alternates between two variants of the same routine, so every commit is
+// a real edit (the fingerprint diff never short-circuits on identical
+// text). Timing covers commit() only — parsing and checking the staged
+// source is byte-for-byte identical work on both paths (and has its own
+// benchmark, BM_ParseAndCheckFigure4), so the numbers isolate the
+// recompute pipeline the transaction layer actually controls: fingerprint
+// diff, dirty rules, PDG build/replay, summary solve, code splice, and
+// destroying the state the commit replaces.
 //===--------------------------------------------------------------------===//
 
 constexpr unsigned kIncLeaves = 24;
@@ -457,25 +455,23 @@ constexpr unsigned kIncLeaves = 24;
 /// which is the regime the incremental machinery exists for.
 constexpr unsigned kIncRounds = 8;
 
-bool incrementalDisabled() {
-  const char *E = getenv("GADT_INCREMENTAL");
-  return E && std::string(E) == "0";
-}
-
+/// Commits each edit into a fresh session: the cold path every first
+/// commit takes. Constructing the session, staging the edit and destroying
+/// the session afterwards are untimed.
 void BM_ColdRebuild(benchmark::State &State) {
-  runtime::EditSessionOptions Opts;
-  Opts.ForceFullRebuild = true;
-  runtime::EditSession S(Opts);
   const std::string A = workload::incrementalEditProgram(kIncLeaves, 1, 1, kIncRounds);
   const std::string B = workload::incrementalEditProgram(kIncLeaves, 1, 2, kIncRounds);
-  S.begin(A).commit();
   bool Flip = false;
   for (auto _ : State) {
     State.PauseTiming();
-    auto T = S.begin(Flip ? A : B);
+    auto S = std::make_unique<runtime::EditSession>();
+    auto T = S->begin(Flip ? A : B);
     State.ResumeTiming();
     auto St = T.commit();
     benchmark::DoNotOptimize(St.PdgRebuilt);
+    State.PauseTiming();
+    S.reset();
+    State.ResumeTiming();
     Flip = !Flip;
   }
 }
@@ -485,9 +481,7 @@ BENCHMARK(BM_ColdRebuild);
 /// the surgical best case: one PDG rebuild, one routine recompiled,
 /// everything else replayed.
 void BM_IncrementalEditLeaf(benchmark::State &State) {
-  runtime::EditSessionOptions Opts;
-  Opts.ForceFullRebuild = incrementalDisabled();
-  runtime::EditSession S(Opts);
+  runtime::EditSession S;
   const std::string A = workload::incrementalEditProgram(kIncLeaves, 1, 1, kIncRounds);
   const std::string B = workload::incrementalEditProgram(kIncLeaves, 1, 2, kIncRounds);
   S.begin(A).commit();
@@ -504,12 +498,10 @@ void BM_IncrementalEditLeaf(benchmark::State &State) {
 BENCHMARK(BM_IncrementalEditLeaf);
 
 /// Re-commit after editing the hub's body: one PDG rebuild too, but the
-/// dirty routine calls every leaf, so the slice-perturbation frontier and
-/// the summary re-solve (hub + main) are as wide as a single edit gets.
+/// dirty routine calls every leaf, so the summary re-solve (hub + main) is
+/// as wide as a single edit gets.
 void BM_IncrementalEditHub(benchmark::State &State) {
-  runtime::EditSessionOptions Opts;
-  Opts.ForceFullRebuild = incrementalDisabled();
-  runtime::EditSession S(Opts);
+  runtime::EditSession S;
   const std::string A = workload::incrementalEditProgram(kIncLeaves, 0, 0, kIncRounds);
   std::string B = A;
   const std::string From = "  b := s;";

@@ -34,6 +34,7 @@
 #include "tgen/SpecParser.h"
 #include "workload/PaperPrograms.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -96,7 +97,15 @@ int main(int argc, char **argv) {
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
     if (InInput) {
-      Input.push_back(std::atoll(Arg.c_str()));
+      int64_t Value = 0;
+      auto [End, Err] =
+          std::from_chars(Arg.data(), Arg.data() + Arg.size(), Value);
+      if (Err != std::errc() || End != Arg.data() + Arg.size()) {
+        obs::logError("gadt_session",
+                      "program input '" + Arg + "' is not a 64-bit integer");
+        return 1;
+      }
+      Input.push_back(Value);
       continue;
     }
     if (Arg == "--") {

@@ -306,19 +306,8 @@ public:
   unsigned numEdges() const { return NumEdges; }
   unsigned numSummaryEdges() const { return NumSummary; }
 
-  /// Number of routines == number of per-routine id ranges (call-graph
-  /// preorder, main first).
-  size_t numRoutines() const { return Ranges.size(); }
-  /// The contiguous [begin, end) id range of the I-th routine's vertices.
-  std::pair<SDGNodeId, SDGNodeId> routineRange(size_t I) const {
-    return {Ranges[I].Begin, Ranges[I].End};
-  }
   /// Whether this build retained replay data (KeepReplayData was set).
   bool hasReplayData() const { return !Pdgs.empty(); }
-  /// Per-routine summary pair sets, sorted; empty unless KeepReplayData.
-  const std::vector<SummaryPairList> &summaryPairs() const {
-    return SummaryPairsV;
-  }
 
   /// Renders all vertices and edges, for debugging.
   std::string str() const;

@@ -57,7 +57,8 @@ struct GADTOptions {
 /// Every member is immutable after construction and safe to share across
 /// concurrently running sessions.
 struct SessionArtifacts {
-  /// Fingerprint of the parsed subject (support/Hashing.h hashProgram).
+  /// Fingerprint of the subject: the FNV-1a hash of its source text
+  /// (support/Hashing.h hashBytes), the key of every runtime cache.
   uint64_t Fingerprint = 0;
   /// The parsed original. Pins the AST (and its TypeContext) that
   /// \c Prepared shares.

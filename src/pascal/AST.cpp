@@ -63,29 +63,41 @@ const char *gadt::pascal::paramModeSpelling(ParamMode Mode) {
 
 namespace {
 
-/// Binding strength used to decide parenthesization when rendering.
+/// Binding strengths, used to decide parenthesization when rendering: the
+/// parser's three binary levels (Parser.cpp parseExpr, parseSimpleExpr,
+/// parseTerm), each left-associative, and the operands of unary operators
+/// and indexing above them.
+enum : int { RelPrec = 1, AddPrec = 2, MulPrec = 3, UnaryPrec = 4 };
+
 int precedenceOf(BinaryOp Op) {
   switch (Op) {
-  case BinaryOp::Or:
-    return 1;
-  case BinaryOp::And:
-    return 2;
   case BinaryOp::Eq:
   case BinaryOp::Ne:
   case BinaryOp::Lt:
   case BinaryOp::Le:
   case BinaryOp::Gt:
   case BinaryOp::Ge:
-    return 3;
+    return RelPrec;
   case BinaryOp::Add:
   case BinaryOp::Sub:
-    return 4;
+  case BinaryOp::Or:
+    return AddPrec;
   case BinaryOp::Mul:
   case BinaryOp::Div:
   case BinaryOp::Mod:
-    return 5;
+  case BinaryOp::And:
+    return MulPrec;
   }
   return 0;
+}
+
+/// Whether \p E renders with a leading minus sign.
+bool printsSign(const Expr *E) {
+  if (const auto *UE = dyn_cast<UnaryExpr>(E))
+    return UE->getOp() == UnaryOp::Neg;
+  if (const auto *IL = dyn_cast<IntLiteralExpr>(E))
+    return IL->getValue() < 0;
+  return false;
 }
 
 void renderExpr(const Expr *E, std::string &Out, int ParentPrec) {
@@ -117,7 +129,7 @@ void renderExpr(const Expr *E, std::string &Out, int ParentPrec) {
     return;
   case Expr::Kind::Index: {
     const auto *IE = cast<IndexExpr>(E);
-    renderExpr(IE->getBase(), Out, 6);
+    renderExpr(IE->getBase(), Out, UnaryPrec);
     Out += '[';
     renderExpr(IE->getIndex(), Out, 0);
     Out += ']';
@@ -138,7 +150,7 @@ void renderExpr(const Expr *E, std::string &Out, int ParentPrec) {
   case Expr::Kind::Unary: {
     const auto *UE = cast<UnaryExpr>(E);
     Out += UE->getOp() == UnaryOp::Neg ? "-" : "not ";
-    renderExpr(UE->getOperand(), Out, 6);
+    renderExpr(UE->getOperand(), Out, UnaryPrec);
     return;
   }
   case Expr::Kind::Binary: {
@@ -147,7 +159,14 @@ void renderExpr(const Expr *E, std::string &Out, int ParentPrec) {
     bool Paren = Prec < ParentPrec;
     if (Paren)
       Out += '(';
+    // A leading minus on the left of a multiplying operator would reparse
+    // as the sign of the whole term (`-a * b` is `-(a * b)`).
+    bool SignParen = Prec == MulPrec && printsSign(BE->getLHS());
+    if (SignParen)
+      Out += '(';
     renderExpr(BE->getLHS(), Out, Prec);
+    if (SignParen)
+      Out += ')';
     Out += ' ';
     Out += binaryOpSpelling(BE->getOp());
     Out += ' ';

@@ -7,8 +7,8 @@
 /// \file
 /// Old→new node correspondence across an edit. The incremental runtime
 /// commits every edit as a fresh parse of the whole source; cached
-/// per-routine artifacts (PDG arenas, compiled bytecode, slice node sets)
-/// hold pointers into the *old* AST. For routines whose body fingerprint
+/// per-routine artifacts (PDG arenas, compiled bytecode, call sites,
+/// effect sets) hold pointers into the *old* AST. For routines whose body fingerprint
 /// did not change, the old and new ASTs are structurally identical, so
 /// their sema-assigned preorder id blocks align one-to-one: the k-th id of
 /// the old block corresponds to the k-th id of the new one. AstMap records

@@ -67,7 +67,7 @@ struct SessionResult {
   std::string UnitName;
   std::string WrongOutput;
   std::string Message;
-  uint64_t Fingerprint = 0;
+  uint64_t Fingerprint = 0; ///< the subject's source-text hash
   core::SessionStats Stats;
 
   /// Canonical rendering of everything above including the full dialogue —

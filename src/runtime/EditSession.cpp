@@ -7,9 +7,8 @@
 #include "obs/Trace.h"
 #include "pascal/ASTMatch.h"
 #include "pascal/Frontend.h"
-#include "support/NodeSet.h"
+#include "support/Hashing.h"
 
-#include <algorithm>
 #include <unordered_map>
 
 using namespace gadt;
@@ -62,16 +61,11 @@ effectSigsFor(const analysis::SideEffectAnalysis &SE,
 
 } // namespace
 
-EditSession::EditSession(EditSessionOptions O) : Opts(O) {}
+EditSession::EditSession() = default;
 
 EditSession::~EditSession() = default;
 
 EditTransaction EditSession::begin(const std::string &Source) {
-  if (Retired.Prog) {
-    // Deferred reclamation of the state the last commit replaced.
-    obs::Span Reclaim("incremental.reclaim", "runtime");
-    Retired = State();
-  }
   EditTransaction T;
   T.Session = this;
   DiagnosticsEngine Diags;
@@ -79,15 +73,6 @@ EditTransaction EditSession::begin(const std::string &Source) {
   if (!P) {
     T.Errors = Diags.str();
     return T;
-  }
-  if (Opts.Transform) {
-    DiagnosticsEngine TDiags;
-    transform::TransformStats TS;
-    if (!transform::transformProgramInPlace(*P, TDiags, TS)) {
-      T.Errors = TDiags.str();
-      return T;
-    }
-    T.TransformInfo = std::move(TS);
   }
   T.Prog = std::shared_ptr<const Program>(std::move(P));
   return T;
@@ -114,13 +99,12 @@ void EditSession::coldBuild(
   S.RoutinesDirty = N;
   S.PdgRebuilt = N;
   S.SummaryRecomputed = N;
-  S.SlicesInvalidated = static_cast<unsigned>(St.Slices.size());
   analysis::SDGBuildOptions O;
   O.KeepReplayData = true;
   O.SharedCG = Staged.CG;
   O.SharedSEA = std::move(SEA);
   Staged.Graph = std::make_unique<analysis::SDG>(*Staged.Prog, O);
-  Staged.Code = bytecode::compile(*Staged.Prog, Opts.Checked);
+  Staged.Code = bytecode::compile(*Staged.Prog, /*Checked=*/false);
   S.CodeRecompiled = Staged.Code ? N : 0;
 }
 
@@ -141,8 +125,7 @@ IncrementalStats EditSession::commitStaged(
   // Incremental commits need the same routines in the same preorder
   // positions; adding, removing or reordering routines shifts every index
   // the reuse machinery keys on, so those edits rebuild cold.
-  bool CanIncrement = !Opts.ForceFullRebuild && St.Prog && St.Graph &&
-                      St.Graph->hasReplayData() &&
+  bool CanIncrement = St.Prog && St.Graph && St.Graph->hasReplayData() &&
                       St.Fps.size() == Staged.Fps.size();
   if (CanIncrement)
     for (size_t I = 0; I != St.Fps.size(); ++I)
@@ -171,11 +154,9 @@ IncrementalStats EditSession::commitStaged(
     coldBuild(Staged, std::move(SEA), S);
   } else {
     const size_t N = Staged.Fps.size();
-    std::unordered_map<const RoutineDecl *, size_t> OldIdx, NewIdx;
-    for (size_t I = 0; I != N; ++I) {
-      OldIdx[St.Fps[I].Routine] = I;
+    std::unordered_map<const RoutineDecl *, size_t> NewIdx;
+    for (size_t I = 0; I != N; ++I)
       NewIdx[Staged.Fps[I].Routine] = I;
-    }
 
     std::vector<char> HeaderChanged(N, 0), FrameChanged(N, 0),
         BodyChanged(N, 0), PdgDirty(N, 0), CodeDirty(N, 0);
@@ -306,83 +287,6 @@ IncrementalStats EditSession::commitStaged(
     S.PdgReplayed = RS.PdgReplayed;
     S.SummaryRecomputed = RS.SummaryRecomputed;
 
-    // Slice eviction. A memoized slice survives when its node set avoids
-    // every old-graph vertex the edit could perturb:
-    //  (a) the id ranges of dirty routines;
-    //  (b) the ranges of routines *called by* dirty routines, in the old
-    //      or new call graph — a dirty caller can add or drop call sites,
-    //      which extends/shrinks the caller-ascension frontier reachable
-    //      from the callee's formal vertices;
-    //  (c) the call-record vertices of calls whose callee's summary pair
-    //      set actually changed (exact post-fixpoint comparison — a clean
-    //      hub whose callee summaries held steady evicts nothing).
-    if (!St.Slices.empty()) {
-      obs::Span SliceSpan("incremental.slices", "runtime");
-      const analysis::SDG &OldG = *St.Graph;
-      const analysis::SDG &NewG = *Staged.Graph;
-      support::NodeSet Perturbed(
-          static_cast<uint32_t>(OldG.nodes().size()));
-      auto MarkRange = [&Perturbed, &OldG](size_t I) {
-        auto R = OldG.routineRange(I);
-        Perturbed.insertRange(R.first, R.second);
-      };
-      for (size_t I = 0; I != N; ++I)
-        if (PdgDirty[I])
-          MarkRange(I);
-      for (const analysis::CallSite &CS : St.CG->allCallSites())
-        if (PdgDirty[OldIdx.at(CS.Caller)])
-          MarkRange(OldIdx.at(CS.Callee));
-      for (const analysis::CallSite &CS : NewCG.allCallSites())
-        if (PdgDirty[NewIdx.at(CS.Caller)])
-          MarkRange(NewIdx.at(CS.Callee));
-      std::vector<char> PairsChanged(N, 0);
-      if (OldG.summaryPairs().size() == N &&
-          NewG.summaryPairs().size() == N)
-        for (size_t I = 0; I != N; ++I)
-          PairsChanged[I] = OldG.summaryPairs()[I] != NewG.summaryPairs()[I];
-      for (uint32_t Id = 0; Id != OldG.nodes().size(); ++Id) {
-        const analysis::SDGCallRecord *Call = OldG.node(Id).getCall();
-        if (!Call)
-          continue;
-        auto It = OldIdx.find(Call->Site.Callee);
-        if (It != OldIdx.end() && PairsChanged[It->second])
-          Perturbed.insert(Id);
-      }
-
-      // Survivors remap id-by-id: a clean routine's arena has the same
-      // node count and order in both graphs, so the per-routine range
-      // delta is a plain shift.
-      std::vector<uint32_t> OldBegins(N);
-      for (size_t I = 0; I != N; ++I)
-        OldBegins[I] = OldG.routineRange(I).first;
-      for (auto &KV : St.Slices) {
-        const slicing::StaticSlice &Slice = *KV.second;
-        std::vector<uint32_t> Ids = Slice.nodes().ids();
-        bool Hit = false;
-        for (uint32_t Id : Ids)
-          if (Perturbed.contains(Id)) {
-            Hit = true;
-            break;
-          }
-        if (Hit) {
-          ++S.SlicesInvalidated;
-          continue;
-        }
-        support::NodeSet Remapped(
-            static_cast<uint32_t>(NewG.nodes().size()));
-        for (uint32_t Id : Ids) {
-          size_t R = static_cast<size_t>(
-              std::upper_bound(OldBegins.begin(), OldBegins.end(), Id) -
-              OldBegins.begin() - 1);
-          Remapped.insert(Id - OldBegins[R] + NewG.routineRange(R).first);
-        }
-        Staged.Slices[KV.first] =
-            std::make_shared<const slicing::StaticSlice>(
-                slicing::sliceFromNodes(NewG, std::move(Remapped)));
-        ++S.SlicesRemapped;
-      }
-    }
-
     // Bytecode: splice clean routines' segments, recompile dirty ones. A
     // previously rejected program (null code) retries a full compile — the
     // edit may have removed whatever overflowed the encoding.
@@ -395,12 +299,12 @@ IncrementalStats EditSession::commitStaged(
       for (size_t I = 0; I != N; ++I)
         CP.Replay[I] = !CodeDirty[I];
       bytecode::CodeRebuildStats CS;
-      Staged.Code =
-          bytecode::compileWithReuse(*Staged.Prog, Opts.Checked, CP, &CS);
+      Staged.Code = bytecode::compileWithReuse(*Staged.Prog,
+                                               /*Checked=*/false, CP, &CS);
       S.CodeRecompiled = CS.Recompiled;
       S.CodeReplayed = CS.Replayed;
     } else {
-      Staged.Code = bytecode::compile(*Staged.Prog, Opts.Checked);
+      Staged.Code = bytecode::compile(*Staged.Prog, /*Checked=*/false);
       S.CodeRecompiled =
           Staged.Code ? static_cast<unsigned>(N) : 0;
     }
@@ -410,11 +314,8 @@ IncrementalStats EditSession::commitStaged(
         ++S.RoutinesDirty;
   }
 
-  // Retire the previous master state instead of destroying it here:
-  // tearing down the old AST, replay arenas and bytecode is linear in
-  // program size, and commit latency is the product surface. The next
-  // begin() reclaims it alongside its own (far larger) parse work.
-  Retired = std::move(St);
+  // Destroys the replaced state (AST, replay arenas, bytecode, slices)
+  // while it is still warm in cache.
   St = std::move(Staged);
   Last = S;
 
@@ -425,8 +326,6 @@ IncrementalStats EditSession::commitStaged(
     Span.arg("pdg_rebuilt", S.PdgRebuilt);
     Span.arg("pdg_replayed", S.PdgReplayed);
     Span.arg("summary_recomputed", S.SummaryRecomputed);
-    Span.arg("slices_invalidated", S.SlicesInvalidated);
-    Span.arg("slices_remapped", S.SlicesRemapped);
     Span.arg("code_recompiled", S.CodeRecompiled);
     Span.arg("code_replayed", S.CodeReplayed);
   }

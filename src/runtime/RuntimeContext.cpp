@@ -24,8 +24,9 @@ std::string RuntimeStats::str() const {
          std::to_string(Subjects) + " (miss/total)";
 }
 
-/// One parsed program plus its fingerprint; parse failures cache their
-/// diagnostics so repeated bad sources fail fast.
+/// One parsed program plus its fingerprint (the hash of its source text,
+/// the key of every cache); parse failures cache their diagnostics so
+/// repeated bad sources fail fast.
 struct RuntimeContext::ProgramEntry {
   std::shared_ptr<const pascal::Program> Program; ///< null on failure
   uint64_t Fingerprint = 0;
@@ -47,9 +48,8 @@ RuntimeContext::internEntry(const std::string &Source,
         auto Entry = std::make_shared<ProgramEntry>();
         DiagnosticsEngine Local;
         Entry->Program = pascal::parseAndCheck(Source, Local);
-        if (Entry->Program)
-          Entry->Fingerprint = hashProgram(*Entry->Program);
-        else
+        Entry->Fingerprint = SourceHash;
+        if (!Entry->Program)
           Entry->Errors = Local.str();
         return Entry;
       },
@@ -69,8 +69,7 @@ RuntimeContext::internProgram(const std::string &Source,
 
 std::shared_ptr<const CodeEntry>
 RuntimeContext::compiled(uint64_t Fingerprint, bool Transformed,
-                         std::shared_ptr<const pascal::Program> Prepared,
-                         std::shared_ptr<const pascal::Program> Pin) {
+                         std::shared_ptr<const pascal::Program> Prepared) {
   std::pair<uint64_t, bool> Key{Fingerprint, Transformed};
   obs::Span Span("cache.code", "cache");
   bool WasMiss = false;
@@ -79,7 +78,6 @@ RuntimeContext::compiled(uint64_t Fingerprint, bool Transformed,
       [&]() -> std::shared_ptr<const CodeEntry> {
         auto Entry = std::make_shared<CodeEntry>();
         Entry->Prepared = Prepared;
-        Entry->OriginalPin = Pin;
         Entry->Code = bytecode::compile(*Prepared, /*Checked=*/false);
         return Entry;
       },
@@ -94,8 +92,7 @@ RuntimeContext::internCompiled(const std::string &Source,
   std::shared_ptr<const ProgramEntry> P = internEntry(Source, Diags);
   if (!P->Program)
     return nullptr;
-  return compiled(P->Fingerprint, /*Transformed=*/false, P->Program,
-                  P->Program);
+  return compiled(P->Fingerprint, /*Transformed=*/false, P->Program);
 }
 
 std::shared_ptr<const core::SessionArtifacts>
@@ -111,6 +108,7 @@ RuntimeContext::prepare(const std::string &Source,
   auto Artifacts = std::make_shared<core::SessionArtifacts>();
   Artifacts->Fingerprint = Fingerprint;
   Artifacts->Subject = Subject;
+  Artifacts->Prepared = Subject;
 
   if (Opts.Transform) {
     obs::Span Span("cache.transform", "cache");
@@ -119,7 +117,6 @@ RuntimeContext::prepare(const std::string &Source,
         Fingerprint,
         [&]() -> std::shared_ptr<const TransformEntry> {
           auto Entry = std::make_shared<TransformEntry>();
-          Entry->Original = Subject;
           DiagnosticsEngine Local;
           transform::TransformResult R =
               transform::transformProgram(*Subject, Local);
@@ -140,39 +137,23 @@ RuntimeContext::prepare(const std::string &Source,
     }
     Artifacts->Prepared = X->Transformed;
     Artifacts->TransformInfo = X->Stats;
-    // Pin the original the transformed clone's TypeContext belongs to.
-    Artifacts->Subject = X->Original;
-  } else {
-    Artifacts->Prepared = Subject;
   }
 
   if (Opts.Debugger.Slicing == core::SliceMode::Static) {
     std::pair<uint64_t, bool> SdgKey{Fingerprint, Opts.Transform};
-    std::shared_ptr<const pascal::Program> Prepared = Artifacts->Prepared;
-    std::shared_ptr<const pascal::Program> Pin = Artifacts->Subject;
+    const pascal::Program &Prepared = *Artifacts->Prepared;
     obs::Span Span("cache.sdg", "cache");
     bool WasMiss = false;
-    std::shared_ptr<const SdgEntry> G = Sdgs.getOrBuild(
+    Artifacts->Sdg = Sdgs.getOrBuild(
         SdgKey,
-        [&]() -> std::shared_ptr<const SdgEntry> {
-          auto Entry = std::make_shared<SdgEntry>();
-          Entry->Prepared = Prepared;
-          Entry->OriginalPin = Pin;
+        [&]() -> std::shared_ptr<const analysis::SDG> {
           // Ids are identical for any thread count, so the parallel
           // per-routine build is safe to use under the shared cache.
-          Entry->Graph = std::make_unique<const analysis::SDG>(
-              *Prepared, analysis::SDGBuildOptions{0});
-          return Entry;
+          return std::make_shared<const analysis::SDG>(
+              Prepared, analysis::SDGBuildOptions{0});
         },
         &WasMiss);
     Span.arg("hit", !WasMiss);
-    // Alias the SDG's lifetime to its cache entry, and debug the exact
-    // program object the graph was built over — textual variants of one
-    // fingerprint intern as distinct ASTs, but slices resolve by pointer.
-    Artifacts->Sdg =
-        std::shared_ptr<const analysis::SDG>(G, G->Graph.get());
-    Artifacts->Prepared = G->Prepared;
-    Artifacts->Subject = G->OriginalPin;
     // Hand sessions a slice provider backed by the shared memo. The
     // criterion routine belongs to the cached prepared program, so slices
     // are shared by every session over this subject.
@@ -201,14 +182,8 @@ RuntimeContext::prepare(const std::string &Source,
   }
 
   // Compile-once bytecode for the prepared program (src/bytecode).
-  // Textual variants of one fingerprint intern as distinct ASTs when
-  // transformation is off; compiled code binds to the AST it was built
-  // over, so only hand out code whose program is the one this session
-  // executes (otherwise the interpreter compiles privately).
-  std::shared_ptr<const CodeEntry> E = compiled(
-      Fingerprint, Opts.Transform, Artifacts->Prepared, Artifacts->Subject);
-  if (E->Code && E->Code->Prog == Artifacts->Prepared.get())
-    Artifacts->Code = E->Code;
+  Artifacts->Code =
+      compiled(Fingerprint, Opts.Transform, Artifacts->Prepared)->Code;
   return Artifacts;
 }
 

@@ -9,26 +9,32 @@
 /// runtime. A RuntimeContext owns five caches, consulted in order when a
 /// session is prepared:
 ///
-///  - a *program cache*: one parse+check per distinct source text (keyed by
-///    the FNV-1a hash of the text);
-///  - a *transform cache*: one transformation run per program fingerprint
-///    (support/Hashing.h hashProgram — the canonical-print hash, so textual
-///    variants of the same program share one entry);
-///  - an *SDG cache*: one system dependence graph per (fingerprint,
+///  - a *program cache*: one parse+check per distinct source text;
+///  - a *transform cache*: one transformation run per source text;
+///  - an *SDG cache*: one system dependence graph per (source text,
 ///    transformed?) prepared program;
 ///  - a *code cache*: one bytecode compilation (src/bytecode) per
-///    (fingerprint, transformed?) program — sessions trace their subject
+///    (source text, transformed?) program — sessions trace their subject
 ///    and replay their intended program on the cached code instead of
 ///    recompiling; a rejected program caches a null entry;
-///  - a *static-slice memo*: one two-phase slice per (fingerprint,
+///  - a *static-slice memo*: one two-phase slice per (source text,
 ///    transformed?, routine, output-variable) criterion, filled lazily as
 ///    debugging sessions request slices.
+///
+/// Every cache is keyed by the subject's fingerprint: the FNV-1a hash of
+/// its source text (support/Hashing.h hashBytes), computed once per
+/// lookup. Each entry therefore belongs to exactly one interned program;
+/// two texts of one program (differing only in whitespace, comments or
+/// case) are separate subjects with separate entries.
 ///
 /// All cached values are immutable after construction and shared by
 /// std::shared_ptr; each is built exactly once (support/OnceCache.h), so
 /// hit/miss counters are exact. Entries are never invalidated: keys are
-/// content hashes, so a changed program is a different key. A context can
-/// outlive any number of sessions and BatchRunners.
+/// content hashes, so a changed program is a different key. The program
+/// and transform caches pin every program the other caches describe (and
+/// the TypeContext a transformed clone shares) for the context's
+/// lifetime. A context can outlive any number of sessions and
+/// BatchRunners.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,27 +59,19 @@ struct RuntimeStats {
   uint64_t SdgHits = 0, SdgMisses = 0;
   uint64_t CodeHits = 0, CodeMisses = 0;
   uint64_t SliceHits = 0, SliceMisses = 0;
-  /// Distinct program fingerprints seen by the transform cache.
+  /// Distinct source texts seen by the transform cache.
   uint64_t Subjects = 0;
 
   /// One line per cache: "programs 3/13 transforms 1/11 ..." (miss/total).
   std::string str() const;
 };
 
-/// One transformation run, pinned together with the original program whose
-/// TypeContext the transformed clone shares.
+/// One transformation run. The transformed clone shares the TypeContext
+/// of the original, which the program cache pins.
 struct TransformEntry {
-  std::shared_ptr<const pascal::Program> Original;
   std::shared_ptr<const pascal::Program> Transformed; ///< null on failure
   transform::TransformStats Stats;
   std::string Errors; ///< diagnostics of a failed run
-};
-
-/// One dependence graph, pinning the prepared program it describes.
-struct SdgEntry {
-  std::shared_ptr<const pascal::Program> Prepared;
-  std::shared_ptr<const pascal::Program> OriginalPin;
-  std::unique_ptr<const analysis::SDG> Graph;
 };
 
 /// One bytecode compilation, pinning the program it was compiled from.
@@ -81,7 +79,6 @@ struct SdgEntry {
 /// the rejection is decided once per program).
 struct CodeEntry {
   std::shared_ptr<const pascal::Program> Prepared;
-  std::shared_ptr<const pascal::Program> OriginalPin;
   std::shared_ptr<const bytecode::CompiledProgram> Code;
 };
 
@@ -112,9 +109,8 @@ public:
   /// \p Source parsed (interned as by internProgram) and compiled
   /// untransformed, from the code cache — how runSession hands its
   /// IntendedProgramOracle a program to replay units on. The entry's
-  /// Prepared program is the one its Code was compiled from: a textual
-  /// variant of \p Source when one of the same fingerprint was cached
-  /// first. Returns null on compile errors (\p Diags explains).
+  /// Prepared program is the interned parse of \p Source. Returns null on
+  /// compile errors (\p Diags explains).
   std::shared_ptr<const CodeEntry> internCompiled(const std::string &Source,
                                                   DiagnosticsEngine &Diags);
 
@@ -124,24 +120,26 @@ private:
   struct ProgramEntry;
 
   /// The program cache lookup behind internProgram: the entry carries the
-  /// fingerprint computed when the source was first parsed.
+  /// fingerprint (source-text hash) it is cached under.
   std::shared_ptr<const ProgramEntry> internEntry(const std::string &Source,
                                                   DiagnosticsEngine &Diags);
   /// The code cache lookup for \p Prepared under (\p Fingerprint,
-  /// \p Transformed); a miss compiles \p Prepared and pins \p Pin.
+  /// \p Transformed); a miss compiles \p Prepared.
   std::shared_ptr<const CodeEntry>
   compiled(uint64_t Fingerprint, bool Transformed,
-           std::shared_ptr<const pascal::Program> Prepared,
-           std::shared_ptr<const pascal::Program> Pin);
+           std::shared_ptr<const pascal::Program> Prepared);
 
   /// Key of the slice memo: (fingerprint, transformed?, routine-name
   /// symbol, output-variable symbol). Symbol ids are process-stable for
   /// equal strings, so the key carries no string payload.
   using SliceKey = std::tuple<uint64_t, bool, uint32_t, uint32_t>;
 
-  OnceCache<uint64_t, ProgramEntry> Programs;        // by source-text hash
-  OnceCache<uint64_t, TransformEntry> Transforms;    // by program fingerprint
-  OnceCache<std::pair<uint64_t, bool>, SdgEntry> Sdgs;
+  // Every key starts with the source-text hash. The program and transform
+  // caches are declared first, so the graphs, code and slices that point
+  // into their programs are destroyed before them.
+  OnceCache<uint64_t, ProgramEntry> Programs;
+  OnceCache<uint64_t, TransformEntry> Transforms;
+  OnceCache<std::pair<uint64_t, bool>, analysis::SDG> Sdgs;
   OnceCache<std::pair<uint64_t, bool>, CodeEntry> Codes;
   OnceCache<SliceKey, slicing::StaticSlice> Slices;
 };

@@ -77,16 +77,6 @@ gadt::slicing::backwardSlice(const SDG &G,
   return Result;
 }
 
-StaticSlice gadt::slicing::sliceFromNodes(const SDG &G,
-                                          support::NodeSet Ids) {
-  StaticSlice Result;
-  Result.G = &G;
-  Result.Count = Ids.size();
-  Result.Ids = std::move(Ids);
-  Result.Cache = std::make_shared<StaticSlice::Lazy>();
-  return Result;
-}
-
 StaticSlice gadt::slicing::sliceOnRoutineOutput(const SDG &G,
                                                 const RoutineDecl *R,
                                                 const std::string &VarName) {

@@ -84,8 +84,6 @@ private:
   friend StaticSlice
   backwardSlice(const analysis::SDG &,
                 const std::vector<analysis::SDGNodeId> &);
-  friend StaticSlice sliceFromNodes(const analysis::SDG &,
-                                    support::NodeSet);
 
   struct Views {
     std::unordered_set<const pascal::Stmt *> Stmts;
@@ -120,13 +118,6 @@ private:
 /// Computes the backward slice of \p G from \p Criteria.
 StaticSlice backwardSlice(const analysis::SDG &G,
                           const std::vector<analysis::SDGNodeId> &Criteria);
-
-/// Wraps an already-computed id set as a slice over \p G. The incremental
-/// runtime uses this to replay a memoized slice onto a rebuilt graph after
-/// shifting its ids by the per-routine range deltas; the caller is
-/// responsible for the set actually being the backward closure of its
-/// criterion in \p G.
-StaticSlice sliceFromNodes(const analysis::SDG &G, support::NodeSet Ids);
 
 /// Slice with respect to output variable \p VarName of routine \p R — the
 /// criterion the debugger produces when the user flags one erroneous output

@@ -1,16 +1,14 @@
-//===- Hashing.h - Stable hashing and program fingerprints ------*- C++ -*-===//
+//===- Hashing.h - Stable hashing -------------------------------*- C++ -*-===//
 //
 // Part of the GADT project (PLDI'91 GADT reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Stable (process-independent) hashing for the batch runtime's shared
-/// caches. The transform cache, the SDG cache and the static-slice memo are
-/// keyed by a *program fingerprint*: the FNV-1a hash of the canonical
-/// pretty-print of the checked AST, so that textual noise (whitespace,
-/// comments, identifier case) does not defeat sharing, while any semantic
-/// difference changes the key.
+/// Stable (process-independent) 64-bit FNV-1a hashing. The batch runtime
+/// keys its shared caches by the hash of a subject's source text
+/// (runtime/RuntimeContext.h), and the edit session's per-routine
+/// fingerprints fold AST structure with it (pascal/Fingerprint.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,14 +18,8 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace gadt {
-
-namespace pascal {
-class Program;
-class RoutineDecl;
-} // namespace pascal
 
 /// 64-bit FNV-1a offset basis — the seed of an incremental hash.
 inline constexpr uint64_t FnvOffsetBasis = 0xcbf29ce484222325ULL;
@@ -41,45 +33,6 @@ uint64_t hashCombine(uint64_t A, uint64_t B);
 
 /// Renders a hash as 16 lowercase hex digits for logs and reports.
 std::string hashHex(uint64_t H);
-
-/// The stable fingerprint of a checked program: FNV-1a over its canonical
-/// pretty-print. Two programs with the same fingerprint have identical
-/// canonical source, so transformation results, dependence graphs and
-/// static slices computed for one are valid for the other.
-uint64_t hashProgram(const pascal::Program &P);
-
-/// Per-routine fingerprint, the unit of incremental invalidation. The three
-/// component hashes separate the ways an edit can be visible from outside
-/// the routine body:
-///
-/// - HeaderHash covers the caller-visible interface: name, procedure vs
-///   function, return type, and the parameter list (names, modes, types).
-///   A change dirties every caller's PDG and code.
-/// - FrameHash covers the storage frame visible to *nested* routines:
-///   the slot declarations (params, locals, result) and declared labels.
-///   A change dirties everything nested below the routine, whose compiled
-///   cell operands and dependence nodes address this frame.
-/// - BodyHash covers the body's statement tree (kinds, operators, names,
-///   literals — a structural fold equal iff the canonical body prints are
-///   equal); a change dirties the routine's own PDG and compiled code.
-///
-/// FullHash combines all three and answers "did this routine change at
-/// all". Hashes are functions of the canonical form only (never of
-/// pointers or layout), so they are stable across parses of equal source
-/// and across processes.
-struct RoutineFingerprint {
-  const pascal::RoutineDecl *Routine = nullptr;
-  std::string QualifiedName;
-  uint64_t HeaderHash = 0;
-  uint64_t FrameHash = 0;
-  uint64_t BodyHash = 0;
-  uint64_t FullHash = 0;
-};
-
-/// Fingerprints every routine of \p P in declaration preorder (main first),
-/// the same order as analysis::CallGraph::routines() and the SDG's
-/// per-routine id ranges, so the two tables index-align.
-std::vector<RoutineFingerprint> fingerprintRoutines(const pascal::Program &P);
 
 } // namespace gadt
 

@@ -101,9 +101,11 @@ bool gadt::transform::breakGlobalGotos(Program &P, DiagnosticsEngine &Diags,
         return int64_t(0);
       };
 
+      // A goto leaves the set when it is replaced: the rewrite frees it,
+      // and a statement built later may reuse its address.
       std::set<const Stmt *> ToReplace(Gotos.begin(), Gotos.end());
       rewriteStmts(R->getBody(), [&](Stmt *S, SlotEdit &Edit) {
-        if (!ToReplace.count(S))
+        if (!ToReplace.erase(S))
           return;
         const auto *GS = cast<GotoStmt>(S);
         std::vector<StmtPtr> Body;

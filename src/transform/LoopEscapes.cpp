@@ -101,10 +101,11 @@ void rewriteOne(Program &P, RoutineDecl *R, WhileStmt *W,
   };
 
   // 1. Replace each escaping goto with {leave := true; [code := k;]
-  //    goto whilelab}.
+  //    goto whilelab}. Each goto leaves the set when it is replaced: the
+  //    rewrite frees it, and a statement built later may reuse its address.
   std::set<const Stmt *> ToReplace(Escapes.begin(), Escapes.end());
   rewriteStmts(R->getBody(), [&](Stmt *S, SlotEdit &Edit) {
-    if (!ToReplace.count(S))
+    if (!ToReplace.erase(S))
       return;
     const auto *GS = cast<GotoStmt>(S);
     std::vector<StmtPtr> Body;

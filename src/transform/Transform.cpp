@@ -11,36 +11,37 @@ using namespace gadt;
 using namespace gadt::transform;
 using namespace gadt::pascal;
 
-bool gadt::transform::transformProgramInPlace(Program &P,
-                                              DiagnosticsEngine &Diags,
-                                              TransformStats &Stats,
-                                              TransformOptions Opts) {
+namespace {
+
+/// Runs the three passes on \p P in place. Returns success; on failure \p P
+/// is left partially transformed.
+bool transformProgramInPlace(Program &P, DiagnosticsEngine &Diags,
+                             TransformStats &Stats) {
   // Goto passes can enable each other (a broken goto lands inside a loop, a
   // loop escape produces a new non-local goto), so alternate to fixpoint.
   for (unsigned Round = 0; Round < 100; ++Round) {
     unsigned Before = Stats.LoopsRewritten + Stats.GotosBroken;
-    if (Opts.RewriteLoopEscapes && !rewriteLoopEscapes(P, Diags, Stats))
+    if (!rewriteLoopEscapes(P, Diags, Stats))
       return false;
-    if (Opts.BreakGlobalGotos && !breakGlobalGotos(P, Diags, Stats))
+    if (!breakGlobalGotos(P, Diags, Stats))
       return false;
     unsigned After = Stats.LoopsRewritten + Stats.GotosBroken;
     if (After == Before)
       break;
   }
 
-  if (Opts.GlobalsToParams && !convertGlobalsToParams(P, Diags, Stats))
-    return false;
-  return true;
+  return convertGlobalsToParams(P, Diags, Stats);
 }
 
+} // namespace
+
 TransformResult gadt::transform::transformProgram(const Program &P,
-                                                  DiagnosticsEngine &Diags,
-                                                  TransformOptions Opts) {
+                                                  DiagnosticsEngine &Diags) {
   obs::Span Span("transform", "transform");
   TransformResult Result;
   std::unique_ptr<Program> Work = P.clone();
 
-  if (!transformProgramInPlace(*Work, Diags, Result.Stats, Opts))
+  if (!transformProgramInPlace(*Work, Diags, Result.Stats))
     return Result;
 
   Result.Transformed = std::move(Work);

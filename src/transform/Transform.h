@@ -46,13 +46,6 @@
 namespace gadt {
 namespace transform {
 
-/// Which passes to run (all by default).
-struct TransformOptions {
-  bool RewriteLoopEscapes = true;
-  bool BreakGlobalGotos = true;
-  bool GlobalsToParams = true;
-};
-
 /// What a transformation run did, for reporting and for the transparent
 /// original<->transformed presentation.
 struct TransformStats {
@@ -69,21 +62,11 @@ struct TransformResult {
   TransformStats Stats;
 };
 
-/// Runs the configured passes on a clone of \p P. On failure (diagnostics
-/// in \p Diags) Transformed is null. The clone shares \p P's TypeContext,
-/// so \p P must outlive the result.
+/// Runs the three passes on a clone of \p P. On failure (diagnostics in
+/// \p Diags) Transformed is null. The clone shares \p P's TypeContext, so
+/// \p P must outlive the result.
 TransformResult transformProgram(const pascal::Program &P,
-                                 DiagnosticsEngine &Diags,
-                                 TransformOptions Opts = TransformOptions());
-
-/// Runs the configured passes directly on \p P — for callers that own a
-/// freshly parsed program and want to skip transformProgram's defensive
-/// clone (the incremental edit pipeline re-parses per transaction, so
-/// there is no original to protect). Returns success; on failure \p P is
-/// left partially transformed and should be discarded.
-bool transformProgramInPlace(pascal::Program &P, DiagnosticsEngine &Diags,
-                             TransformStats &Stats,
-                             TransformOptions Opts = TransformOptions());
+                                 DiagnosticsEngine &Diags);
 
 /// Pass 1 (see file comment). Mutates \p P; re-analyzes; returns success.
 bool rewriteLoopEscapes(pascal::Program &P, DiagnosticsEngine &Diags,

@@ -9,7 +9,9 @@
 #include "support/OnceCache.h"
 #include "support/SourceLoc.h"
 #include "support/StringUtils.h"
+#include "transform/Transform.h"
 #include "workload/PaperPrograms.h"
+#include "workload/Payroll.h"
 
 #include <gtest/gtest.h>
 
@@ -553,19 +555,55 @@ TEST(ValueTest, SharedPayloadsCopyAcrossThreads) {
 // Pretty-printer round trips
 //===----------------------------------------------------------------------===//
 
+/// Parses the print of \p P back and expects it to print identically.
+void expectPrintRoundTrips(const pascal::Program &P) {
+  std::string Printed = pascal::printProgram(P);
+  DiagnosticsEngine D;
+  auto Reparsed = pascal::parseAndCheck(Printed, D);
+  ASSERT_TRUE(Reparsed) << D.str() << "\n" << Printed;
+  EXPECT_EQ(pascal::printProgram(*Reparsed), Printed) << "fixed point";
+}
+
 TEST(PrettyPrinterTest, AllPaperProgramsRoundTrip) {
-  for (const char *Src :
-       {workload::Figure4Buggy, workload::Figure2,
-        workload::Section6Globals, workload::Section6GlobalGoto,
-        workload::Section6LoopGoto, workload::ArrsumProgram}) {
-    DiagnosticsEngine D1;
-    auto P1 = pascal::parseAndCheck(Src, D1);
-    ASSERT_TRUE(P1) << D1.str();
-    std::string Printed = pascal::printProgram(*P1);
-    DiagnosticsEngine D2;
-    auto P2 = pascal::parseAndCheck(Printed, D2);
-    ASSERT_TRUE(P2) << D2.str() << "\n" << Printed;
-    EXPECT_EQ(pascal::printProgram(*P2), Printed) << "fixed point";
+  std::vector<std::string> Sources = {
+      workload::Figure4Buggy,       workload::Figure2,
+      workload::Section6Globals,    workload::Section6GlobalGoto,
+      workload::Section6LoopGoto,   workload::ArrsumProgram,
+      workload::PayrollCorrect,     workload::PayrollTaxBug,
+      workload::PayrollOvertimeBug};
+  // Relations under `and`/`or` and right-nested operands: the printer
+  // must parenthesize by the parser's levels (relations lowest, `or` with
+  // `+`, `and` with `*`), not by C's.
+  for (const char *Expr :
+       {"(x > 0) and (y > 0)", "(a < b) or c", "not (p and q)",
+        "(a < b) = (x >= d)", "p or q and (a <> b)"})
+    Sources.push_back(
+        std::string("program e; var a, b, d, x, y: integer; "
+                    "c, p, q, r: boolean; begin r := ") +
+        Expr + "; writeln(r) end.");
+  for (const char *Expr : {"a - (b - c)", "a div (b * c) mod d",
+                           "-a * b", "(-a) * b", "a * -b - -c", "k * a - k"})
+    Sources.push_back(
+        std::string("program e; const k = -5; var a, b, c, d, r: integer; "
+                    "begin r := ") +
+        Expr + "; writeln(r) end.");
+  for (const std::string &Src : Sources) {
+    DiagnosticsEngine D;
+    auto P = pascal::parseAndCheck(Src, D);
+    ASSERT_TRUE(P) << D.str() << "\n" << Src;
+    expectPrintRoundTrips(*P);
+  }
+  // The Section 6 programs after the transformation phase, which adds
+  // `(B) and not leave` loop conditions.
+  for (const char *Src : {workload::Section6Globals,
+                          workload::Section6GlobalGoto,
+                          workload::Section6LoopGoto}) {
+    DiagnosticsEngine D;
+    auto P = pascal::parseAndCheck(Src, D);
+    ASSERT_TRUE(P) << D.str();
+    transform::TransformResult X = transform::transformProgram(*P, D);
+    ASSERT_TRUE(X.Transformed) << D.str();
+    expectPrintRoundTrips(*X.Transformed);
   }
 }
 

@@ -31,11 +31,10 @@ struct Transformed {
   std::unique_ptr<Program> Orig;
   TransformResult Result;
 
-  explicit Transformed(std::string_view Src,
-                       TransformOptions Opts = TransformOptions()) {
+  explicit Transformed(std::string_view Src) {
     Orig = compile(Src);
     DiagnosticsEngine Diags;
-    Result = transformProgram(*Orig, Diags, Opts);
+    Result = transformProgram(*Orig, Diags);
     EXPECT_TRUE(Result.Transformed != nullptr) << Diags.str();
   }
 
@@ -357,6 +356,39 @@ end.
   EXPECT_FALSE(hasNonLocalGotos(T.prog()));
   EXPECT_GE(T.Result.Stats.LoopsRewritten, 1u);
   EXPECT_GE(T.Result.Stats.GotosBroken, 1u);
+  expectEquivalent(*T.Orig, T.prog());
+}
+
+// Two escaping gotos in one loop: replacing the second must not match the
+// fresh `goto whilelab` built for the first, even when it reuses the
+// first goto's freed address (the rewrite used to recurse until the stack
+// ran out).
+TEST(LoopEscapesTest, TwoEscapingGotosInOneLoop) {
+  Transformed T(R"(
+program lg;
+label 9;
+var i: integer;
+begin
+  i := 0;
+  while i < 3 do begin
+    goto 9;
+    goto 9
+  end;
+  9: writeln(i)
+end.
+)");
+  EXPECT_EQ(T.Result.Stats.LoopsRewritten, 1u);
+  expectEquivalent(*T.Orig, T.prog());
+}
+
+TEST(LoopEscapesTest, Section6ExampleWithSecondGoto) {
+  std::string Src = workload::Section6LoopGoto;
+  const std::string Escape = "      goto 9;\n";
+  size_t At = Src.find(Escape);
+  ASSERT_NE(At, std::string::npos);
+  Src.insert(At + Escape.size(), "    if total > 40 then\n      goto 9;\n");
+  Transformed T(Src);
+  EXPECT_EQ(T.Result.Stats.LoopsRewritten, 1u);
   expectEquivalent(*T.Orig, T.prog());
 }
 
