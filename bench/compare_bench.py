@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Diff two perf_micro --json files (or combined baseline files) with a
-regression threshold.
+regression threshold, or check rows of one capture against another row of
+the same capture.
 
 Usage:
   compare_bench.py BASELINE.json CURRENT.json [options]
+  compare_bench.py --within REF CURRENT.json [options]
 
 Options:
   --max-regression R   Fail (exit 1) when current/baseline exceeds R for any
@@ -21,6 +23,12 @@ Options:
                        the same file before comparing. This cancels the
                        absolute speed of the machine, which makes a committed
                        baseline meaningful on different hardware (CI).
+  --within REF         Within-capture mode: no baseline; divide each gated
+                       row of CURRENT by row REF of the same capture and
+                       fail when the quotient exceeds --max-regression (a
+                       ceiling, e.g. 0.5 = "at least 2x faster than REF").
+                       As with --normalize, --min-iters applies to the
+                       gated rows, not to REF.
   --geomean            Append a summary row with the geometric mean of the
                        gated ratios (the single number to quote for a
                        many-benchmark comparison; unlike the arithmetic
@@ -34,7 +42,8 @@ A benchmark name that matches the gate filter but exists in only one of
 the two captures is an error (exit 1): a silently vanished benchmark is
 exactly the failure a perf gate exists to catch — a renamed or deleted
 gated benchmark would otherwise pass forever. Names outside the filter
-are still reported as notes only.
+are still reported as notes only. In within-capture mode a missing REF,
+or a filter that matches no row of the capture, is the same error.
 
 Exit status: 0 when no gated benchmark regressed past the threshold,
 1 otherwise (regression or a gated name missing from one capture), 2 on
@@ -72,18 +81,84 @@ def load_results(path, metric):
     return out, iters
 
 
+def print_geomean(ratios, width):
+    finite = [r for r in ratios if 0 < r < float("inf")]
+    if finite:
+        gm = math.exp(sum(math.log(r) for r in finite) / len(finite))
+        label = "geomean (gated)"
+        print(f"{label:<{width}}  {'':>12}  {'':>12}  {gm:>6.2f}x  "
+              f"over {len(finite)} benchmark(s)")
+
+
+def compare_within(args, path):
+    """Checks each gated row of one capture against its row args.within."""
+    cur, iters = load_results(path, args.metric)
+    ref = args.within
+    if cur.get(ref, 0) <= 0:
+        print(f"MISSING: reference benchmark {ref!r} absent from {path}")
+        return 1
+    gate = re.compile(args.filter) if args.filter else None
+    rows = [n for n in cur if n != ref and (gate is None or gate.search(n))]
+    if not rows:
+        print(f"MISSING: no benchmark in {path} matches the gate filter "
+              f"{args.filter!r}")
+        return 1
+
+    width = max(len(n) for n in rows + [ref])
+    print(f"{'benchmark':<{width}}  {'row':>12}  {ref:>12}  {'ratio':>7}  "
+          f"verdict   [{args.metric}, ns; ceiling {args.max_regression}x]")
+    failed = []
+    gated_ratios = []
+    for name in rows:
+        ratio = cur[name] / cur[ref]
+        gated = True
+        n = iters.get(name, args.min_iters)
+        if n < args.min_iters:
+            print(f"note: {name}: only {n} iteration(s) in the winning "
+                  f"repetition (< {args.min_iters}); downgraded to info")
+            gated = False
+        if not gated:
+            verdict = "info"
+        else:
+            gated_ratios.append(ratio)
+            verdict = "REGRESSED" if ratio > args.max_regression else "ok"
+            if ratio > args.max_regression:
+                failed.append(name)
+        print(f"{name:<{width}}  {cur[name]:>12.1f}  {cur[ref]:>12.1f}  "
+              f"{ratio:>6.2f}x  {verdict}")
+    if args.geomean:
+        print_geomean(gated_ratios, width)
+    if failed:
+        print(f"\nFAIL: {len(failed)} benchmark(s) above "
+              f"{args.max_regression}x of {ref}: {', '.join(failed)}")
+        return 1
+    print(f"\nOK: every gated benchmark within {args.max_regression}x of "
+          f"{ref} ({len(rows)} compared)")
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("baseline")
-    ap.add_argument("current")
+    ap.add_argument("files", nargs="+", metavar="FILE",
+                    help="BASELINE.json CURRENT.json, or with --within "
+                         "CURRENT.json alone")
     ap.add_argument("--max-regression", type=float, default=1.5)
     ap.add_argument("--filter", default=None)
     ap.add_argument("--metric", default="cpu_ns")
     ap.add_argument("--normalize", default=None)
+    ap.add_argument("--within", default=None)
     ap.add_argument("--geomean", action="store_true")
     ap.add_argument("--min-iters", type=int, default=0)
     args = ap.parse_args()
+
+    if args.within:
+        if len(args.files) != 1 or args.normalize:
+            ap.error("--within takes one capture and no --normalize")
+        return compare_within(args, args.files[0])
+    if len(args.files) != 2:
+        ap.error("expected BASELINE.json CURRENT.json")
+    args.baseline, args.current = args.files
 
     base, base_iters = load_results(args.baseline, args.metric)
     cur, cur_iters = load_results(args.current, args.metric)
@@ -149,13 +224,8 @@ def main():
         print(f"{name:<{width}}  {base[name]:>12.1f}  {cur[name]:>12.1f}  "
               f"{ratio:>6.2f}x  {verdict}")
 
-    if args.geomean and gated_ratios:
-        finite = [r for r in gated_ratios if 0 < r < float("inf")]
-        if finite:
-            gm = math.exp(sum(math.log(r) for r in finite) / len(finite))
-            label = "geomean (gated)"
-            print(f"{label:<{width}}  {'':>12}  {'':>12}  {gm:>6.2f}x  "
-                  f"over {len(finite)} benchmark(s)")
+    if args.geomean:
+        print_geomean(gated_ratios, width)
 
     only_base = sorted(set(base) - set(cur))
     only_cur = sorted(set(cur) - set(base))

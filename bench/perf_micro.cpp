@@ -36,6 +36,8 @@
 #include "workload/PaperPrograms.h"
 #include "workload/Synthetic.h"
 
+#include "perfbench/Calibrate.h"
+
 #include <benchmark/benchmark.h>
 
 #include <fstream>
@@ -92,6 +94,31 @@ void BM_ParseAndCheckChain(benchmark::State &State) {
   State.SetComplexityN(State.range(0));
 }
 BENCHMARK(BM_ParseAndCheckChain)->Range(8, 256)->Complexity();
+
+/// Parse and check of the edit_relocalize hub (the session benchmark's
+/// EditSession subject); the bytes/s column is the frontend's throughput.
+void BM_ParseAndCheckHub(benchmark::State &State) {
+  const std::string Src = workload::incrementalEditProgram(12, 0, 0, 3);
+  for (auto _ : State) {
+    DiagnosticsEngine Diags;
+    auto Prog = pascal::parseAndCheck(Src, Diags);
+    benchmark::DoNotOptimize(Prog);
+  }
+  State.SetBytesProcessed(static_cast<int64_t>(State.iterations()) *
+                          static_cast<int64_t>(Src.size()));
+}
+BENCHMARK(BM_ParseAndCheckHub);
+
+/// The session benchmark's machine-speed kernel (perfbench/Calibrate.cpp).
+/// It calls no GADT code, so the CI perf gates divide by it: a ratio then
+/// cancels the speed of the runner and no layer of the pipeline.
+void BM_CalibrationKernel(benchmark::State &State) {
+  uint64_t Checksum = 0;
+  for (auto _ : State)
+    benchmark::DoNotOptimize(perfbench::kernelMicros(Checksum));
+  benchmark::DoNotOptimize(Checksum);
+}
+BENCHMARK(BM_CalibrationKernel);
 
 void BM_TraceFigure4(benchmark::State &State) {
   auto Prog = compileOrDie(workload::Figure4Buggy);

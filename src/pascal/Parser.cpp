@@ -34,8 +34,8 @@ bool Parser::NestingScope::descend() {
 std::unique_ptr<Program> Parser::parseProgram() {
   Prog = std::make_unique<Program>();
   TypeTable.clear();
-  TypeTable["integer"] = Prog->types().getIntegerType();
-  TypeTable["boolean"] = Prog->types().getBooleanType();
+  TypeTable.emplace("integer", Prog->types().getIntegerType());
+  TypeTable.emplace("boolean", Prog->types().getBooleanType());
 
   if (!expect(TokenKind::KwProgram, "at start of program"))
     return nullptr;
@@ -44,14 +44,14 @@ std::unique_ptr<Program> Parser::parseProgram() {
     return nullptr;
   }
   SourceLoc Loc = tok().Loc;
-  std::string Name = tok().Text;
+  std::string_view Name = tok().Text;
   consume();
   if (!expect(TokenKind::Semicolon, "after program name"))
     return nullptr;
 
-  auto Main =
-      std::make_unique<RoutineDecl>(Loc, Name, /*IsFunction=*/false,
-                                    /*ReturnType=*/nullptr);
+  auto Main = std::make_unique<RoutineDecl>(Loc, std::string(Name),
+                                            /*IsFunction=*/false,
+                                            /*ReturnType=*/nullptr);
   if (!parseBlock(*Main))
     return nullptr;
   if (!expect(TokenKind::Dot, "after final 'end'"))
@@ -70,8 +70,8 @@ bool Parser::parseBlock(RoutineDecl &R) {
   ConstScopes.push_back(ConstScope());
   // Names declared in this routine shadow outer constants.
   for (const auto &P : R.getParams())
-    ConstScopes.back().Shadowed.insert(P->getName());
-  ConstScopes.back().Shadowed.insert(R.getName());
+    shadow(P->getName());
+  shadow(R.getName());
 
   bool Ok = [&] {
     for (;;) {
@@ -97,7 +97,7 @@ bool Parser::parseBlock(RoutineDecl &R) {
         std::unique_ptr<RoutineDecl> Sub = parseRoutineDecl(R);
         if (!Sub)
           return false;
-        ConstScopes.back().Shadowed.insert(Sub->getName());
+        shadow(Sub->getName());
         // A body arriving for an earlier `forward` declaration completes
         // it; the fresh declaration replaces the placeholder.
         if (RoutineDecl *Fwd = R.findNested(Sub->getName())) {
@@ -149,6 +149,8 @@ bool Parser::parseBlock(RoutineDecl &R) {
       }
     return true;
   }();
+  VisibleConsts -=
+      ConstScopes.back().Ints.size() + ConstScopes.back().Bools.size();
   ConstScopes.pop_back();
   return Ok;
 }
@@ -158,32 +160,36 @@ bool Parser::parseConstSection() {
   bool SawOne = false;
   while (tok().is(TokenKind::Identifier) &&
          peekTok().is(TokenKind::Equal)) {
-    std::string Name = tok().Text;
+    std::string_view Name = tok().Text;
     consume();
     consume(); // '='
+    ConstScope &Scope = ConstScopes.back();
+    auto Define = [&](auto &Map, auto Value) {
+      VisibleConsts += Map.insert_or_assign(std::string(Name), Value).second;
+    };
     bool Negative = consumeIf(TokenKind::Minus);
     if (tok().is(TokenKind::IntLiteral)) {
-      ConstScopes.back().Ints[Name] =
-          Negative ? -tok().IntValue : tok().IntValue;
+      Define(Scope.Ints, Negative ? -tok().IntValue : tok().IntValue);
       consume();
     } else if (!Negative && tok().is(TokenKind::KwTrue)) {
-      ConstScopes.back().Bools[Name] = true;
+      Define(Scope.Bools, true);
       consume();
     } else if (!Negative && tok().is(TokenKind::KwFalse)) {
-      ConstScopes.back().Bools[Name] = false;
+      Define(Scope.Bools, false);
       consume();
     } else {
       int64_t Referenced;
       if (!Negative && tok().is(TokenKind::Identifier) &&
           lookupConstInt(tok().Text, Referenced)) {
-        ConstScopes.back().Ints[Name] = Referenced;
+        Define(Scope.Ints, Referenced);
         consume();
       } else {
         error("expected integer, boolean or constant name after '='");
         return false;
       }
     }
-    ConstScopes.back().Shadowed.erase(Name);
+    if (auto It = Scope.Shadowed.find(Name); It != Scope.Shadowed.end())
+      Scope.Shadowed.erase(It);
     if (!expect(TokenKind::Semicolon, "after constant definition"))
       return false;
     SawOne = true;
@@ -195,7 +201,9 @@ bool Parser::parseConstSection() {
   return true;
 }
 
-ExprPtr Parser::lookupConst(const std::string &Name, SourceLoc Loc) const {
+ExprPtr Parser::lookupConst(std::string_view Name, SourceLoc Loc) const {
+  if (VisibleConsts == 0)
+    return nullptr;
   for (auto It = ConstScopes.rbegin(); It != ConstScopes.rend(); ++It) {
     auto IntIt = It->Ints.find(Name);
     if (IntIt != It->Ints.end())
@@ -209,7 +217,9 @@ ExprPtr Parser::lookupConst(const std::string &Name, SourceLoc Loc) const {
   return nullptr;
 }
 
-bool Parser::lookupConstInt(const std::string &Name, int64_t &Out) const {
+bool Parser::lookupConstInt(std::string_view Name, int64_t &Out) const {
+  if (VisibleConsts == 0)
+    return false;
   for (auto It = ConstScopes.rbegin(); It != ConstScopes.rend(); ++It) {
     auto IntIt = It->Ints.find(Name);
     if (IntIt != It->Ints.end()) {
@@ -243,7 +253,7 @@ bool Parser::parseTypeSection() {
   bool SawOne = false;
   while (tok().is(TokenKind::Identifier) &&
          peekTok().is(TokenKind::Equal)) {
-    std::string Name = tok().Text;
+    std::string_view Name = tok().Text;
     consume();
     consume(); // '='
     const Type *Ty = parseType();
@@ -251,12 +261,12 @@ bool Parser::parseTypeSection() {
       return false;
     if (!expect(TokenKind::Semicolon, "after type definition"))
       return false;
-    if (TypeTable.count(Name)) {
-      error("redefinition of type '" + Name + "'");
+    if (TypeTable.contains(Name)) {
+      error("redefinition of type '" + std::string(Name) + "'");
       return false;
     }
-    TypeTable[Name] = Ty;
-    Prog->getTypeDefs().push_back({Name, Ty});
+    TypeTable.emplace(Name, Ty);
+    Prog->getTypeDefs().push_back({std::string(Name), Ty});
     SawOne = true;
   }
   if (!SawOne) {
@@ -270,7 +280,7 @@ bool Parser::parseVarSection(RoutineDecl &R) {
   consume(); // 'var'
   bool SawOne = false;
   while (tok().is(TokenKind::Identifier)) {
-    std::vector<std::pair<std::string, SourceLoc>> Names;
+    std::vector<std::pair<std::string_view, SourceLoc>> Names;
     for (;;) {
       if (!tok().is(TokenKind::Identifier)) {
         error("expected variable name");
@@ -289,9 +299,9 @@ bool Parser::parseVarSection(RoutineDecl &R) {
     if (!expect(TokenKind::Semicolon, "after variable declaration"))
       return false;
     for (auto &[Name, Loc] : Names) {
-      R.addLocal(std::make_unique<VarDecl>(Loc, Name, Ty,
+      R.addLocal(std::make_unique<VarDecl>(Loc, std::string(Name), Ty,
                                            VarDecl::VarKind::Local));
-      ConstScopes.back().Shadowed.insert(Name);
+      shadow(Name);
     }
     SawOne = true;
   }
@@ -311,10 +321,10 @@ std::unique_ptr<RoutineDecl> Parser::parseRoutineDecl(RoutineDecl &Parent) {
     return nullptr;
   }
   SourceLoc Loc = tok().Loc;
-  std::string Name = tok().Text;
+  std::string_view Name = tok().Text;
   consume();
 
-  auto R = std::make_unique<RoutineDecl>(Loc, Name, IsFunction,
+  auto R = std::make_unique<RoutineDecl>(Loc, std::string(Name), IsFunction,
                                          /*ReturnType=*/nullptr);
   if (tok().is(TokenKind::LParen) && !parseParamList(*R))
     return nullptr;
@@ -326,7 +336,8 @@ std::unique_ptr<RoutineDecl> Parser::parseRoutineDecl(RoutineDecl &Parent) {
     if (!RetTy)
       return nullptr;
     // Rebuild with the return type (it is immutable on RoutineDecl).
-    auto WithRet = std::make_unique<RoutineDecl>(Loc, Name, true, RetTy);
+    auto WithRet =
+        std::make_unique<RoutineDecl>(Loc, R->getName(), true, RetTy);
     WithRet->getParams() = std::move(R->getParams());
     R = std::move(WithRet);
   }
@@ -360,7 +371,7 @@ bool Parser::parseParamList(RoutineDecl &R) {
     else if (consumeIf(TokenKind::KwOut))
       Mode = ParamMode::Out;
 
-    std::vector<std::pair<std::string, SourceLoc>> Names;
+    std::vector<std::pair<std::string_view, SourceLoc>> Names;
     for (;;) {
       if (!tok().is(TokenKind::Identifier)) {
         error("expected parameter name");
@@ -377,7 +388,7 @@ bool Parser::parseParamList(RoutineDecl &R) {
     if (!Ty)
       return false;
     for (auto &[Name, Loc] : Names)
-      R.addParam(std::make_unique<VarDecl>(Loc, Name, Ty,
+      R.addParam(std::make_unique<VarDecl>(Loc, std::string(Name), Ty,
                                            VarDecl::VarKind::Param, Mode));
     if (consumeIf(TokenKind::Semicolon))
       continue;
@@ -407,7 +418,7 @@ const Type *Parser::parseType() {
   if (tok().is(TokenKind::Identifier)) {
     auto It = TypeTable.find(tok().Text);
     if (It == TypeTable.end()) {
-      error("unknown type name '" + tok().Text + "'");
+      error("unknown type name '" + std::string(tok().Text) + "'");
       return nullptr;
     }
     consume();
@@ -599,7 +610,8 @@ StmtPtr Parser::parseFor() {
     error("expected loop variable after 'for'");
     return nullptr;
   }
-  auto LoopVar = std::make_unique<VarRefExpr>(tok().Loc, tok().Text);
+  auto LoopVar =
+      std::make_unique<VarRefExpr>(tok().Loc, std::string(tok().Text));
   consume();
   if (!expect(TokenKind::Assign, "after for-loop variable"))
     return nullptr;
@@ -629,7 +641,7 @@ StmtPtr Parser::parseFor() {
 
 StmtPtr Parser::parseAssignOrCall() {
   SourceLoc Loc = tok().Loc;
-  std::string Name = tok().Text;
+  std::string_view Name = tok().Text;
   consume();
 
   // read/readln/write/writeln are builtin statements.
@@ -669,7 +681,7 @@ StmtPtr Parser::parseAssignOrCall() {
       return nullptr;
     if (!expect(TokenKind::RBracket, "after array index"))
       return nullptr;
-    auto Base = std::make_unique<VarRefExpr>(Loc, Name);
+    auto Base = std::make_unique<VarRefExpr>(Loc, std::string(Name));
     auto Target =
         std::make_unique<IndexExpr>(Loc, std::move(Base), std::move(Idx));
     if (!expect(TokenKind::Assign, "in assignment"))
@@ -682,10 +694,11 @@ StmtPtr Parser::parseAssignOrCall() {
   }
   if (consumeIf(TokenKind::Assign)) {
     if (lookupConst(Name, Loc)) {
-      Diags.error(Loc, "cannot assign to constant '" + Name + "'");
+      Diags.error(Loc, "cannot assign to constant '" + std::string(Name) +
+                           "'");
       return nullptr;
     }
-    auto Target = std::make_unique<VarRefExpr>(Loc, Name);
+    auto Target = std::make_unique<VarRefExpr>(Loc, std::string(Name));
     ExprPtr Value = parseExpr();
     if (!Value)
       return nullptr;
@@ -709,7 +722,8 @@ StmtPtr Parser::parseAssignOrCall() {
     if (!expect(TokenKind::RParen, "after argument list"))
       return nullptr;
   }
-  return std::make_unique<ProcCallStmt>(Loc, Name, std::move(Args));
+  return std::make_unique<ProcCallStmt>(Loc, std::string(Name),
+                                        std::move(Args));
 }
 
 //===----------------------------------------------------------------------===//
@@ -859,7 +873,7 @@ ExprPtr Parser::parseFactor() {
     return std::make_unique<IntLiteralExpr>(Loc, Value);
   }
   case TokenKind::StringLiteral: {
-    std::string Value = tok().Text;
+    std::string Value(tok().Text);
     consume();
     return std::make_unique<StringLiteralExpr>(Loc, std::move(Value));
   }
@@ -919,7 +933,7 @@ ExprPtr Parser::parseFactor() {
     return std::make_unique<ArrayLiteralExpr>(Loc, std::move(Elements));
   }
   case TokenKind::Identifier: {
-    std::string Name = tok().Text;
+    std::string_view Name = tok().Text;
     consume();
     if (tok().is(TokenKind::LParen)) {
       consume();
@@ -936,7 +950,8 @@ ExprPtr Parser::parseFactor() {
       }
       if (!expect(TokenKind::RParen, "after call arguments"))
         return nullptr;
-      return std::make_unique<CallExpr>(Loc, Name, std::move(Args));
+      return std::make_unique<CallExpr>(Loc, std::string(Name),
+                                        std::move(Args));
     }
     if (tok().is(TokenKind::LBracket)) {
       consume();
@@ -945,13 +960,13 @@ ExprPtr Parser::parseFactor() {
         return nullptr;
       if (!expect(TokenKind::RBracket, "after array index"))
         return nullptr;
-      auto Base = std::make_unique<VarRefExpr>(Loc, Name);
+      auto Base = std::make_unique<VarRefExpr>(Loc, std::string(Name));
       return std::make_unique<IndexExpr>(Loc, std::move(Base),
                                          std::move(Idx));
     }
     if (ExprPtr Const = lookupConst(Name, Loc))
       return Const;
-    return std::make_unique<VarRefExpr>(Loc, Name);
+    return std::make_unique<VarRefExpr>(Loc, std::string(Name));
   }
   default:
     error(std::string("expected expression, found ") +

@@ -17,10 +17,10 @@
 #include "pascal/Lexer.h"
 #include "support/Diagnostics.h"
 
+#include <map>
 #include <memory>
 #include <set>
 #include <string_view>
-#include <unordered_map>
 
 namespace gadt {
 namespace pascal {
@@ -101,16 +101,24 @@ private:
 
   // Constant scoping: Pascal `const` names are substituted with their
   // literal values during parsing; declarations in inner scopes shadow
-  // outer constants.
+  // outer constants. The maps look names up by token text (std::less<>),
+  // building no std::string.
   struct ConstScope {
-    std::unordered_map<std::string, int64_t> Ints;
-    std::unordered_map<std::string, bool> Bools;
-    std::set<std::string> Shadowed; ///< var/param/routine names here
+    std::map<std::string, int64_t, std::less<>> Ints;
+    std::map<std::string, bool, std::less<>> Bools;
+    std::set<std::string, std::less<>> Shadowed; ///< var/param/routine names
   };
   /// Looks up \p Name through the scope stack; returns a literal expression
   /// or null when the name is not a visible constant.
-  ExprPtr lookupConst(const std::string &Name, SourceLoc Loc) const;
-  bool lookupConstInt(const std::string &Name, int64_t &Out) const;
+  ExprPtr lookupConst(std::string_view Name, SourceLoc Loc) const;
+  bool lookupConstInt(std::string_view Name, int64_t &Out) const;
+  /// Records that \p Name, declared in the innermost scope, hides the outer
+  /// constants of that name. Nothing is recorded while no constant is
+  /// visible: the outer scopes cannot define one while this scope is open.
+  void shadow(std::string_view Name) {
+    if (VisibleConsts != 0)
+      ConstScopes.back().Shadowed.emplace(Name);
+  }
 
   std::unique_ptr<CompoundStmt> parseCompound();
   StmtPtr parseStatement();
@@ -127,11 +135,14 @@ private:
   ExprPtr parseFactor();
 
   std::unique_ptr<Program> Prog;
-  std::vector<Token> Tokens;
+  TokenBuffer Tokens;
   size_t Index = 0;
   DiagnosticsEngine &Diags;
-  std::unordered_map<std::string, const Type *> TypeTable;
+  std::map<std::string, const Type *, std::less<>> TypeTable;
   std::vector<ConstScope> ConstScopes;
+  /// Constants defined in the open scopes; while there are none, every
+  /// name lookup returns at once.
+  size_t VisibleConsts = 0;
   unsigned Depth = 0; ///< nesting levels open (see MaxNestingDepth)
 };
 

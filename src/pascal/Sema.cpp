@@ -5,6 +5,7 @@
 #include "support/Casting.h"
 
 #include <algorithm>
+#include <string_view>
 #include <unordered_set>
 
 using namespace gadt;
@@ -91,7 +92,10 @@ bool SemaPass::checkRoutineTree(RoutineDecl *R) {
 }
 
 bool SemaPass::checkDuplicateNames(RoutineDecl *R) {
-  std::unordered_set<std::string> Seen;
+  // Views of the declarations' own names: checking copies no name.
+  std::unordered_set<std::string_view> Seen;
+  Seen.reserve(R->getParams().size() + R->getLocals().size() +
+               R->getNested().size());
   auto Check = [&](const std::string &Name, SourceLoc Loc) {
     if (!Seen.insert(Name).second) {
       error(Loc, "redeclaration of '" + Name + "' in " + R->getName());

@@ -17,7 +17,7 @@
 #include "support/SourceLoc.h"
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 namespace gadt {
 namespace pascal {
@@ -90,12 +90,15 @@ enum class TokenKind : uint8_t {
 /// Returns a human-readable spelling for diagnostics ("':='", "'begin'", ...).
 const char *tokenKindName(TokenKind Kind);
 
-/// A single lexed token. \c Text carries the identifier/literal spelling;
-/// \c IntValue the decoded value of integer literals.
+/// A single lexed token. \c Text is the spelling: identifiers lower-cased,
+/// keywords in lower case, string literals without their quotes and with
+/// '' unescaped. It views the source text, a keyword's static spelling, or
+/// the storage of the TokenBuffer the token came from (pascal/Lexer.h);
+/// \c IntValue is the decoded value of integer literals.
 struct Token {
   TokenKind Kind = TokenKind::Eof;
   SourceLoc Loc;
-  std::string Text;
+  std::string_view Text;
   int64_t IntValue = 0;
 
   bool is(TokenKind K) const { return Kind == K; }

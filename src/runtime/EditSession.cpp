@@ -317,7 +317,6 @@ IncrementalStats EditSession::commitStaged(
   // Destroys the replaced state (AST, replay arenas, bytecode, slices)
   // while it is still warm in cache.
   St = std::move(Staged);
-  Last = S;
 
   if (Span.active()) {
     Span.arg("full_rebuild", S.FullRebuild);

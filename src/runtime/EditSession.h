@@ -116,9 +116,6 @@ public:
 
   /// The committed program; null before the first successful commit.
   const pascal::Program *program() const { return St.Prog.get(); }
-  std::shared_ptr<const pascal::Program> programPtr() const {
-    return St.Prog;
-  }
   /// The committed dependence graph; valid until the next commit.
   const analysis::SDG *sdg() const { return St.Graph.get(); }
   /// The committed bytecode; null when the compiler rejected the program.
@@ -131,8 +128,6 @@ public:
   /// until the next commit, which starts an empty memo.
   std::shared_ptr<const slicing::StaticSlice>
   sliceOnOutput(const std::string &Routine, const std::string &Var);
-
-  const IncrementalStats &lastStats() const { return Last; }
 
 private:
   friend class EditTransaction;
@@ -164,7 +159,6 @@ private:
                  IncrementalStats &S);
 
   State St;
-  IncrementalStats Last;
 };
 
 } // namespace runtime

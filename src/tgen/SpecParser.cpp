@@ -92,7 +92,7 @@ private:
   ExprPtr parseWhenMul();
   ExprPtr parseWhenFactor();
 
-  std::vector<Token> Tokens;
+  TokenBuffer Tokens;
   size_t Index = 0;
   DiagnosticsEngine &Diags;
   /// Errors Diags held before this parse (parseStandaloneExpr fails only
@@ -205,14 +205,14 @@ bool SpecParserImpl::parseChoice(Category &Cat) {
           error("expected property name");
           return false;
         }
-        std::string Prop = tok().Text;
+        std::string_view Prop = tok().Text;
         consume();
         if (Prop == "single")
           Ch.Single = true;
         else if (Prop == "error")
           Ch.Error = true;
         else
-          Ch.Properties.push_back(Prop);
+          Ch.Properties.emplace_back(Prop);
         if (!consumeIf(TokenKind::Comma))
           break;
       }
@@ -230,7 +230,7 @@ bool SpecParserImpl::parseChoice(Category &Cat) {
           error("expected name in gen binding");
           return false;
         }
-        std::string Name = tok().Text;
+        std::string Name(tok().Text);
         consume();
         if (!expect(TokenKind::Assign, "in gen binding"))
           return false;
@@ -327,7 +327,7 @@ bool SpecParserImpl::parseSelFactor(Selector &Out) {
     return expect(TokenKind::RParen, "after selector");
   }
   if (tok().is(TokenKind::Identifier)) {
-    Out = Selector::prop(tok().Text);
+    Out = Selector::prop(std::string(tok().Text));
     consume();
     return true;
   }
@@ -515,7 +515,7 @@ ExprPtr SpecParserImpl::parseWhenFactor() {
     return Inner;
   }
   case TokenKind::Identifier: {
-    std::string Name = tok().Text;
+    std::string_view Name = tok().Text;
     consume();
     // Generator builtins (`fill`, `max`, `min`, `abs`) use call syntax.
     if (consumeIf(TokenKind::LParen)) {
@@ -532,9 +532,10 @@ ExprPtr SpecParserImpl::parseWhenFactor() {
       }
       if (!expect(TokenKind::RParen, "after generator arguments"))
         return nullptr;
-      return std::make_unique<CallExpr>(Loc, Name, std::move(Args));
+      return std::make_unique<CallExpr>(Loc, std::string(Name),
+                                        std::move(Args));
     }
-    return std::make_unique<VarRefExpr>(Loc, Name);
+    return std::make_unique<VarRefExpr>(Loc, std::string(Name));
   }
   default:
     error("expected classifier expression");

@@ -4,12 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+
 using namespace gadt;
 using namespace gadt::pascal;
 
 namespace {
 
-std::vector<Token> lex(std::string_view Src, DiagnosticsEngine &Diags) {
+/// The tokens view \p Src and the returned buffer; the caller keeps both.
+TokenBuffer lex(std::string_view Src, DiagnosticsEngine &Diags) {
   Lexer L(Src, Diags);
   return L.lexAll();
 }
@@ -159,6 +163,69 @@ TEST(LexerTest, LocationsTrackLinesAndColumns) {
   EXPECT_EQ(Tokens[0].Loc.Column, 1u);
   EXPECT_EQ(Tokens[1].Loc.Line, 2u);
   EXPECT_EQ(Tokens[1].Loc.Column, 3u);
+}
+
+TEST(LexerTest, IdentifiersThatLookLikeKeywords) {
+  DiagnosticsEngine Diags;
+  auto Tokens = lex("ends iff dot _begin programs do1 Procedures BEGIN", Diags);
+  EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
+  const char *Identifiers[] = {"ends",     "iff", "dot",       "_begin",
+                               "programs", "do1", "procedures"};
+  ASSERT_EQ(Tokens.size(), std::size(Identifiers) + 2);
+  for (size_t I = 0; I != std::size(Identifiers); ++I) {
+    EXPECT_EQ(Tokens[I].Kind, TokenKind::Identifier) << Identifiers[I];
+    EXPECT_EQ(Tokens[I].Text, Identifiers[I]);
+  }
+  // A keyword's text is its lower-case spelling, whatever the source case.
+  EXPECT_EQ(Tokens[7].Kind, TokenKind::KwBegin);
+  EXPECT_EQ(Tokens[7].Text, "begin");
+}
+
+TEST(LexerTest, BytesAbove0x7FAreStrayCharacters) {
+  DiagnosticsEngine Diags;
+  // U+00E9 in UTF-8: two bytes, each its own stray character and column.
+  auto Tokens = lex("x \xC3\xA9 y", Diags);
+  EXPECT_EQ(Diags.errorCount(), 2u);
+  EXPECT_NE(Diags.str().find("1:3: error: stray character '\xC3' in input"),
+            std::string::npos)
+      << Diags.str();
+  EXPECT_NE(Diags.str().find("1:4: error: stray character '\xA9' in input"),
+            std::string::npos)
+      << Diags.str();
+  ASSERT_EQ(Tokens.size(), 5u);
+  EXPECT_EQ(Tokens[1].Kind, TokenKind::Unknown);
+  EXPECT_EQ(Tokens[1].Text, "\xC3");
+  EXPECT_EQ(Tokens[2].Kind, TokenKind::Unknown);
+  EXPECT_EQ(Tokens[3].Kind, TokenKind::Identifier);
+  EXPECT_EQ(Tokens[3].Loc.Column, 6u);
+}
+
+TEST(LexerTest, VerticalTabAndFormFeedAreWhitespace) {
+  DiagnosticsEngine Diags;
+  auto Tokens = lex("a\vb\fc", Diags);
+  EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
+  ASSERT_EQ(Tokens.size(), 4u);
+  for (unsigned I = 0; I != 3; ++I) {
+    EXPECT_EQ(Tokens[I].Kind, TokenKind::Identifier);
+    EXPECT_EQ(Tokens[I].Loc.Column, 1 + 2 * I);
+  }
+}
+
+TEST(LexerTest, RewrittenSpellingsSurviveAMoveOfTheBuffer) {
+  DiagnosticsEngine Diags;
+  std::string Src = "MixedCase 'it''s' plain 'x''''y' UPPER 'ab''cd\n";
+  TokenBuffer Lexed = lex(Src, Diags);
+  TokenBuffer Tokens = std::move(Lexed);
+  ASSERT_EQ(Tokens.size(), 7u);
+  EXPECT_EQ(Tokens[0].Text, "mixedcase");
+  EXPECT_EQ(Tokens[1].Text, "it's");
+  EXPECT_EQ(Tokens[2].Text, "plain");
+  EXPECT_EQ(Tokens[3].Text, "x''y");
+  EXPECT_EQ(Tokens[4].Text, "upper");
+  // An unterminated string keeps its text up to the end of the line.
+  EXPECT_EQ(Tokens[5].Kind, TokenKind::StringLiteral);
+  EXPECT_EQ(Tokens[5].Text, "ab'cd");
+  EXPECT_EQ(Diags.errorCount(), 1u);
 }
 
 TEST(LexerTest, DotDotVersusDot) {

@@ -6,8 +6,16 @@
 #include "pascal/PrettyPrinter.h"
 #include "transform/Transform.h"
 #include "workload/PaperPrograms.h"
+#include "workload/Payroll.h"
+#include "workload/Synthetic.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cctype>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 
 using namespace gadt;
 using namespace gadt::pascal;
@@ -332,6 +340,84 @@ TEST(ParserTest, LocalVariablesShadowOuterConstants) {
   // Outside, n is the constant 7.
   const auto *A = cast<AssignStmt>(Prog->getMain()->getBody()->getBody()[0].get());
   EXPECT_EQ(A->getValue()->str(), "7");
+}
+
+TEST(ParserTest, ConstantNamesIgnoreCase) {
+  auto Prog = parse("program p; const Lim = 3;"
+                    "var x: integer; begin x := LIM; end.");
+  ASSERT_TRUE(Prog);
+  const auto *A = cast<AssignStmt>(Prog->getMain()->getBody()->getBody()[0].get());
+  EXPECT_EQ(A->getValue()->str(), "3");
+}
+
+TEST(ParserTest, NestedRoutineConstantIsHiddenFromItsSibling) {
+  auto Prog = parse("program p; var x: integer;"
+                    "procedure a; const k = 1; begin x := k; end;"
+                    "procedure b; begin x := k; end;"
+                    "begin a; b; end.");
+  ASSERT_TRUE(Prog);
+  auto ValueOf = [&](const char *Routine) {
+    RoutineDecl *R = Prog->getMain()->findNested(Routine);
+    return cast<AssignStmt>(R->getBody()->getBody()[0].get())->getValue();
+  };
+  EXPECT_EQ(ValueOf("a")->getKind(), Expr::Kind::IntLiteral);
+  ASSERT_EQ(ValueOf("b")->getKind(), Expr::Kind::VarRef);
+  EXPECT_EQ(cast<VarRefExpr>(ValueOf("b"))->getName(), "k");
+}
+
+/// \p Src with the case of its letters alternated, except inside string
+/// literals, whose case is part of the program's output.
+std::string scrambleCase(std::string_view Src) {
+  std::string Out(Src);
+  bool InString = false, Upper = false;
+  for (size_t I = 0; I < Out.size(); ++I) {
+    char &C = Out[I];
+    if (!InString && C == '{') {
+      I = std::min(Out.find('}', I), Out.size());
+      continue;
+    }
+    if (!InString && C == '(' && I + 1 < Out.size() && Out[I + 1] == '*') {
+      I = std::min(Out.find("*)", I + 2), Out.size());
+      continue;
+    }
+    if (C == '\'') {
+      InString = !InString;
+      continue;
+    }
+    if (InString || !std::isalpha(static_cast<unsigned char>(C)))
+      continue;
+    C = static_cast<char>(Upper ? std::toupper(C) : std::tolower(C));
+    Upper = !Upper;
+  }
+  return Out;
+}
+
+TEST(ParserTest, CaseScrambledProgramsPrintAsTheOriginal) {
+  std::vector<std::string> Sources = {
+      workload::Figure4Buggy,       workload::Figure4Fixed,
+      workload::Figure2,            workload::Section6Globals,
+      workload::Section6GlobalGoto, workload::Section6LoopGoto,
+      workload::ArrsumProgram,      workload::PayrollCorrect,
+      workload::PayrollTaxBug,      workload::PayrollOvertimeBug,
+      workload::incrementalEditProgram(12, 0, 0, 3)};
+  size_t PaperAndHub = Sources.size();
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(GADT_SAMPLES_DIR))
+    if (Entry.path().extension() == ".pas") {
+      std::ifstream In(Entry.path());
+      Sources.emplace_back(std::istreambuf_iterator<char>(In),
+                           std::istreambuf_iterator<char>());
+    }
+  ASSERT_GT(Sources.size(), PaperAndHub);
+  for (const std::string &Src : Sources) {
+    std::string Scrambled = scrambleCase(Src);
+    ASSERT_NE(Scrambled, Src);
+    DiagnosticsEngine Diags;
+    std::unique_ptr<Program> Original = parseAndCheck(Src, Diags);
+    std::unique_ptr<Program> Copy = parseAndCheck(Scrambled, Diags);
+    ASSERT_TRUE(Original && Copy) << Diags.str() << "\n" << Scrambled;
+    EXPECT_EQ(printProgram(*Copy), printProgram(*Original)) << Scrambled;
+  }
 }
 
 TEST(ParserTest, AssigningToConstantIsAnError) {
