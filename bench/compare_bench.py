@@ -27,8 +27,9 @@ Options:
                        row of CURRENT by row REF of the same capture and
                        fail when the quotient exceeds --max-regression (a
                        ceiling, e.g. 0.5 = "at least 2x faster than REF").
-                       As with --normalize, --min-iters applies to the
-                       gated rows, not to REF.
+                       As with --normalize, a gated row below
+                       --min-iters is downgraded to info; REF below it
+                       fails, since every gated row is divided by it.
   --geomean            Append a summary row with the geometric mean of the
                        gated ratios (the single number to quote for a
                        many-benchmark comparison; unlike the arithmetic
@@ -43,7 +44,8 @@ the two captures is an error (exit 1): a silently vanished benchmark is
 exactly the failure a perf gate exists to catch — a renamed or deleted
 gated benchmark would otherwise pass forever. Names outside the filter
 are still reported as notes only. In within-capture mode a missing REF,
-or a filter that matches no row of the capture, is the same error.
+a REF with fewer than --min-iters iterations, or a filter that matches no
+row of the capture, is the same error.
 
 Exit status: 0 when no gated benchmark regressed past the threshold,
 1 otherwise (regression or a gated name missing from one capture), 2 on
@@ -96,6 +98,12 @@ def compare_within(args, path):
     ref = args.within
     if cur.get(ref, 0) <= 0:
         print(f"MISSING: reference benchmark {ref!r} absent from {path}")
+        return 1
+    ref_iters = iters.get(ref, args.min_iters)
+    if ref_iters < args.min_iters:
+        print(f"FAIL: reference benchmark {ref!r} ran only {ref_iters} "
+              f"iteration(s) in the winning repetition (< {args.min_iters}); "
+              f"its time is too noisy to divide by")
         return 1
     gate = re.compile(args.filter) if args.filter else None
     rows = [n for n in cur if n != ref and (gate is None or gate.search(n))]

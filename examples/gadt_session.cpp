@@ -11,7 +11,10 @@
 //   --dynamic-slicing    use dynamic instead of static slicing
 //   --divide             use divide-and-query instead of top-down search
 //   --trace-loops        treat local loops as debugging units
-//   --assert UNIT EXPR   add a specification assertion for UNIT
+//   --assert UNIT EXPR   add a specification assertion for UNIT: a Pascal
+//                        expression over UNIT's inputs and outputs, with
+//                        Pascal's precedence, so relations joined by
+//                        and/or need parentheses: "(x > 0) and (y > 0)"
 //   --intended FILE      answer queries from this correct program instead
 //                        of asking interactively
 //   --spec FILE          a T-GEN specification with params/gen clauses;

@@ -52,6 +52,27 @@ constexpr int64_t intArith(IntOp Op, int64_t L, int64_t R = 0) {
   return 0;
 }
 
+/// Applies `div` (\p Mod false) or `mod` (\p Mod true) to \p L and \p R as
+/// every evaluator (the VM's DivOp/ModOp handlers and T-GEN's ConstEval)
+/// defines them: the quotient truncates toward zero and the remainder has
+/// the sign of \p L. Stores the result in \p Out and returns null, or
+/// returns the VM's runtime error when there is no result: a zero divisor,
+/// or INT64_MIN div -1, the one quotient int64 cannot hold.
+constexpr const char *intDivMod(bool Mod, int64_t L, int64_t R,
+                                int64_t &Out) {
+  if (R == 0)
+    return Mod ? "modulo by zero" : "division by zero";
+  // The hardware divide traps on INT64_MIN / -1; x mod -1 is 0 for every x.
+  if (R == -1 && L == INT64_MIN) {
+    if (!Mod)
+      return "integer overflow";
+    Out = 0;
+    return nullptr;
+  }
+  Out = Mod ? L % R : L / R;
+  return nullptr;
+}
+
 /// An array value: inclusive bounds plus elements. Pascal arrays have value
 /// semantics (copied on assignment and on value-parameter passing); inside
 /// a Value the copy is deferred until one holder writes an element.

@@ -26,7 +26,7 @@ void Parser::error(const std::string &Message) {
 bool Parser::NestingScope::descend() {
   if (++P.Depth <= MaxNestingDepth)
     return true;
-  P.error("program nests deeper than the limit of " +
+  P.error(std::string(P.InputKind) + " nests deeper than the limit of " +
           std::to_string(MaxNestingDepth) + " levels");
   return false;
 }

@@ -26,7 +26,9 @@ namespace gadt {
 namespace pascal {
 
 /// Parses one program. On any syntax error the parser reports to the
-/// diagnostics engine and returns null from \c parseProgram.
+/// diagnostics engine and returns null from \c parseProgram. The T-GEN
+/// spec parser (tgen/SpecParser.cpp) derives from it, so specifications and
+/// assertions reach parseExpr over the same token cursor and nesting guard.
 class Parser {
 public:
   Parser(std::string_view Source, DiagnosticsEngine &Diags);
@@ -53,7 +55,7 @@ public:
   /// in the paper's programs and the test corpus has 100 elements.
   static constexpr int64_t MaxArrayElements = 1000000;
 
-private:
+protected:
   /// Restores the nesting depth on scope exit; descend() opens one level.
   class NestingScope {
   public:
@@ -144,6 +146,8 @@ private:
   /// name lookup returns at once.
   size_t VisibleConsts = 0;
   unsigned Depth = 0; ///< nesting levels open (see MaxNestingDepth)
+  /// What the nesting-limit diagnostic calls the input.
+  const char *InputKind = "program";
 };
 
 } // namespace pascal

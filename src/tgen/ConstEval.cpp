@@ -11,6 +11,76 @@ using namespace gadt::tgen;
 using namespace gadt::interp;
 using namespace gadt::pascal;
 
+std::optional<Value> gadt::tgen::applyUnary(UnaryOp Op, const Value &V) {
+  if (Op == UnaryOp::Neg) {
+    if (!V.isInt())
+      return std::nullopt;
+    return Value::makeInt(intArith(IntOp::Neg, V.asInt()));
+  }
+  if (!V.isBool())
+    return std::nullopt;
+  return Value::makeBool(!V.asBool());
+}
+
+std::optional<Value> gadt::tgen::applyBinary(BinaryOp Op, const Value &L,
+                                             const Value &R) {
+  switch (Op) {
+  case BinaryOp::Add:
+  case BinaryOp::Sub:
+  case BinaryOp::Mul: {
+    if (!L.isInt() || !R.isInt())
+      return std::nullopt;
+    IntOp IOp = Op == BinaryOp::Add   ? IntOp::Add
+                : Op == BinaryOp::Sub ? IntOp::Sub
+                                      : IntOp::Mul;
+    return Value::makeInt(intArith(IOp, L.asInt(), R.asInt()));
+  }
+  case BinaryOp::Div:
+  case BinaryOp::Mod: {
+    // Where the VM fails (intDivMod returns its error) the value is
+    // undefined.
+    int64_t Out = 0;
+    if (!L.isInt() || !R.isInt() ||
+        intDivMod(Op == BinaryOp::Mod, L.asInt(), R.asInt(), Out))
+      return std::nullopt;
+    return Value::makeInt(Out);
+  }
+  case BinaryOp::Eq:
+  case BinaryOp::Ne: {
+    if (L.kind() != R.kind())
+      return std::nullopt;
+    bool Equal = L.equals(R);
+    return Value::makeBool(Op == BinaryOp::Eq ? Equal : !Equal);
+  }
+  case BinaryOp::Lt:
+  case BinaryOp::Le:
+  case BinaryOp::Gt:
+  case BinaryOp::Ge: {
+    if (!L.isInt() || !R.isInt())
+      return std::nullopt;
+    int64_t A = L.asInt(), B = R.asInt();
+    switch (Op) {
+    case BinaryOp::Lt:
+      return Value::makeBool(A < B);
+    case BinaryOp::Le:
+      return Value::makeBool(A <= B);
+    case BinaryOp::Gt:
+      return Value::makeBool(A > B);
+    default:
+      return Value::makeBool(A >= B);
+    }
+  }
+  case BinaryOp::And:
+  case BinaryOp::Or: {
+    if (!L.isBool() || !R.isBool())
+      return std::nullopt;
+    return Value::makeBool(Op == BinaryOp::And ? (L.asBool() && R.asBool())
+                                               : (L.asBool() || R.asBool()));
+  }
+  }
+  return std::nullopt;
+}
+
 std::optional<Value> gadt::tgen::evalClosedExpr(const Expr *E,
                                                 const ValueEnv &Env) {
   switch (E->getKind()) {
@@ -47,17 +117,10 @@ std::optional<Value> gadt::tgen::evalClosedExpr(const Expr *E,
 
   case Expr::Kind::Unary: {
     const auto *UE = cast<UnaryExpr>(E);
-    auto Op = evalClosedExpr(UE->getOperand(), Env);
-    if (!Op)
+    auto V = evalClosedExpr(UE->getOperand(), Env);
+    if (!V)
       return std::nullopt;
-    if (UE->getOp() == UnaryOp::Neg) {
-      if (!Op->isInt())
-        return std::nullopt;
-      return Value::makeInt(intArith(IntOp::Neg, Op->asInt()));
-    }
-    if (!Op->isBool())
-      return std::nullopt;
-    return Value::makeBool(!Op->asBool());
+    return applyUnary(UE->getOp(), *V);
   }
 
   case Expr::Kind::Binary: {
@@ -66,72 +129,7 @@ std::optional<Value> gadt::tgen::evalClosedExpr(const Expr *E,
     auto R = evalClosedExpr(BE->getRHS(), Env);
     if (!L || !R)
       return std::nullopt;
-    switch (BE->getOp()) {
-    case BinaryOp::Add:
-    case BinaryOp::Sub:
-    case BinaryOp::Mul:
-    case BinaryOp::Div:
-    case BinaryOp::Mod: {
-      if (!L->isInt() || !R->isInt())
-        return std::nullopt;
-      int64_t A = L->asInt(), B = R->asInt();
-      switch (BE->getOp()) {
-      case BinaryOp::Add:
-        return Value::makeInt(intArith(IntOp::Add, A, B));
-      case BinaryOp::Sub:
-        return Value::makeInt(intArith(IntOp::Sub, A, B));
-      case BinaryOp::Mul:
-        return Value::makeInt(intArith(IntOp::Mul, A, B));
-      case BinaryOp::Div:
-        // The VM's runtime errors are undefined here: a zero divisor, and
-        // INT64_MIN div -1, the one quotient int64 cannot hold.
-        if (B == 0 || (B == -1 && A == INT64_MIN))
-          return std::nullopt;
-        return Value::makeInt(A / B);
-      case BinaryOp::Mod:
-        if (B == 0)
-          return std::nullopt;
-        // x mod -1 is 0 for every x; INT64_MIN % -1 would trap.
-        return Value::makeInt(B == -1 ? 0 : A % B);
-      default:
-        return std::nullopt;
-      }
-    }
-    case BinaryOp::Eq:
-    case BinaryOp::Ne: {
-      if (L->kind() != R->kind())
-        return std::nullopt;
-      bool Equal = L->equals(*R);
-      return Value::makeBool(BE->getOp() == BinaryOp::Eq ? Equal : !Equal);
-    }
-    case BinaryOp::Lt:
-    case BinaryOp::Le:
-    case BinaryOp::Gt:
-    case BinaryOp::Ge: {
-      if (!L->isInt() || !R->isInt())
-        return std::nullopt;
-      int64_t A = L->asInt(), B = R->asInt();
-      switch (BE->getOp()) {
-      case BinaryOp::Lt:
-        return Value::makeBool(A < B);
-      case BinaryOp::Le:
-        return Value::makeBool(A <= B);
-      case BinaryOp::Gt:
-        return Value::makeBool(A > B);
-      default:
-        return Value::makeBool(A >= B);
-      }
-    }
-    case BinaryOp::And:
-    case BinaryOp::Or: {
-      if (!L->isBool() || !R->isBool())
-        return std::nullopt;
-      return Value::makeBool(BE->getOp() == BinaryOp::And
-                                 ? (L->asBool() && R->asBool())
-                                 : (L->asBool() || R->asBool()));
-    }
-    }
-    return std::nullopt;
+    return applyBinary(BE->getOp(), *L, *R);
   }
 
   case Expr::Kind::Call:

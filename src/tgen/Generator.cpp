@@ -28,9 +28,10 @@ std::optional<Value> gadt::tgen::evalGenExpr(const Expr *E,
       ArrayVal Arr;
       Arr.Lo = 1;
       Arr.Hi = Count->asInt();
+      ValueEnv Inner = Env;
+      Value &Index = Inner["i"];
       for (int64_t I = 1; I <= Count->asInt(); ++I) {
-        ValueEnv Inner = Env;
-        Inner["i"] = Value::makeInt(I);
+        Index = Value::makeInt(I);
         auto Elem = evalGenExpr(Args[1].get(), Inner);
         if (!Elem || !Elem->isInt())
           return std::nullopt;
@@ -64,30 +65,20 @@ std::optional<Value> gadt::tgen::evalGenExpr(const Expr *E,
     return std::nullopt; // unknown builtin
   }
 
-  // Binary/unary nodes must recurse through *this* evaluator so nested
-  // builtin calls work; leaves fall through to the closed evaluator.
+  // Operator nodes recurse through *this* evaluator so nested builtin
+  // calls work; leaves fall through to the closed evaluator.
   if (const auto *BE = dyn_cast<BinaryExpr>(E)) {
     auto L = evalGenExpr(BE->getLHS(), Env);
     auto R = evalGenExpr(BE->getRHS(), Env);
     if (!L || !R)
       return std::nullopt;
-    ValueEnv Tmp;
-    Tmp["l"] = *L;
-    Tmp["r"] = *R;
-    BinaryExpr Shim(BE->getLoc(), BE->getOp(),
-                    std::make_unique<VarRefExpr>(BE->getLoc(), "l"),
-                    std::make_unique<VarRefExpr>(BE->getLoc(), "r"));
-    return evalClosedExpr(&Shim, Tmp);
+    return applyBinary(BE->getOp(), *L, *R);
   }
   if (const auto *UE = dyn_cast<UnaryExpr>(E)) {
     auto V = evalGenExpr(UE->getOperand(), Env);
     if (!V)
       return std::nullopt;
-    ValueEnv Tmp;
-    Tmp["v"] = *V;
-    UnaryExpr Shim(UE->getLoc(), UE->getOp(),
-                   std::make_unique<VarRefExpr>(UE->getLoc(), "v"));
-    return evalClosedExpr(&Shim, Tmp);
+    return applyUnary(UE->getOp(), *V);
   }
   return evalClosedExpr(E, Env);
 }

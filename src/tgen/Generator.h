@@ -12,7 +12,8 @@
 /// attaches `gen` bindings to its choices can turn every frame into
 /// concrete argument values without host-language callbacks.
 ///
-/// Generator expressions use the classifier grammar plus builtins:
+/// Generator expressions are Pascal expressions, like `when` classifiers,
+/// whose calls name builtins:
 ///   fill(count, elem)  — array [1..count], elem evaluated with i = 1..count
 ///                        (count at most pascal::Parser::MaxArrayElements)
 ///   max(x, y), min(x, y), abs(x)
@@ -37,8 +38,9 @@
 namespace gadt {
 namespace tgen {
 
-/// Evaluates a generator expression (classifier grammar + fill/max/min/abs)
-/// over \p Env. Returns nullopt on unbound names or invalid arguments.
+/// Evaluates a generator expression (a Pascal expression whose calls are
+/// fill/max/min/abs) over \p Env. Returns nullopt on unbound names or
+/// invalid arguments.
 std::optional<interp::Value> evalGenExpr(const pascal::Expr *E,
                                          const ValueEnv &Env);
 

@@ -2,9 +2,10 @@
 
 #include "tgen/SpecParser.h"
 
-#include "pascal/Lexer.h"
 #include "pascal/Parser.h"
-#include "support/StringUtils.h"
+#include "support/Casting.h"
+
+#include <algorithm>
 
 using namespace gadt;
 using namespace gadt::tgen;
@@ -12,29 +13,20 @@ using namespace gadt::pascal;
 
 namespace {
 
-class SpecParserImpl {
+/// The sections of a specification, over the Pascal parser's token cursor;
+/// every expression is a Pascal expression (Parser::parseExpr). No const
+/// scope is open, so no name is substituted as a constant.
+class SpecParserImpl : public Parser {
 public:
   SpecParserImpl(std::string_view Source, DiagnosticsEngine &Diags)
-      : Diags(Diags), EntryErrors(Diags.errorCount()) {
-    Lexer Lex(Source, Diags);
-    Tokens = Lex.lexAll();
+      : Parser(Source, Diags) {
+    InputKind = "expression"; // only expressions nest in a spec
   }
 
   std::unique_ptr<TestSpec> parse();
   ExprPtr parseStandaloneExpr();
 
 private:
-  const Token &tok() const { return Tokens[Index]; }
-  void consume() {
-    if (Index + 1 < Tokens.size())
-      ++Index;
-  }
-  bool consumeIf(TokenKind K) {
-    if (!tok().is(K))
-      return false;
-    consume();
-    return true;
-  }
   /// True when the current token is the identifier \p Word.
   bool isWord(const char *Word) const {
     return tok().is(TokenKind::Identifier) && tok().Text == Word;
@@ -45,61 +37,33 @@ private:
     consume();
     return true;
   }
-  void error(const std::string &Msg) { Diags.error(tok().Loc, Msg); }
-  bool expect(TokenKind K, const char *Context) {
-    if (consumeIf(K))
-      return true;
-    error(std::string("expected ") + tokenKindName(K) + " " + Context);
-    return false;
-  }
-
-  /// Restores the nesting depth on scope exit; descend() opens one level.
-  /// Levels count as in the Pascal parser (pascal/Parser.h): each
-  /// expression or selector (so each parenthesis), each `not` or unary
-  /// minus and each binary operator opens one. Past
-  /// Parser::MaxNestingDepth descend() reports an error and returns false,
-  /// before the recursion can exhaust the stack.
-  class NestingScope {
-  public:
-    explicit NestingScope(SpecParserImpl &P) : P(P), Entry(P.Depth) {}
-    ~NestingScope() { P.Depth = Entry; }
-    bool descend() {
-      if (++P.Depth <= Parser::MaxNestingDepth)
-        return true;
-      P.error("expression nests deeper than the limit of " +
-              std::to_string(Parser::MaxNestingDepth) + " levels");
-      return false;
-    }
-
-  private:
-    SpecParserImpl &P;
-    unsigned Entry;
-  };
 
   bool parseCategory(TestSpec &Spec);
   bool parseChoice(Category &Cat);
   bool parseBuckets(std::vector<Bucket> &Out);
   bool parseSelector(Selector &Out);
-  bool parseSelTerm(Selector &Out);
-  bool parseSelFactor(Selector &Out);
-
-  // Classifier (when) expressions: a Pascal expression subset.
-  ExprPtr parseWhenExpr();
-  ExprPtr parseWhenOr();
-  ExprPtr parseWhenAnd();
-  ExprPtr parseWhenRel();
-  ExprPtr parseWhenAdd();
-  ExprPtr parseWhenMul();
-  ExprPtr parseWhenFactor();
-
-  TokenBuffer Tokens;
-  size_t Index = 0;
-  DiagnosticsEngine &Diags;
-  /// Errors Diags held before this parse (parseStandaloneExpr fails only
-  /// on its own).
-  unsigned EntryErrors;
-  unsigned Depth = 0; ///< nesting levels open (see NestingScope)
 };
+
+/// An upper bound on the frames generateFrames enumerates for \p Spec: the
+/// product of each category's ordinary choices plus one frame per SINGLE or
+/// ERROR choice, saturating just past MaxFramesPerSpec.
+uint64_t frameBound(const TestSpec &Spec) {
+  constexpr uint64_t Cap = MaxFramesPerSpec + 1;
+  uint64_t Product = 1, Marked = 0;
+  for (const Category &Cat : Spec.Categories) {
+    uint64_t Ordinary = 0;
+    for (const Choice &Ch : Cat.Choices) {
+      if (Ch.Single || Ch.Error)
+        ++Marked;
+      else
+        ++Ordinary;
+    }
+    // Product <= Cap before the multiply, and Ordinary is at most the
+    // token count, so the multiply cannot overflow.
+    Product = std::min(Product * Ordinary, Cap);
+  }
+  return std::min(Product + Marked, Cap);
+}
 
 std::unique_ptr<TestSpec> SpecParserImpl::parse() {
   auto Spec = std::make_unique<TestSpec>();
@@ -136,9 +100,20 @@ std::unique_ptr<TestSpec> SpecParserImpl::parse() {
     }
   }
 
-  while (isWord("category"))
+  while (isWord("category")) {
+    if (Spec->Categories.size() == MaxCategoriesPerSpec) {
+      error("specification declares more than the limit of " +
+            std::to_string(MaxCategoriesPerSpec) + " categories");
+      return nullptr;
+    }
     if (!parseCategory(*Spec))
       return nullptr;
+  }
+  if (frameBound(*Spec) > MaxFramesPerSpec) {
+    error("specification can generate more than the limit of " +
+          std::to_string(MaxFramesPerSpec) + " frames");
+    return nullptr;
+  }
   if (consumeWord("scripts"))
     if (!parseBuckets(Spec->Scripts))
       return nullptr;
@@ -193,10 +168,8 @@ bool SpecParserImpl::parseChoice(Category &Cat) {
     return false;
   for (;;) {
     if (consumeIf(TokenKind::KwIf)) {
-      Selector Sel = Selector::alwaysTrue();
-      if (!parseSelector(Sel))
+      if (!parseSelector(Ch.If))
         return false;
-      Ch.If = std::move(Sel);
       continue;
     }
     if (consumeWord("property")) {
@@ -219,7 +192,7 @@ bool SpecParserImpl::parseChoice(Category &Cat) {
       continue;
     }
     if (consumeWord("when")) {
-      Ch.When = parseWhenExpr();
+      Ch.When = parseExpr();
       if (!Ch.When)
         return false;
       continue;
@@ -234,7 +207,7 @@ bool SpecParserImpl::parseChoice(Category &Cat) {
         consume();
         if (!expect(TokenKind::Assign, "in gen binding"))
           return false;
-        ExprPtr Value = parseWhenExpr();
+        ExprPtr Value = parseExpr();
         if (!Value)
           return false;
         Ch.Gens.push_back({std::move(Name), std::move(Value)});
@@ -259,12 +232,8 @@ bool SpecParserImpl::parseBuckets(std::vector<Bucket> &Out) {
     consume();
     if (!expect(TokenKind::Colon, "after name"))
       return false;
-    if (consumeIf(TokenKind::KwIf)) {
-      Selector Sel = Selector::alwaysTrue();
-      if (!parseSelector(Sel))
-        return false;
-      B.If = std::move(Sel);
-    }
+    if (consumeIf(TokenKind::KwIf) && !parseSelector(B.If))
+      return false;
     if (!expect(TokenKind::Semicolon, "at end of entry"))
       return false;
     Out.push_back(std::move(B));
@@ -276,287 +245,45 @@ bool SpecParserImpl::parseBuckets(std::vector<Bucket> &Out) {
   return true;
 }
 
-//===----------------------------------------------------------------------===//
-// Selector expressions
-//===----------------------------------------------------------------------===//
+/// The first node of \p E that is not a property name, `and`, `or` or
+/// `not`; null when there is none.
+const Expr *firstNonSelectorNode(const Expr *E) {
+  if (isa<VarRefExpr>(E))
+    return nullptr;
+  if (const auto *UE = dyn_cast<UnaryExpr>(E))
+    return UE->getOp() == UnaryOp::Not
+               ? firstNonSelectorNode(UE->getOperand())
+               : E;
+  const auto *BE = dyn_cast<BinaryExpr>(E);
+  if (!BE || (BE->getOp() != BinaryOp::And && BE->getOp() != BinaryOp::Or))
+    return E;
+  if (const Expr *Bad = firstNonSelectorNode(BE->getLHS()))
+    return Bad;
+  return firstNonSelectorNode(BE->getRHS());
+}
 
 bool SpecParserImpl::parseSelector(Selector &Out) {
-  NestingScope Nesting(*this);
-  if (!Nesting.descend() || !parseSelTerm(Out))
+  ExprPtr E = parseExpr();
+  if (!E)
     return false;
-  while (consumeIf(TokenKind::KwOr)) {
-    if (!Nesting.descend())
-      return false;
-    Selector RHS = Selector::alwaysTrue();
-    if (!parseSelTerm(RHS))
-      return false;
-    Out = Selector::orOf(std::move(Out), std::move(RHS));
+  if (const Expr *Bad = firstNonSelectorNode(E.get())) {
+    Diags.error(Bad->getLoc(), "expected property name in selector expression");
+    return false;
   }
+  Out = Selector(std::move(E));
   return true;
 }
-
-bool SpecParserImpl::parseSelTerm(Selector &Out) {
-  NestingScope Nesting(*this);
-  if (!parseSelFactor(Out))
-    return false;
-  while (consumeIf(TokenKind::KwAnd)) {
-    if (!Nesting.descend())
-      return false;
-    Selector RHS = Selector::alwaysTrue();
-    if (!parseSelFactor(RHS))
-      return false;
-    Out = Selector::andOf(std::move(Out), std::move(RHS));
-  }
-  return true;
-}
-
-bool SpecParserImpl::parseSelFactor(Selector &Out) {
-  NestingScope Nesting(*this);
-  if (consumeIf(TokenKind::KwNot)) {
-    if (!Nesting.descend())
-      return false;
-    Selector Sub = Selector::alwaysTrue();
-    if (!parseSelFactor(Sub))
-      return false;
-    Out = Selector::notOf(std::move(Sub));
-    return true;
-  }
-  if (consumeIf(TokenKind::LParen)) {
-    if (!parseSelector(Out))
-      return false;
-    return expect(TokenKind::RParen, "after selector");
-  }
-  if (tok().is(TokenKind::Identifier)) {
-    Out = Selector::prop(std::string(tok().Text));
-    consume();
-    return true;
-  }
-  error("expected property name in selector expression");
-  return false;
-}
-
-//===----------------------------------------------------------------------===//
-// Classifier (when) expressions
-//===----------------------------------------------------------------------===//
-
-ExprPtr SpecParserImpl::parseWhenExpr() {
-  NestingScope Nesting(*this);
-  if (!Nesting.descend())
-    return nullptr;
-  return parseWhenOr();
-}
-
-ExprPtr SpecParserImpl::parseWhenOr() {
-  NestingScope Nesting(*this);
-  ExprPtr LHS = parseWhenAnd();
-  if (!LHS)
-    return nullptr;
-  while (tok().is(TokenKind::KwOr)) {
-    if (!Nesting.descend())
-      return nullptr;
-    SourceLoc Loc = tok().Loc;
-    consume();
-    ExprPtr RHS = parseWhenAnd();
-    if (!RHS)
-      return nullptr;
-    LHS = std::make_unique<BinaryExpr>(Loc, BinaryOp::Or, std::move(LHS),
-                                       std::move(RHS));
-  }
-  return LHS;
-}
-
-ExprPtr SpecParserImpl::parseWhenAnd() {
-  NestingScope Nesting(*this);
-  ExprPtr LHS = parseWhenRel();
-  if (!LHS)
-    return nullptr;
-  while (tok().is(TokenKind::KwAnd)) {
-    if (!Nesting.descend())
-      return nullptr;
-    SourceLoc Loc = tok().Loc;
-    consume();
-    ExprPtr RHS = parseWhenRel();
-    if (!RHS)
-      return nullptr;
-    LHS = std::make_unique<BinaryExpr>(Loc, BinaryOp::And, std::move(LHS),
-                                       std::move(RHS));
-  }
-  return LHS;
-}
-
-ExprPtr SpecParserImpl::parseWhenRel() {
-  ExprPtr LHS = parseWhenAdd();
-  if (!LHS)
-    return nullptr;
-  BinaryOp Op;
-  switch (tok().Kind) {
-  case TokenKind::Equal:
-    Op = BinaryOp::Eq;
-    break;
-  case TokenKind::NotEqual:
-    Op = BinaryOp::Ne;
-    break;
-  case TokenKind::Less:
-    Op = BinaryOp::Lt;
-    break;
-  case TokenKind::LessEqual:
-    Op = BinaryOp::Le;
-    break;
-  case TokenKind::Greater:
-    Op = BinaryOp::Gt;
-    break;
-  case TokenKind::GreaterEqual:
-    Op = BinaryOp::Ge;
-    break;
-  default:
-    return LHS;
-  }
-  SourceLoc Loc = tok().Loc;
-  consume();
-  ExprPtr RHS = parseWhenAdd();
-  if (!RHS)
-    return nullptr;
-  return std::make_unique<BinaryExpr>(Loc, Op, std::move(LHS),
-                                      std::move(RHS));
-}
-
-ExprPtr SpecParserImpl::parseWhenAdd() {
-  NestingScope Nesting(*this);
-  ExprPtr LHS = parseWhenMul();
-  if (!LHS)
-    return nullptr;
-  for (;;) {
-    BinaryOp Op;
-    if (tok().is(TokenKind::Plus))
-      Op = BinaryOp::Add;
-    else if (tok().is(TokenKind::Minus))
-      Op = BinaryOp::Sub;
-    else
-      return LHS;
-    if (!Nesting.descend())
-      return nullptr;
-    SourceLoc Loc = tok().Loc;
-    consume();
-    ExprPtr RHS = parseWhenMul();
-    if (!RHS)
-      return nullptr;
-    LHS = std::make_unique<BinaryExpr>(Loc, Op, std::move(LHS),
-                                       std::move(RHS));
-  }
-}
-
-ExprPtr SpecParserImpl::parseWhenMul() {
-  NestingScope Nesting(*this);
-  ExprPtr LHS = parseWhenFactor();
-  if (!LHS)
-    return nullptr;
-  for (;;) {
-    BinaryOp Op;
-    if (tok().is(TokenKind::Star))
-      Op = BinaryOp::Mul;
-    else if (tok().is(TokenKind::KwDiv))
-      Op = BinaryOp::Div;
-    else if (tok().is(TokenKind::KwMod))
-      Op = BinaryOp::Mod;
-    else
-      return LHS;
-    if (!Nesting.descend())
-      return nullptr;
-    SourceLoc Loc = tok().Loc;
-    consume();
-    ExprPtr RHS = parseWhenFactor();
-    if (!RHS)
-      return nullptr;
-    LHS = std::make_unique<BinaryExpr>(Loc, Op, std::move(LHS),
-                                       std::move(RHS));
-  }
-}
-
-ExprPtr SpecParserImpl::parseWhenFactor() {
-  NestingScope Nesting(*this);
-  SourceLoc Loc = tok().Loc;
-  switch (tok().Kind) {
-  case TokenKind::IntLiteral: {
-    int64_t V = tok().IntValue;
-    consume();
-    return std::make_unique<IntLiteralExpr>(Loc, V);
-  }
-  case TokenKind::KwTrue:
-    consume();
-    return std::make_unique<BoolLiteralExpr>(Loc, true);
-  case TokenKind::KwFalse:
-    consume();
-    return std::make_unique<BoolLiteralExpr>(Loc, false);
-  case TokenKind::KwNot: {
-    if (!Nesting.descend())
-      return nullptr;
-    consume();
-    ExprPtr Sub = parseWhenFactor();
-    if (!Sub)
-      return nullptr;
-    return std::make_unique<UnaryExpr>(Loc, UnaryOp::Not, std::move(Sub));
-  }
-  case TokenKind::Minus: {
-    if (!Nesting.descend())
-      return nullptr;
-    consume();
-    ExprPtr Sub = parseWhenFactor();
-    if (!Sub)
-      return nullptr;
-    return std::make_unique<UnaryExpr>(Loc, UnaryOp::Neg, std::move(Sub));
-  }
-  case TokenKind::LParen: {
-    consume();
-    ExprPtr Inner = parseWhenExpr();
-    if (!Inner)
-      return nullptr;
-    if (!expect(TokenKind::RParen, "after expression"))
-      return nullptr;
-    return Inner;
-  }
-  case TokenKind::Identifier: {
-    std::string_view Name = tok().Text;
-    consume();
-    // Generator builtins (`fill`, `max`, `min`, `abs`) use call syntax.
-    if (consumeIf(TokenKind::LParen)) {
-      std::vector<ExprPtr> Args;
-      if (!tok().is(TokenKind::RParen)) {
-        for (;;) {
-          ExprPtr Arg = parseWhenExpr();
-          if (!Arg)
-            return nullptr;
-          Args.push_back(std::move(Arg));
-          if (!consumeIf(TokenKind::Comma))
-            break;
-        }
-      }
-      if (!expect(TokenKind::RParen, "after generator arguments"))
-        return nullptr;
-      return std::make_unique<CallExpr>(Loc, std::string(Name),
-                                        std::move(Args));
-    }
-    return std::make_unique<VarRefExpr>(Loc, std::string(Name));
-  }
-  default:
-    error("expected classifier expression");
-    return nullptr;
-  }
-}
-
-} // namespace
 
 ExprPtr SpecParserImpl::parseStandaloneExpr() {
-  ExprPtr E = parseWhenExpr();
-  if (!E)
-    return nullptr;
-  if (!tok().is(TokenKind::Eof)) {
+  ExprPtr E = parseExpr();
+  if (E && !tok().is(TokenKind::Eof)) {
     error("unexpected trailing input after expression");
     return nullptr;
   }
-  if (Diags.errorCount() != EntryErrors)
-    return nullptr; // the lexer diagnosed a token
   return E;
 }
+
+} // namespace
 
 std::unique_ptr<TestSpec> gadt::tgen::parseSpec(std::string_view Source,
                                                 DiagnosticsEngine &Diags) {
@@ -566,6 +293,11 @@ std::unique_ptr<TestSpec> gadt::tgen::parseSpec(std::string_view Source,
 
 ExprPtr gadt::tgen::parseClassifierExpr(std::string_view Source,
                                         DiagnosticsEngine &Diags) {
+  // Counted before the lexer runs, so a token it diagnoses fails the parse.
+  unsigned EntryErrors = Diags.errorCount();
   SpecParserImpl P(Source, Diags);
-  return P.parseStandaloneExpr();
+  ExprPtr E = P.parseStandaloneExpr();
+  if (Diags.errorCount() != EntryErrors)
+    return nullptr;
+  return E;
 }

@@ -2,70 +2,30 @@
 
 #include "tgen/TestSpec.h"
 
+#include "support/Casting.h"
+
 using namespace gadt;
 using namespace gadt::tgen;
 
-Selector Selector::prop(std::string Name) {
-  Selector S(Kind::Prop);
-  S.PropName = std::move(Name);
-  return S;
+namespace {
+
+/// \p E holds over \p Properties; \p E is a checked selector expression.
+bool holds(const pascal::Expr *E, const std::set<std::string> &Properties) {
+  if (const auto *UE = dyn_cast<pascal::UnaryExpr>(E))
+    return !holds(UE->getOperand(), Properties);
+  if (const auto *BE = dyn_cast<pascal::BinaryExpr>(E)) {
+    bool LHS = holds(BE->getLHS(), Properties);
+    return BE->getOp() == pascal::BinaryOp::And
+               ? LHS && holds(BE->getRHS(), Properties)
+               : LHS || holds(BE->getRHS(), Properties);
+  }
+  return Properties.count(cast<pascal::VarRefExpr>(E)->getName()) != 0;
 }
 
-Selector Selector::notOf(Selector Sub) {
-  Selector S(Kind::Not);
-  S.LHS = std::make_shared<Selector>(std::move(Sub));
-  return S;
-}
-
-Selector Selector::andOf(Selector L, Selector R) {
-  Selector S(Kind::And);
-  S.LHS = std::make_shared<Selector>(std::move(L));
-  S.RHS = std::make_shared<Selector>(std::move(R));
-  return S;
-}
-
-Selector Selector::orOf(Selector L, Selector R) {
-  Selector S(Kind::Or);
-  S.LHS = std::make_shared<Selector>(std::move(L));
-  S.RHS = std::make_shared<Selector>(std::move(R));
-  return S;
-}
+} // namespace
 
 bool Selector::eval(const std::set<std::string> &Properties) const {
-  switch (K) {
-  case Kind::True:
-    return true;
-  case Kind::Prop:
-    return Properties.count(PropName) != 0;
-  case Kind::Not:
-    return !LHS->eval(Properties);
-  case Kind::And:
-    return LHS->eval(Properties) && RHS->eval(Properties);
-  case Kind::Or:
-    return LHS->eval(Properties) || RHS->eval(Properties);
-  }
-  return true;
-}
-
-std::string Selector::str() const {
-  switch (K) {
-  case Kind::True:
-    return "true";
-  case Kind::Prop:
-    return PropName;
-  case Kind::Not:
-    return "not " + LHS->str();
-  case Kind::And:
-  case Kind::Or: {
-    std::string Out = "(";
-    Out += LHS->str();
-    Out += K == Kind::And ? " and " : " or ";
-    Out += RHS->str();
-    Out += ')';
-    return Out;
-  }
-  }
-  return "?";
+  return !E || holds(E.get(), Properties);
 }
 
 const Category *TestSpec::findCategory(const std::string &Name) const {

@@ -31,12 +31,15 @@
 ///     result_1 : if MIXED;
 ///   end.
 ///
-/// `property P` attaches a property name usable in later `if` selector
-/// expressions; SINGLE and ERROR are the Ostrand-Balcer markers (one frame
-/// per such choice). `when <expr>` is this implementation's realization of
-/// the paper's "automatic test frame selector functions": a boolean
-/// expression over *feature variables* derived from concrete input values,
-/// evaluated when the debugger classifies a call (Section 5.3.2).
+/// `property P` attaches a property name usable in later `if` selectors;
+/// SINGLE and ERROR are the Ostrand-Balcer markers (one frame per such
+/// choice). A selector is a Pascal expression of property names, `and`,
+/// `or`, `not` and parentheses, so `and` binds tighter than `or`. `when
+/// <expr>` is this implementation's realization of the paper's "automatic
+/// test frame selector functions": a boolean Pascal expression over
+/// *feature variables* derived from concrete input values, evaluated when
+/// the debugger classifies a call (Section 5.3.2). Both follow Pascal's
+/// precedence, so relations joined by `and` or `or` need parentheses.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,39 +56,26 @@
 namespace gadt {
 namespace tgen {
 
-/// A selector expression over property names (`if MORE and not MIXED`).
+/// A selector over property names (`if MORE and not MIXED`): a Pascal
+/// expression that the spec parser checked to hold only property names,
+/// `and`, `or`, `not` and parentheses. An omitted selector always holds.
 class Selector {
 public:
-  enum class Kind : uint8_t { True, Prop, Not, And, Or };
-
-  static Selector alwaysTrue() { return Selector(Kind::True); }
-  static Selector prop(std::string Name);
-  static Selector notOf(Selector S);
-  static Selector andOf(Selector L, Selector R);
-  static Selector orOf(Selector L, Selector R);
-
-  Kind getKind() const { return K; }
+  Selector() = default;
+  explicit Selector(pascal::ExprPtr E) : E(std::move(E)) {}
 
   /// Evaluates against the set of properties established so far.
   bool eval(const std::set<std::string> &Properties) const;
 
-  /// Renders in source syntax ("more and not mixed"); "true" when trivial.
-  std::string str() const;
-
 private:
-  explicit Selector(Kind K) : K(K) {}
-
-  Kind K;
-  std::string PropName;
-  std::shared_ptr<const Selector> LHS;
-  std::shared_ptr<const Selector> RHS;
+  pascal::ExprPtr E; ///< null when omitted
 };
 
 /// One choice within a category.
 struct Choice {
   std::string Name;
-  /// Guard over properties of earlier choices; alwaysTrue when omitted.
-  Selector If = Selector::alwaysTrue();
+  /// Guard over properties of earlier choices.
+  Selector If;
   /// Properties this choice establishes (lowercased).
   std::vector<std::string> Properties;
   /// Ostrand-Balcer markers.
@@ -111,7 +101,7 @@ struct Category {
 /// A named script or result bucket with its selector.
 struct Bucket {
   std::string Name;
-  Selector If = Selector::alwaysTrue();
+  Selector If;
 };
 
 /// A parameter of the routine under test, as declared in the optional

@@ -186,6 +186,30 @@ TEST(OracleTest, AssertionOracleNecessaryOnlyRefutes) {
       << "a satisfied necessary condition proves nothing";
 }
 
+TEST(OracleTest, AssertionsRankOperatorsAsPrograms) {
+  // g's own body as its specification. In a program `x or y = z` is
+  // `(x or y) = z`; an assertion must read it the same way, or the oracle
+  // refutes a correct unit.
+  auto Prog = compile("program p; var r: boolean;"
+                      " function g(x, y, z: boolean): boolean;"
+                      " begin g := x or y = z end;"
+                      " begin r := g(true, false, false); writeln(r) end.");
+  ASSERT_TRUE(Prog);
+  auto Tree = buildExecTree(*Prog, {}, {});
+  ExecNode *G = nullptr;
+  Tree->forEachNode([&](ExecNode *N) {
+    if (N->getName() == "g")
+      G = N;
+  });
+  ASSERT_TRUE(G);
+  DiagnosticsEngine Diags;
+  AssertionOracle O;
+  ASSERT_TRUE(O.addAssertion("g", "g = (x or y = z)",
+                             AssertionOracle::Strength::Specification,
+                             Diags));
+  EXPECT_EQ(O.judge(*G).A, Answer::Correct);
+}
+
 TEST(OracleTest, AssertionOracleRejectsBadExpression) {
   DiagnosticsEngine Diags;
   AssertionOracle O;

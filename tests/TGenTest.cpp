@@ -65,6 +65,22 @@ TEST(SpecParserTest, SelectorExpressions) {
   EXPECT_FALSE(X.If.eval(Props));
 }
 
+TEST(SpecParserTest, SelectorsHoldOnlyPropertyNames) {
+  for (const char *Sel : {"P1 = P2", "P1 and (n > 0)", "not 3", "-P1",
+                          "P1 or true", "f(P1)"}) {
+    DiagnosticsEngine Diags;
+    EXPECT_EQ(parseSpec(std::string("test t; category c; a : if ") + Sel +
+                            "; end.",
+                        Diags),
+              nullptr)
+        << Sel;
+    EXPECT_NE(Diags.str().find("expected property name in selector "
+                               "expression"),
+              std::string::npos)
+        << Sel << ": " << Diags.str();
+  }
+}
+
 TEST(SpecParserTest, ErrorMarker) {
   auto Spec = parse("test t;"
                     "category c; good : ; bad : property ERROR when x < 0;"
@@ -183,13 +199,71 @@ TEST(SpecParserTest, LiteralOutOfRangeIsDiagnosed) {
 }
 
 //===----------------------------------------------------------------------===//
+// Size limits: frames and categories per spec
+//===----------------------------------------------------------------------===//
+
+/// A spec of \p Categories categories, each with \p Choices ordinary
+/// choices and \p Singles SINGLE choices.
+std::string gridSpec(size_t Categories, size_t Choices, size_t Singles = 0) {
+  std::string Out = "test t;";
+  for (size_t C = 0; C != Categories; ++C) {
+    Out += " category c" + std::to_string(C) + ";";
+    for (size_t K = 0; K != Choices; ++K)
+      Out += " k" + std::to_string(K) + " : ;";
+    for (size_t K = 0; K != Singles; ++K)
+      Out += " s" + std::to_string(K) + " : property SINGLE;";
+  }
+  return Out + " end.";
+}
+
+bool mentions(const DiagnosticsEngine &Diags, const std::string &Text) {
+  return Diags.str().find(Text) != std::string::npos;
+}
+
+TEST(SpecParserLimitsTest, ExponentialFrameCountIsRejectedAtParseTime) {
+  // 2^40 ordinary combinations: generateFrames would never finish.
+  DiagnosticsEngine Diags;
+  EXPECT_EQ(parseSpec(gridSpec(40, 2), Diags), nullptr);
+  EXPECT_TRUE(mentions(Diags, "can generate more than the limit of " +
+                                  std::to_string(MaxFramesPerSpec) +
+                                  " frames"))
+      << Diags.str();
+}
+
+TEST(SpecParserLimitsTest, SpecsAtEachLimitParse) {
+  // Frames: MaxFramesPerSpec ordinary choices, or one fewer plus a SINGLE
+  // choice's frame, are at the limit; one frame more is past it.
+  for (size_t Singles : {0, 1}) {
+    auto Spec = parse(gridSpec(1, MaxFramesPerSpec - Singles, Singles));
+    ASSERT_TRUE(Spec);
+    EXPECT_EQ(generateFrames(*Spec).Frames.size(), MaxFramesPerSpec);
+    DiagnosticsEngine Diags;
+    EXPECT_EQ(parseSpec(gridSpec(1, MaxFramesPerSpec - Singles, Singles + 1),
+                        Diags),
+              nullptr);
+    EXPECT_TRUE(mentions(Diags, "frames")) << Diags.str();
+  }
+  // Categories.
+  auto Spec = parse(gridSpec(MaxCategoriesPerSpec, 1));
+  ASSERT_TRUE(Spec);
+  EXPECT_EQ(generateFrames(*Spec).Frames.size(), 1u);
+  DiagnosticsEngine Diags;
+  EXPECT_EQ(parseSpec(gridSpec(MaxCategoriesPerSpec + 1, 1), Diags), nullptr);
+  EXPECT_TRUE(mentions(Diags, "more than the limit of " +
+                                  std::to_string(MaxCategoriesPerSpec) +
+                                  " categories"))
+      << Diags.str();
+}
+
+//===----------------------------------------------------------------------===//
 // Closed expression evaluation
 //===----------------------------------------------------------------------===//
 
 TEST(ConstEvalTest, ArithmeticAndComparison) {
   DiagnosticsEngine Diags;
   auto Spec = parseSpec(
-      "test t; category c; a : when (n + 2) * 3 = 12 and n mod 2 = 0; end.",
+      "test t; category c;"
+      " a : when ((n + 2) * 3 = 12) and (n mod 2 = 0); end.",
       Diags);
   ASSERT_TRUE(Spec);
   const Expr *E = Spec->Categories[0].Choices[0].When.get();
