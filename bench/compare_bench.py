@@ -1,55 +1,35 @@
 #!/usr/bin/env python3
-"""Diff two perf_micro --json files (or combined baseline files) with a
-regression threshold, or check rows of one capture against another row of
-the same capture.
+"""Run the perf gates of bench/trajectory.json on one perf_micro capture.
 
 Usage:
-  compare_bench.py BASELINE.json CURRENT.json [options]
-  compare_bench.py --within REF CURRENT.json [options]
+  compare_bench.py CAPTURE.json                  run every gate
+  compare_bench.py CAPTURE.json --against ENTRY  A/B table, gates nothing
 
-Options:
-  --max-regression R   Fail (exit 1) when current/baseline exceeds R for any
-                       compared benchmark (default: 1.5).
-  --filter REGEX       Only gate on benchmarks whose name matches REGEX
-                       (others are still printed, marked "info"). Default:
-                       gate on everything present in both files.
-  --metric NAME        JSON field to compare (default: cpu_ns).
-  --min-iters N        Downgrade a gated benchmark to "info" when its
-                       winning repetition ran fewer than N timing-loop
-                       iterations in either capture — too few iterations
-                       means the min-of-N number is scheduling noise, and a
-                       noise-driven FAIL is worse than no gate.
-  --normalize NAME     Divide every time by the named benchmark's time from
-                       the same file before comparing. This cancels the
-                       absolute speed of the machine, which makes a committed
-                       baseline meaningful on different hardware (CI).
-  --within REF         Within-capture mode: no baseline; divide each gated
-                       row of CURRENT by row REF of the same capture and
-                       fail when the quotient exceeds --max-regression (a
-                       ceiling, e.g. 0.5 = "at least 2x faster than REF").
-                       As with --normalize, a gated row below
-                       --min-iters is downgraded to info; REF below it
-                       fails, since every gated row is divided by it.
-  --geomean            Append a summary row with the geometric mean of the
-                       gated ratios (the single number to quote for a
-                       many-benchmark comparison; unlike the arithmetic
-                       mean it is symmetric in speedups and slowdowns).
+CAPTURE.json is a `perf_micro --json` export. trajectory.json, beside this
+script, holds the committed captures as labelled entries and a `gates`
+table. Each gate names a row regex, a reference and a ceiling; a gate
+fails when a gated row's ratio to its reference exceeds the ceiling. The
+reference (`against`) is
 
-Accepted file shapes:
-  * a raw perf_micro export: {"bench": "perf_micro", "results": [...]}
-  * a combined baseline:     {"perf_micro": {...}, "batch_throughput": {...}}
+  * an entry label: each time is first divided by BM_CalibrationKernel of
+    its own capture, a fixed CPU kernel that calls no GADT code
+    (perfbench/Calibrate.cpp), so the machine's speed cancels; the ratio
+    is capture over entry. A gated row present on one side only fails: a
+    renamed or deleted benchmark must not pass silently; or
+  * otherwise, a row of the capture itself: each gated row is divided by
+    it. The gate fails when that row is missing or ran fewer than
+    MIN_ITERS iterations, since every gated row is divided by it.
 
-A benchmark name that matches the gate filter but exists in only one of
-the two captures is an error (exit 1): a silently vanished benchmark is
-exactly the failure a perf gate exists to catch — a renamed or deleted
-gated benchmark would otherwise pass forever. Names outside the filter
-are still reported as notes only. In within-capture mode a missing REF,
-a REF with fewer than --min-iters iterations, or a filter that matches no
-row of the capture, is the same error.
+Times are cpu_ns. A gated row whose winning repetition ran fewer than
+MIN_ITERS timing-loop iterations, on either side, is printed as info and
+not gated: min-of-N over so few iterations is scheduling noise. A gate
+whose regex matches no row of the capture fails.
 
-Exit status: 0 when no gated benchmark regressed past the threshold,
-1 otherwise (regression or a gated name missing from one capture), 2 on
-usage/schema errors.
+--against ENTRY prints every row both sides share, both divided by
+BM_CalibrationKernel, and their geomean; it always exits 0.
+
+Exit status: 0 when every gate passes, 1 when one fails, 2 on a usage or
+input error.
 """
 
 import argparse
@@ -57,197 +37,149 @@ import json
 import math
 import re
 import sys
+from pathlib import Path
+
+TRAJECTORY = Path(__file__).resolve().with_name("trajectory.json")
+METRIC = "cpu_ns"
+KERNEL = "BM_CalibrationKernel"
+MIN_ITERS = 20
 
 
-def load_results(path, metric):
-    """Returns (values, iterations): {name: metric} and {name: iterations}.
-
-    The iterations table may be empty for pre-schema-2 captures that did
-    not record the timing-loop iteration count.
-    """
-    with open(path) as f:
-        doc = json.load(f)
-    if "perf_micro" in doc and "results" not in doc:
-        doc = doc["perf_micro"]
-    if doc.get("bench") != "perf_micro" or "results" not in doc:
-        sys.exit(f"error: {path} is not a perf_micro JSON export")
-    out = {}
-    iters = {}
-    for row in doc["results"]:
-        if metric not in row:
-            sys.exit(f"error: {path}: result {row.get('name')!r} has no "
-                     f"field {metric!r}")
-        out[row["name"]] = float(row[metric])
-        if "iterations" in row:
-            iters[row["name"]] = int(row["iterations"])
-    return out, iters
+def fail_input(msg):
+    print(f"error: {msg}", file=sys.stderr)
+    sys.exit(2)
 
 
-def print_geomean(ratios, width):
-    finite = [r for r in ratios if 0 < r < float("inf")]
-    if finite:
-        gm = math.exp(sum(math.log(r) for r in finite) / len(finite))
-        label = "geomean (gated)"
-        print(f"{label:<{width}}  {'':>12}  {'':>12}  {gm:>6.2f}x  "
-              f"over {len(finite)} benchmark(s)")
+def rows_of(results, where):
+    """{name: (cpu_ns, iterations)}; a row without a count counts as enough."""
+    try:
+        return {r["name"]: (float(r[METRIC]), int(r.get("iterations", MIN_ITERS)))
+                for r in results}
+    except (KeyError, TypeError, ValueError):
+        fail_input(f"{where}: every result needs a name and {METRIC}")
 
 
-def compare_within(args, path):
-    """Checks each gated row of one capture against its row args.within."""
-    cur, iters = load_results(path, args.metric)
-    ref = args.within
-    if cur.get(ref, 0) <= 0:
-        print(f"MISSING: reference benchmark {ref!r} absent from {path}")
-        return 1
-    ref_iters = iters.get(ref, args.min_iters)
-    if ref_iters < args.min_iters:
-        print(f"FAIL: reference benchmark {ref!r} ran only {ref_iters} "
-              f"iteration(s) in the winning repetition (< {args.min_iters}); "
-              f"its time is too noisy to divide by")
-        return 1
-    gate = re.compile(args.filter) if args.filter else None
-    rows = [n for n in cur if n != ref and (gate is None or gate.search(n))]
-    if not rows:
-        print(f"MISSING: no benchmark in {path} matches the gate filter "
-              f"{args.filter!r}")
-        return 1
+def normalized(rows, where):
+    kernel = rows.get(KERNEL, (0, 0))[0]
+    if kernel <= 0:
+        fail_input(f"{where} has no {KERNEL} row to divide by")
+    return {name: (t / kernel, n) for name, (t, n) in rows.items()}
 
-    width = max(len(n) for n in rows + [ref])
-    print(f"{'benchmark':<{width}}  {'row':>12}  {ref:>12}  {'ratio':>7}  "
-          f"verdict   [{args.metric}, ns; ceiling {args.max_regression}x]")
-    failed = []
-    gated_ratios = []
-    for name in rows:
-        ratio = cur[name] / cur[ref]
-        gated = True
-        n = iters.get(name, args.min_iters)
-        if n < args.min_iters:
-            print(f"note: {name}: only {n} iteration(s) in the winning "
-                  f"repetition (< {args.min_iters}); downgraded to info")
-            gated = False
-        if not gated:
-            verdict = "info"
-        else:
-            gated_ratios.append(ratio)
-            verdict = "REGRESSED" if ratio > args.max_regression else "ok"
-            if ratio > args.max_regression:
-                failed.append(name)
-        print(f"{name:<{width}}  {cur[name]:>12.1f}  {cur[ref]:>12.1f}  "
+
+def geomean(ratios):
+    ratios = [r for r in ratios if 0 < r < math.inf]
+    return math.exp(sum(map(math.log, ratios)) / len(ratios)) if ratios else None
+
+
+def print_table(ref_name, rows, width):
+    """rows: (name, ref time, capture time, ratio, verdict) tuples."""
+    ref_width = max(12, len(ref_name))
+    print(f"  {'benchmark':<{width}}  {ref_name:>{ref_width}}  "
+          f"{'capture':>12}  {'ratio':>7}  verdict")
+    for name, ref, cur, ratio, verdict in rows:
+        print(f"  {name:<{width}}  {ref:>{ref_width}.4g}  {cur:>12.4g}  "
               f"{ratio:>6.2f}x  {verdict}")
-    if args.geomean:
-        print_geomean(gated_ratios, width)
-    if failed:
-        print(f"\nFAIL: {len(failed)} benchmark(s) above "
-              f"{args.max_regression}x of {ref}: {', '.join(failed)}")
-        return 1
-    print(f"\nOK: every gated benchmark within {args.max_regression}x of "
-          f"{ref} ({len(rows)} compared)")
+
+
+def run_gate(gate, entries, capture):
+    """Prints one gate's table; returns the names of the rows that failed it."""
+    pattern, against, ceiling = gate["rows"], gate["against"], gate["ceiling"]
+    regex = re.compile(pattern)
+    print(f"== {gate['name']}: {pattern} against {against}, "
+          f"ceiling {ceiling}x [{METRIC}]")
+    if against in entries:
+        ref = normalized(entries[against], f"entry {against}")
+        cur = normalized(capture, "the capture")
+    else:
+        if against not in capture:
+            print(f"  MISSING: reference row {against!r}")
+            return [against]
+        if capture[against][1] < MIN_ITERS:
+            print(f"  FAIL: reference row {against!r} ran only "
+                  f"{capture[against][1]} iteration(s) (< {MIN_ITERS}); "
+                  f"too noisy to divide by")
+            return [against]
+        cur = {n: v for n, v in capture.items() if n != against}
+        ref = {n: capture[against] for n in cur}
+    gated = sorted(n for n in set(ref) | set(cur) if regex.search(n))
+    if not any(n in capture for n in gated):
+        print(f"  MISSING: no row of the capture matches {pattern!r}")
+        return [pattern]
+    failed, table, ratios = [], [], []
+    for name in gated:
+        if name not in ref or name not in cur:
+            side = "capture" if name in ref else against
+            print(f"  MISSING: gated row {name!r} absent from {side}")
+            failed.append(name)
+            continue
+        (r, r_iters), (c, c_iters) = ref[name], cur[name]
+        ratio = c / r if r > 0 else math.inf
+        if (iters := min(r_iters, c_iters)) < MIN_ITERS:
+            verdict = f"info ({iters} iterations)"
+        else:
+            ratios.append(ratio)
+            if ratio > ceiling:
+                verdict = "REGRESSED"
+                failed.append(name)
+            elif ceiling > 1 and ratio < 1 / ceiling:
+                verdict = "improved"
+            else:
+                verdict = "ok"
+        table.append((name, r, c, ratio, verdict))
+    print_table(against, table, max(len(n) for n in gated))
+    gm = geomean(ratios)
+    if gm is not None:
+        print(f"  geomean {gm:.2f}x over {len(ratios)} gated row(s)")
+    print(f"  {'FAIL: ' + ', '.join(failed) if failed else 'ok'}\n")
+    return failed
+
+
+def against_table(label, entries, capture):
+    ref = normalized(entries[label], f"entry {label}")
+    cur = normalized(capture, "the capture")
+    common = [n for n in ref if n in cur]
+    table = [(n, ref[n][0], cur[n][0], cur[n][0] / ref[n][0], "")
+             for n in common if ref[n][0] > 0]
+    print(f"capture against {label} [{METRIC} / {KERNEL}]")
+    print_table(label, table, max(map(len, common), default=9))
+    gm = geomean([row[3] for row in table])
+    if gm is not None:
+        print(f"  geomean {gm:.2f}x over {len(table)} row(s)")
+    for side, names in ((label, set(ref) - set(cur)),
+                        ("the capture", set(cur) - set(ref))):
+        if names:
+            print(f"note: only in {side}: {', '.join(sorted(names))}")
     return 0
 
 
 def main():
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("files", nargs="+", metavar="FILE",
-                    help="BASELINE.json CURRENT.json, or with --within "
-                         "CURRENT.json alone")
-    ap.add_argument("--max-regression", type=float, default=1.5)
-    ap.add_argument("--filter", default=None)
-    ap.add_argument("--metric", default="cpu_ns")
-    ap.add_argument("--normalize", default=None)
-    ap.add_argument("--within", default=None)
-    ap.add_argument("--geomean", action="store_true")
-    ap.add_argument("--min-iters", type=int, default=0)
+    ap.add_argument("capture", metavar="CAPTURE.json")
+    ap.add_argument("--against", metavar="ENTRY")
     args = ap.parse_args()
-
-    if args.within:
-        if len(args.files) != 1 or args.normalize:
-            ap.error("--within takes one capture and no --normalize")
-        return compare_within(args, args.files[0])
-    if len(args.files) != 2:
-        ap.error("expected BASELINE.json CURRENT.json")
-    args.baseline, args.current = args.files
-
-    base, base_iters = load_results(args.baseline, args.metric)
-    cur, cur_iters = load_results(args.current, args.metric)
-
-    if args.normalize:
-        for name, table in (("baseline", base), ("current", cur)):
-            if args.normalize not in table or table[args.normalize] <= 0:
-                sys.exit(f"error: --normalize benchmark {args.normalize!r} "
-                         f"missing from {name} file")
-        base = {k: v / base[args.normalize] for k, v in base.items()}
-        cur = {k: v / cur[args.normalize] for k, v in cur.items()}
-
-    gate = re.compile(args.filter) if args.filter else None
-    common = [n for n in base if n in cur]
-    if not common:
-        sys.exit("error: the two files share no benchmark names")
-
-    # A gated benchmark present in only one capture fails the comparison:
-    # the gate cannot vouch for a number it never saw, and "the benchmark
-    # was renamed/deleted" must be a loud event, not a silent pass.
-    missing = []
-    for name in sorted(set(base) ^ set(cur)):
-        if gate is None or gate.search(name):
-            where = "current" if name in base else "baseline"
-            missing.append((name, where))
-    if missing:
-        for name, where in missing:
-            print(f"MISSING: gated benchmark {name!r} absent from the "
-                  f"{where} capture")
-        print(f"\nFAIL: {len(missing)} gated benchmark(s) exist in only "
-              f"one capture; re-record the baseline or fix the benchmark "
-              f"name")
-        return 1
-
-    width = max(len(n) for n in common)
-    unit = "x-of-ref" if args.normalize else "ns"
-    print(f"{'benchmark':<{width}}  {'baseline':>12}  {'current':>12}  "
-          f"{'ratio':>7}  verdict   [{args.metric}, {unit}]")
-    failed = []
-    gated_ratios = []
-    for name in common:
-        ratio = cur[name] / base[name] if base[name] > 0 else float("inf")
-        gated = gate is None or gate.search(name)
-        if gated and args.min_iters > 0:
-            iters = min(base_iters.get(name, args.min_iters),
-                        cur_iters.get(name, args.min_iters))
-            if iters < args.min_iters:
-                print(f"note: {name}: only {iters} iteration(s) in the "
-                      f"winning repetition (< {args.min_iters}); "
-                      f"downgraded to info")
-                gated = False
-        if not gated:
-            verdict = "info"
-        else:
-            gated_ratios.append(ratio)
-            if ratio > args.max_regression:
-                verdict = "REGRESSED"
-                failed.append(name)
-            elif ratio < 1 / args.max_regression:
-                verdict = "improved"
-            else:
-                verdict = "ok"
-        print(f"{name:<{width}}  {base[name]:>12.1f}  {cur[name]:>12.1f}  "
-              f"{ratio:>6.2f}x  {verdict}")
-
-    if args.geomean:
-        print_geomean(gated_ratios, width)
-
-    only_base = sorted(set(base) - set(cur))
-    only_cur = sorted(set(cur) - set(base))
-    if only_base:
-        print(f"note: only in baseline: {', '.join(only_base)}")
-    if only_cur:
-        print(f"note: only in current: {', '.join(only_cur)}")
-
+    try:
+        traj = json.loads(TRAJECTORY.read_text())
+        doc = json.loads(Path(args.capture).read_text())
+    except (OSError, ValueError) as e:
+        fail_input(str(e))
+    if not isinstance(doc, dict) or doc.get("bench") != "perf_micro":
+        fail_input(f"{args.capture} is not a perf_micro JSON export")
+    capture = rows_of(doc.get("results", []), args.capture)
+    entries = {e["label"]: rows_of(e["results"], f"entry {e['label']}")
+               for e in traj["entries"]}
+    if args.against is not None:
+        if args.against not in entries:
+            fail_input(f"no trajectory entry {args.against!r}; entries: "
+                       f"{', '.join(entries)}")
+        return against_table(args.against, entries, capture)
+    failed = [g["name"] for g in traj["gates"]
+              if run_gate(g, entries, capture)]
     if failed:
-        print(f"\nFAIL: {len(failed)} benchmark(s) regressed past "
-              f"{args.max_regression}x: {', '.join(failed)}")
+        print(f"FAIL: {len(failed)} of {len(traj['gates'])} gate(s): "
+              f"{'; '.join(failed)}")
         return 1
-    print(f"\nOK: no gated benchmark regressed past {args.max_regression}x "
-          f"({len(common)} compared)")
+    print(f"OK: all {len(traj['gates'])} gates pass")
     return 0
 
 

@@ -1,11 +1,11 @@
 //===- perf_micro.cpp - Microbenchmarks (X4/X9) ---------------------------===//
 //
 // Experiment X4 (DESIGN.md): google-benchmark timings of the pipeline
-// stages — front-end, tracing (with and without dependence tracking),
-// transformation, SDG construction, slice queries, frame generation — on
-// the paper's programs and growing synthetic subjects. These quantify the
-// engineering costs the paper discusses qualitatively (Section 9: trace
-// size and transformation overheads).
+// stages — front-end, tracing (with and without dependence tracking), SDG
+// construction, slice queries, search strategies, incremental recompute —
+// on the paper's programs and growing synthetic subjects. Every family is
+// read by a gate of bench/trajectory.json, a README table or an
+// EXPERIMENTS.md entry.
 //
 // Experiment X9 (EXPERIMENTS.md): the interpreter-bound cases (BM_Interpret*
 // and BM_Trace*) are the regression gate for the hot-path work — every run
@@ -28,11 +28,7 @@
 #include "slicing/StaticSlicer.h"
 #include "slicing/TreePruner.h"
 #include "support/JSON.h"
-#include "tgen/FrameGen.h"
-#include "tgen/SpecParser.h"
 #include "trace/ExecTreeBuilder.h"
-#include "transform/Transform.h"
-#include "workload/ArrsumFixture.h"
 #include "workload/PaperPrograms.h"
 #include "workload/Synthetic.h"
 
@@ -81,19 +77,6 @@ void BM_ParseAndCheckFigure4(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_ParseAndCheckFigure4);
-
-void BM_ParseAndCheckChain(benchmark::State &State) {
-  std::string Src = workload::chainProgram(
-                        static_cast<unsigned>(State.range(0)), 1)
-                        .Fixed;
-  for (auto _ : State) {
-    DiagnosticsEngine Diags;
-    auto Prog = pascal::parseAndCheck(Src, Diags);
-    benchmark::DoNotOptimize(Prog);
-  }
-  State.SetComplexityN(State.range(0));
-}
-BENCHMARK(BM_ParseAndCheckChain)->Range(8, 256)->Complexity();
 
 /// Parse and check of the edit_relocalize hub (the session benchmark's
 /// EditSession subject); the bytes/s column is the frontend's throughput.
@@ -394,37 +377,6 @@ void BM_LoopHeavyDeps(benchmark::State &State) {
 }
 BENCHMARK(BM_LoopHeavyDeps);
 
-void BM_TransformGotoProgram(benchmark::State &State) {
-  auto Prog = compileOrDie(workload::Section6GlobalGoto);
-  for (auto _ : State) {
-    DiagnosticsEngine Diags;
-    auto R = transform::transformProgram(*Prog, Diags);
-    benchmark::DoNotOptimize(R);
-  }
-}
-BENCHMARK(BM_TransformGotoProgram);
-
-void BM_BuildSDGFigure4(benchmark::State &State) {
-  auto Prog = compileOrDie(workload::Figure4Buggy);
-  for (auto _ : State) {
-    analysis::SDG G(*Prog);
-    benchmark::DoNotOptimize(G.numEdges());
-  }
-}
-BENCHMARK(BM_BuildSDGFigure4);
-
-void BM_BuildSDGChain(benchmark::State &State) {
-  auto Prog = compileOrDie(
-      workload::chainProgram(static_cast<unsigned>(State.range(0)), 1)
-          .Fixed);
-  for (auto _ : State) {
-    analysis::SDG G(*Prog);
-    benchmark::DoNotOptimize(G.numEdges());
-  }
-  State.SetComplexityN(State.range(0));
-}
-BENCHMARK(BM_BuildSDGChain)->Range(8, 128)->Complexity();
-
 void BM_StaticSliceQuery(benchmark::State &State) {
   auto Prog = compileOrDie(workload::Figure4Buggy);
   analysis::SDG G(*Prog);
@@ -436,32 +388,6 @@ void BM_StaticSliceQuery(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_StaticSliceQuery);
-
-void BM_GenerateArrsumFrames(benchmark::State &State) {
-  DiagnosticsEngine Diags;
-  auto Spec = tgen::parseSpec(workload::ArrsumSpec, Diags);
-  if (!Spec)
-    std::abort();
-  for (auto _ : State) {
-    auto Frames = tgen::generateFrames(*Spec);
-    benchmark::DoNotOptimize(Frames.Frames.size());
-  }
-}
-BENCHMARK(BM_GenerateArrsumFrames);
-
-void BM_RunArrsumTestSuite(benchmark::State &State) {
-  DiagnosticsEngine Diags;
-  auto Spec = tgen::parseSpec(workload::ArrsumSpec, Diags);
-  auto Prog = compileOrDie(workload::Figure4Fixed);
-  auto Frames = tgen::generateFrames(*Spec);
-  for (auto _ : State) {
-    auto DB = tgen::runTestSuite(*Prog, *Spec, Frames,
-                                 workload::instantiateArrsumFrame,
-                                 workload::checkArrsumOutcome);
-    benchmark::DoNotOptimize(DB.passCount());
-  }
-}
-BENCHMARK(BM_RunArrsumTestSuite);
 
 //===--------------------------------------------------------------------===//
 // Incremental-recompute benchmarks (X13): one edit-commit against a warm
@@ -487,7 +413,7 @@ constexpr unsigned kIncRounds = 8;
 /// the session afterwards are untimed. CI's gate 5 divides the incremental
 /// rows by this one. A commit takes ~40 ms on a 4-vCPU VM, where the
 /// default 0.5 s ran only 14-17 iterations per repetition and 1.5 s runs
-/// 41-53: enough for compare_bench.py's --min-iters 20 on a machine up to
+/// 41-53: enough for the gate's 20-iteration minimum on a machine up to
 /// 2x slower.
 void BM_ColdRebuild(benchmark::State &State) {
   const std::string A = workload::incrementalEditProgram(kIncLeaves, 1, 1, kIncRounds);

@@ -2,12 +2,101 @@
 
 #include "core/AssertionOracle.h"
 
+#include "support/Casting.h"
 #include "tgen/ConstEval.h"
 #include "tgen/SpecParser.h"
 
 using namespace gadt;
 using namespace gadt::core;
+using namespace gadt::pascal;
 using namespace gadt::trace;
+
+namespace {
+
+/// A value's type as an assertion's literals and operators determine it.
+/// A name's type is known only from the bindings at judge time.
+enum class Ty : uint8_t { Unknown, Int, Bool, Str };
+
+bool fits(Ty T, Ty Want) { return T == Ty::Unknown || T == Want; }
+
+/// Types \p E bottom-up under the operator rules evalClosedExpr applies,
+/// with every name untyped. Reports the first operator whose operands
+/// cannot have the types it needs and returns nullopt: such an assertion
+/// is undefined on every call.
+std::optional<Ty> typeOf(const Expr *E, DiagnosticsEngine &Diags) {
+  auto Reject = [&](const std::string &Message) -> std::optional<Ty> {
+    Diags.error(E->getLoc(), Message);
+    return std::nullopt;
+  };
+  switch (E->getKind()) {
+  case Expr::Kind::IntLiteral:
+    return Ty::Int;
+  case Expr::Kind::BoolLiteral:
+    return Ty::Bool;
+  case Expr::Kind::StringLiteral:
+    return Ty::Str;
+  case Expr::Kind::VarRef:
+  case Expr::Kind::Call:
+  case Expr::Kind::ArrayLiteral:
+    return Ty::Unknown;
+  case Expr::Kind::Index: {
+    std::optional<Ty> I = typeOf(cast<IndexExpr>(E)->getIndex(), Diags);
+    if (!I)
+      return std::nullopt;
+    if (!fits(*I, Ty::Int))
+      return Reject("array index must be an integer");
+    return Ty::Int;
+  }
+  case Expr::Kind::Unary: {
+    const auto *UE = cast<UnaryExpr>(E);
+    std::optional<Ty> T = typeOf(UE->getOperand(), Diags);
+    if (!T)
+      return std::nullopt;
+    Ty Want = UE->getOp() == UnaryOp::Neg ? Ty::Int : Ty::Bool;
+    if (!fits(*T, Want))
+      return Reject(Want == Ty::Int ? "unary '-' requires an integer operand"
+                                    : "'not' requires a boolean operand");
+    return Want;
+  }
+  case Expr::Kind::Binary: {
+    const auto *BE = cast<BinaryExpr>(E);
+    std::optional<Ty> L = typeOf(BE->getLHS(), Diags);
+    if (!L)
+      return std::nullopt;
+    std::optional<Ty> R = typeOf(BE->getRHS(), Diags);
+    if (!R)
+      return std::nullopt;
+    std::string Op = std::string("operator '") +
+                     binaryOpSpelling(BE->getOp()) + "' requires ";
+    switch (BE->getOp()) {
+    case BinaryOp::Eq:
+    case BinaryOp::Ne:
+      if (*L != Ty::Unknown && *R != Ty::Unknown && *L != *R)
+        return Reject(Op + "operands of one type");
+      return Ty::Bool;
+    case BinaryOp::And:
+    case BinaryOp::Or:
+      if (!fits(*L, Ty::Bool) || !fits(*R, Ty::Bool))
+        return Reject(Op + "boolean operands");
+      return Ty::Bool;
+    case BinaryOp::Lt:
+    case BinaryOp::Le:
+    case BinaryOp::Gt:
+    case BinaryOp::Ge:
+      if (!fits(*L, Ty::Int) || !fits(*R, Ty::Int))
+        return Reject(Op + "integer operands");
+      return Ty::Bool;
+    default: // + - * div mod
+      if (!fits(*L, Ty::Int) || !fits(*R, Ty::Int))
+        return Reject(Op + "integer operands");
+      return Ty::Int;
+    }
+  }
+  }
+  return Ty::Unknown;
+}
+
+} // namespace
 
 struct AssertionOracle::Entry {
   pascal::ExprPtr Expr;
@@ -21,6 +110,13 @@ bool AssertionOracle::addAssertion(const std::string &UnitName,
   pascal::ExprPtr E = tgen::parseClassifierExpr(ExprText, Diags);
   if (!E)
     return false;
+  std::optional<Ty> T = typeOf(E.get(), Diags);
+  if (!T)
+    return false;
+  if (!fits(*T, Ty::Bool)) {
+    Diags.error(E->getLoc(), "an assertion must be a boolean expression");
+    return false;
+  }
   auto Ent = std::make_shared<Entry>();
   Ent->Expr = std::move(E);
   Ent->S = S;

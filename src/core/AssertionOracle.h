@@ -39,8 +39,12 @@ class AssertionOracle : public Oracle {
 public:
   enum class Strength : uint8_t { Specification, Necessary };
 
-  /// Parses \p ExprText with the classifier-expression grammar and attaches
-  /// it to \p UnitName. Returns false (with diagnostics) on a parse error.
+  /// Parses \p ExprText with the classifier-expression grammar, checks
+  /// the types its literals and operators imply (names stay untyped) and
+  /// attaches it to \p UnitName. Returns false, with a diagnostic, on a
+  /// parse error, an operator whose operands cannot have the types it
+  /// needs (`x > 0 and y > 0` ranks as `x > (0 and y) > 0`), or a
+  /// non-boolean expression: each is undefined on every call.
   bool addAssertion(const std::string &UnitName, const std::string &ExprText,
                     Strength S, DiagnosticsEngine &Diags);
 

@@ -23,6 +23,7 @@
 #include <cassert>
 #include <cctype>
 #include <cinttypes>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -403,7 +404,9 @@ private:
     char *End = nullptr;
     V.K = Value::Kind::Number;
     V.Num = std::strtod(Num.c_str(), &End);
-    if (End != Num.c_str() + Num.size())
+    // strtod reads a number past DBL_MAX as infinity, which is not JSON
+    // and which Writer could not write back.
+    if (End != Num.c_str() + Num.size() || !std::isfinite(V.Num))
       return std::nullopt;
     return V;
   }
@@ -463,7 +466,8 @@ private:
 } // namespace detail
 
 /// Parses one JSON document. Returns nullopt on any syntax error, trailing
-/// garbage or nesting deeper than MaxNestingDepth.
+/// garbage, a number out of double's range or nesting deeper than
+/// MaxNestingDepth.
 inline std::optional<Value> parse(std::string_view S) {
   return detail::Parser(S).parse();
 }

@@ -219,6 +219,41 @@ TEST(OracleTest, AssertionOracleRejectsBadExpression) {
   EXPECT_TRUE(Diags.hasErrors());
 }
 
+TEST(OracleTest, AssertionOracleRejectsIllTypedOperators) {
+  // Under Pascal ranking `x > 0 and y > 0` is `x > (0 and y) > 0`, which
+  // is undefined on every call, so the oracle would answer nothing. Names
+  // stay untyped, so `g = (x or y = z)` passes.
+  struct Case {
+    const char *Text;
+    const char *Error; ///< nullptr: accepted
+  } Cases[] = {
+      {"x > 0 and y > 0", "operator 'and' requires boolean operands"},
+      {"(x > 0) and (y > 0)", nullptr},
+      {"g = (x or y = z)", nullptr},
+      {"increment = y + 1", nullptr},
+      {"decrement > 0", nullptr},
+      {"not 1", "'not' requires a boolean operand"},
+      {"-true = x", "unary '-' requires an integer operand"},
+      {"1 = true", "operator '=' requires operands of one type"},
+      {"'a' < 'b'", "operator '<' requires integer operands"},
+      {"x + (y or z) > 0", "operator '+' requires integer operands"},
+      {"a[x > 0] = 1", "array index must be an integer"},
+      {"x + 1", "an assertion must be a boolean expression"},
+  };
+  for (const Case &C : Cases) {
+    DiagnosticsEngine Diags;
+    AssertionOracle O;
+    bool Added = O.addAssertion(
+        "g", C.Text, AssertionOracle::Strength::Specification, Diags);
+    EXPECT_EQ(Added, C.Error == nullptr) << C.Text << "\n" << Diags.str();
+    if (C.Error) {
+      EXPECT_NE(Diags.str().find(C.Error), std::string::npos)
+          << C.Text << "\n" << Diags.str();
+    }
+    EXPECT_EQ(O.assertionCount(), Added ? 1u : 0u);
+  }
+}
+
 TEST(OracleTest, TestDatabaseOracleAnswersCoveredCalls) {
   auto Fixed = compile(workload::Figure4Fixed);
   auto Buggy = compile(workload::Figure4Buggy);

@@ -130,6 +130,17 @@ TEST(JsonTest, ParserRejectsMalformed) {
   EXPECT_FALSE(json::parse("nul").has_value());
 }
 
+TEST(JsonTest, OutOfRangeNumbersAreRejected) {
+  // strtod reads these as infinity, which Writer would write as `inf`, not
+  // JSON, so the document could not round-trip (the JSON fuzz driver's
+  // "dur":25.001e999).
+  EXPECT_FALSE(json::parse("1e400").has_value());
+  EXPECT_FALSE(json::parse("{\"dur\":-25.001e999}").has_value());
+  std::optional<json::Value> Tiny = json::parse("1e-400"); // underflows to 0
+  ASSERT_TRUE(Tiny.has_value());
+  EXPECT_EQ(Tiny->Num, 0.0);
+}
+
 TEST(JsonTest, NestingPastTheLimitIsRejected) {
   auto Arrays = [](size_t N) {
     return std::string(N, '[') + std::string(N, ']');

@@ -8,8 +8,9 @@
 //  - the self column sums to the roots' total, to the nanosecond;
 //  - a trace cut at the tracer's cap says so, and a line nested past the
 //    JSON parser's depth limit is counted as unparsed, not followed;
-//  - gadt_report exits 1 when a named input cannot be read or a --bench
-//    file is not a perf_micro capture.
+//  - the bench section puts the entries of a trajectory file side by side;
+//  - gadt_report exits 1 when a named input cannot be read or the --bench
+//    file is not a trajectory with entries.
 //
 //===----------------------------------------------------------------------===//
 
@@ -126,6 +127,25 @@ TEST(TraceFoldTest, DeeplyNestedLineIsUnparsed) {
   EXPECT_EQ(F.Spans[0].SelfNs, 2000);
 }
 
+TEST(TraceFoldTest, OutOfRangeFieldsAreClamped) {
+  // Converting these doubles to the fold's integers unclamped would be
+  // undefined behaviour (lines like the JSON fuzz driver's mutants).
+  TraceFold F = foldTrace(
+      R"({"name":"a","ph":"X","pid":1,"tid":-5e10,"ts":1,"dur":100e125,)"
+      R"("sid":1e300})"
+      "\n"
+      R"({"name":"b","ph":"X","pid":1,"tid":-5e10,"ts":2,"dur":1e127,)"
+      R"("sid":2,"psid":1e300})"
+      "\n");
+  ASSERT_EQ(F.Spans.size(), 2u);
+  EXPECT_EQ(F.Threads.size(), 1u);
+  EXPECT_EQ(F.RootNs, int64_t(1) << 53); // a, clamped; b is its child
+  int64_t SelfSum = 0;
+  for (const SpanRow &R : F.Spans)
+    SelfSum += R.SelfNs;
+  EXPECT_EQ(SelfSum, F.RootNs);
+}
+
 //===----------------------------------------------------------------------===//
 // Exit status
 //===----------------------------------------------------------------------===//
@@ -147,7 +167,11 @@ TEST(ReportTest, ReadableInputsExitZero) {
   std::string Trace = writeTemp("gadt_report_trace.jsonl", Fixture);
   std::string Bench = writeTemp(
       "gadt_report_bench.json",
-      R"({"bench":"perf_micro","results":[{"name":"BM_X","real_ns":1500}]})");
+      R"({"gates":[],"entries":[
+          {"label":"PR1","from":"a.json","results":[
+            {"name":"BM_X","real_ns":1500}]},
+          {"label":"PR2","from":"b.json","results":[
+            {"name":"BM_X","real_ns":1000},{"name":"BM_Y","real_ns":2000}]}]})");
   std::string Out = ::testing::TempDir() + "gadt_report_ok.md";
   EXPECT_EQ(runReport({"--trace", Trace, "--bench", Bench, "--out", Out}), 0);
   std::string Md = readAll(Out);
@@ -158,7 +182,10 @@ TEST(ReportTest, ReadableInputsExitZero) {
   EXPECT_NE(Md.find("1 started, 1 completed, 1 crossed threads"),
             std::string::npos)
       << Md;
-  EXPECT_NE(Md.find("`BM_X`"), std::string::npos) << Md;
+  EXPECT_NE(Md.find("| benchmark | PR1 | PR2 |\n"), std::string::npos) << Md;
+  EXPECT_NE(Md.find("| `BM_X` | 1.5 us | 1.0 us |\n"), std::string::npos)
+      << Md;
+  EXPECT_NE(Md.find("| `BM_Y` | — | 2.0 us |\n"), std::string::npos) << Md;
   std::remove(Trace.c_str());
   std::remove(Bench.c_str());
   std::remove(Out.c_str());
@@ -172,17 +199,37 @@ TEST(ReportTest, MissingTraceExitsOne) {
   std::remove(Out.c_str());
 }
 
+TEST(ReportTest, CommittedTrajectoryRendersEveryEntry) {
+  std::string Md;
+  ASSERT_TRUE(renderTrajectory(readAll(GADT_TRAJECTORY), Md));
+  EXPECT_NE(Md.find("| benchmark | PR3-parent | PR3 | PR4-parent | PR4 | "
+                    "PR5-parent | PR5 | PR6-parent | PR6 | PR8-tree | PR8 | "
+                    "PR9 | PR10-tree | PR10 |\n"),
+            std::string::npos)
+      << Md;
+  EXPECT_NE(Md.find("| `BM_CalibrationKernel` |"), std::string::npos);
+}
+
 TEST(ReportTest, BenchThatIsNotACaptureExitsOne) {
+  // The one bench input is a trajectory file; a raw perf_micro export, a
+  // trajectory without entries and an entry without results are not.
   std::string Out = ::testing::TempDir() + "gadt_report_notbench.md";
-  std::string Text = writeTemp("gadt_report_text.json", "just a hostname\n");
-  std::string NoResults =
-      writeTemp("gadt_report_noresults.json", R"({"bench":"perf_micro"})");
-  EXPECT_EQ(runReport({"--bench", Text, "--out", Out}), 1);
-  EXPECT_EQ(runReport({"--bench", NoResults, "--out", Out}), 1);
-  EXPECT_EQ(runReport({"--bench", "/nonexistent/BENCH.json", "--out", Out}),
+  const char *const NotTrajectories[] = {
+      "just a hostname\n",
+      R"({"bench":"perf_micro"})",
+      R"({"bench":"perf_micro","results":[{"name":"BM_X","real_ns":1}]})",
+      R"({"gates":[],"entries":[]})",
+      R"({"entries":[{"label":"PR1","from":"a.json"}]})",
+      R"({"entries":[{"from":"a.json","results":[]}]})",
+  };
+  for (const char *Text : NotTrajectories) {
+    std::string Path = writeTemp("gadt_report_notbench.json", Text);
+    EXPECT_EQ(runReport({"--bench", Path, "--out", Out}), 1) << Text;
+    std::remove(Path.c_str());
+  }
+  EXPECT_EQ(runReport({"--bench", "/nonexistent/trajectory.json", "--out",
+                       Out}),
             1);
-  std::remove(Text.c_str());
-  std::remove(NoResults.c_str());
   std::remove(Out.c_str());
 }
 

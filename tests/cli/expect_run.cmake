@@ -1,10 +1,16 @@
-# Runs `EXE PROGRAM --intended INTENDED -- INPUT` and checks its exit code
-# against EXIT and its combined stdout and stderr against the regex MATCH:
+# Runs `EXE PROGRAM --intended INTENDED [--assert UNIT EXPR] -- INPUT` and
+# checks its exit code against EXIT and its combined stdout and stderr
+# against the regex MATCH:
 #
 #   cmake -DEXE=... -DPROGRAM=... -DINTENDED=... -DINPUT=... -DEXIT=1 \
-#         -DMATCH=... -P expect_run.cmake
+#         -DMATCH=... [-DASSERT_UNIT=... -DASSERT_EXPR=...] \
+#         -P expect_run.cmake
+set(Assert)
+if(DEFINED ASSERT_EXPR)
+  set(Assert --assert ${ASSERT_UNIT} "${ASSERT_EXPR}")
+endif()
 execute_process(
-  COMMAND ${EXE} ${PROGRAM} --intended ${INTENDED} -- ${INPUT}
+  COMMAND ${EXE} ${PROGRAM} --intended ${INTENDED} ${Assert} -- ${INPUT}
   RESULT_VARIABLE Code
   OUTPUT_VARIABLE Out
   ERROR_VARIABLE Err)

@@ -1,11 +1,11 @@
 //===- Report.cpp - The ops report behind gadt_report ---------------------===//
 //
-// Folds the span trace a traced run leaves behind (GADT_TRACE) plus any
-// number of committed BENCH_*.json captures into a single markdown ops
-// report. The report answers the questions an operator asks first: where
-// did the time go (exact self time per span), did sessions cross threads
-// cleanly (flow accounting), did the tracer drop anything — and how do the
-// numbers compare with the committed benchmark trajectory.
+// Folds the span trace a traced run leaves behind (GADT_TRACE) plus the
+// committed benchmark trajectory (bench/trajectory.json) into a single
+// markdown ops report. The report answers the questions an operator asks
+// first: where did the time go (exact self time per span), did sessions
+// cross threads cleanly (flow accounting), did the tracer drop anything —
+// and how do the numbers compare with the committed benchmark trajectory.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +18,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 using namespace gadt;
@@ -51,11 +52,6 @@ std::vector<std::string> splitLines(const std::string &Text) {
   return Lines;
 }
 
-std::string baseName(const std::string &Path) {
-  size_t Slash = Path.find_last_of('/');
-  return Slash == std::string::npos ? Path : Path.substr(Slash + 1);
-}
-
 std::string fmtMicros(double Us) {
   char Buf[32];
   if (Us >= 1e6)
@@ -71,8 +67,24 @@ std::string fmtMicros(double Us) {
 // Trace section
 //===----------------------------------------------------------------------===//
 
-/// A rendered fractional-microsecond field, as integer nanoseconds.
-int64_t nanos(double Us) { return std::llround(Us * 1000.0); }
+/// A rendered fractional-microsecond field, as integer nanoseconds,
+/// clamped to 2^53 ns (104 days): the conversion of a hostile trace's
+/// duration is defined, and 1,024 of them still sum within int64_t.
+int64_t nanos(double Us) {
+  constexpr double Max = 9007199254740992.0;
+  return std::llround(std::clamp(Us * 1000.0, -Max, Max));
+}
+
+/// A numeric field as an integer of type T: 0 when absent, truncated, and
+/// clamped to T's range, since converting a double outside it is undefined.
+template <typename T> T intField(const json::Value &V, std::string_view Name) {
+  double D = V.getNumber(Name);
+  if (!(D > static_cast<double>(std::numeric_limits<T>::min())))
+    return std::numeric_limits<T>::min();
+  if (D >= static_cast<double>(std::numeric_limits<T>::max()))
+    return std::numeric_limits<T>::max();
+  return static_cast<T>(D);
+}
 
 bool traceSection(const std::string &Path, std::string &Md) {
   std::string Text;
@@ -117,86 +129,14 @@ bool traceSection(const std::string &Path, std::string &Md) {
   return true;
 }
 
-//===----------------------------------------------------------------------===//
-// Bench-trajectory section
-//===----------------------------------------------------------------------===//
-
-bool benchSection(const std::vector<std::string> &Paths, std::string &Md) {
-  struct Capture {
-    std::string Label;
-    std::map<std::string, double> RealNs;
-  };
-  std::vector<Capture> Captures;
-  std::vector<std::string> AllNames; // first-seen order
-  bool Ok = true;
-  for (const std::string &Path : Paths) {
-    std::string Text;
-    if (!readFile(Path, Text)) {
-      Ok = false;
-      continue;
-    }
-    std::optional<json::Value> V = json::parse(Text);
-    const json::Value *Results =
-        V && V->isObject() ? V->find("results") : nullptr;
-    if (!Results || !Results->isArray()) {
-      obs::logError("gadt_report", "not a perf_micro capture: " + Path);
-      Ok = false;
-      continue;
-    }
-    Capture C;
-    C.Label = baseName(Path);
-    for (const json::Value &R : Results->Arr) {
-      std::string Name = R.getString("name");
-      C.RealNs[Name] = R.getNumber("real_ns");
-      if (std::find(AllNames.begin(), AllNames.end(), Name) == AllNames.end())
-        AllNames.push_back(Name);
-    }
-    Captures.push_back(std::move(C));
-  }
-  if (Captures.empty())
-    return Ok;
-  Md += "## Benchmark trajectory\n\nmin-of-N real time per iteration.\n\n";
-  Md += "| benchmark |";
-  for (const Capture &C : Captures)
-    Md += " " + C.Label + " |";
-  if (Captures.size() >= 2)
-    Md += " last vs first |";
-  Md += "\n|---|";
-  for (size_t I = 0; I < Captures.size(); ++I)
-    Md += "---:|";
-  if (Captures.size() >= 2)
-    Md += "---:|";
-  Md += "\n";
-  for (const std::string &Name : AllNames) {
-    Md += "| `" + Name + "` |";
-    for (const Capture &C : Captures) {
-      auto It = C.RealNs.find(Name);
-      if (It == C.RealNs.end()) {
-        Md += " — |";
-        continue;
-      }
-      Md += ' ';
-      Md += fmtMicros(It->second / 1000.0);
-      Md += " |";
-    }
-    if (Captures.size() >= 2) {
-      auto FirstIt = Captures.front().RealNs.find(Name);
-      auto LastIt = Captures.back().RealNs.find(Name);
-      if (FirstIt != Captures.front().RealNs.end() &&
-          LastIt != Captures.back().RealNs.end() && FirstIt->second > 0) {
-        char Buf[32];
-        std::snprintf(Buf, sizeof(Buf), " %+.1f%% |",
-                      100.0 * (LastIt->second - FirstIt->second) /
-                          FirstIt->second);
-        Md += Buf;
-      } else {
-        Md += " — |";
-      }
-    }
-    Md += "\n";
-  }
-  Md += "\n";
-  return Ok;
+bool benchSection(const std::string &Path, std::string &Md) {
+  std::string Text;
+  if (!readFile(Path, Text))
+    return false;
+  if (renderTrajectory(Text, Md))
+    return true;
+  obs::logError("gadt_report", "not a benchmark trajectory: " + Path);
+  return false;
 }
 
 } // namespace
@@ -227,21 +167,21 @@ TraceFold gadt::report::foldTrace(const std::string &Jsonl) {
     std::string Name = V->getString("name");
     if (Ph == "i" && Name == "trace.dropped") {
       if (const json::Value *Args = V->find("args"))
-        F.Dropped += static_cast<uint64_t>(Args->getNumber("events"));
+        F.Dropped += intField<uint64_t>(*Args, "events");
       continue;
     }
     ++F.Events;
-    int Tid = static_cast<int>(V->getNumber("tid"));
+    int Tid = intField<int>(*V, "tid");
     std::string &ThreadName = F.Threads[Tid];
     if (Ph == "X") {
       Spans.push_back({std::move(Name),
-                       static_cast<uint64_t>(V->getNumber("sid")),
-                       static_cast<uint64_t>(V->getNumber("psid")),
+                       intField<uint64_t>(*V, "sid"),
+                       intField<uint64_t>(*V, "psid"),
                        nanos(V->getNumber("dur"))});
     } else if (Ph == "i") {
       ++F.Instants;
     } else if (Ph == "s" || Ph == "t" || Ph == "f") {
-      Flow &Fl = Flows[static_cast<uint64_t>(V->getNumber("id"))];
+      Flow &Fl = Flows[intField<uint64_t>(*V, "id")];
       if (Ph == "s")
         Fl.StartTid = Tid;
       else if (Ph == "f")
@@ -297,24 +237,79 @@ TraceFold gadt::report::foldTrace(const std::string &Jsonl) {
 }
 
 //===----------------------------------------------------------------------===//
+// The bench trajectory
+//===----------------------------------------------------------------------===//
+
+bool gadt::report::renderTrajectory(std::string_view Json, std::string &Md) {
+  std::optional<json::Value> V = json::parse(Json);
+  const json::Value *Entries = V ? V->find("entries") : nullptr;
+  if (!Entries || !Entries->isArray() || Entries->Arr.empty())
+    return false;
+  struct Column {
+    std::string Label;
+    std::map<std::string, double> RealNs;
+  };
+  std::vector<Column> Columns;
+  std::vector<std::string> Names; // first-seen order
+  for (const json::Value &E : Entries->Arr) {
+    const json::Value *Label = E.find("label");
+    const json::Value *Results = E.find("results");
+    if (!Label || !Label->isString() || !Results || !Results->isArray())
+      return false;
+    Column C{Label->Str, {}};
+    for (const json::Value &R : Results->Arr) {
+      std::string Name = R.getString("name");
+      C.RealNs.emplace(Name, R.getNumber("real_ns"));
+      if (std::find(Names.begin(), Names.end(), Name) == Names.end())
+        Names.push_back(Name);
+    }
+    Columns.push_back(std::move(C));
+  }
+
+  Md += "## Benchmark trajectory\n\nmin-of-N real time per iteration, one "
+        "column per entry.\n\n| benchmark |";
+  for (const Column &C : Columns)
+    Md += " " + C.Label + " |";
+  Md += "\n|---|";
+  for (size_t I = 0; I < Columns.size(); ++I)
+    Md += "---:|";
+  Md += "\n";
+  for (const std::string &Name : Names) {
+    Md += "| `" + Name + "` |";
+    for (const Column &C : Columns) {
+      auto It = C.RealNs.find(Name);
+      if (It == C.RealNs.end()) {
+        Md += " — |";
+        continue;
+      }
+      Md += ' ';
+      Md += fmtMicros(It->second / 1000.0);
+      Md += " |";
+    }
+    Md += "\n";
+  }
+  Md += "\n";
+  return true;
+}
+
+//===----------------------------------------------------------------------===//
 // The driver
 //===----------------------------------------------------------------------===//
 
 int gadt::report::runReport(const std::vector<std::string> &Args) {
-  std::string TracePath, OutPath;
-  std::vector<std::string> BenchPaths;
+  std::string TracePath, BenchPath, OutPath;
   for (size_t I = 0; I < Args.size(); ++I) {
     const std::string &Arg = Args[I];
     bool HasValue = I + 1 < Args.size();
     if (Arg == "--trace" && HasValue)
       TracePath = Args[++I];
     else if (Arg == "--bench" && HasValue)
-      BenchPaths.push_back(Args[++I]);
+      BenchPath = Args[++I];
     else if (Arg == "--out" && HasValue)
       OutPath = Args[++I];
     else {
       std::printf("usage: gadt_report [--trace t.jsonl] "
-                  "[--bench BENCH.json]... [--out report.md]\n");
+                  "[--bench trajectory.json] [--out report.md]\n");
       return Arg == "--help" ? 0 : 1;
     }
   }
@@ -322,15 +317,15 @@ int gadt::report::runReport(const std::vector<std::string> &Args) {
   std::string Md = "# GADT ops report\n\nInputs:";
   if (!TracePath.empty())
     Md += " trace=`" + TracePath + "`";
-  for (const std::string &B : BenchPaths)
-    Md += " bench=`" + B + "`";
+  if (!BenchPath.empty())
+    Md += " bench=`" + BenchPath + "`";
   Md += "\n\n";
 
   bool Ok = true;
   if (!TracePath.empty())
     Ok &= traceSection(TracePath, Md);
-  if (!BenchPaths.empty())
-    Ok &= benchSection(BenchPaths, Md);
+  if (!BenchPath.empty())
+    Ok &= benchSection(BenchPath, Md);
 
   if (OutPath.empty()) {
     std::fputs(Md.c_str(), stdout);

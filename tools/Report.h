@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace gadt {
@@ -56,10 +57,17 @@ struct TraceFold {
 /// Folds a JSONL span trace.
 TraceFold foldTrace(const std::string &Jsonl);
 
+/// Appends the benchmark-trajectory section for the text of a trajectory
+/// file (bench/trajectory.json): one column per entry, one row per
+/// benchmark, min-of-N real time. Returns false and appends nothing when
+/// the text does not parse, holds no entries, or an entry lacks a label
+/// or a results array.
+bool renderTrajectory(std::string_view Json, std::string &Md);
+
 /// gadt_report's command line, after the program name. Writes the report
 /// to --out (or stdout) and returns the exit status: 1 when an input named
-/// on the command line cannot be read, a --bench file is not a perf_micro
-/// capture, or the report cannot be written; 0 otherwise.
+/// on the command line cannot be read, the --bench file is not a benchmark
+/// trajectory, or the report cannot be written; 0 otherwise.
 int runReport(const std::vector<std::string> &Args);
 
 } // namespace report

@@ -1,14 +1,14 @@
 //===- gadt_report.cpp - Fold telemetry into one ops report ---------------===//
 //
-// Folds a span trace (GADT_TRACE) and any number of committed BENCH_*.json
-// captures into a single markdown ops report:
+// Folds a span trace (GADT_TRACE) and the committed benchmark trajectory
+// into a single markdown ops report:
 //
-//   $ gadt_report --trace t.jsonl --bench BENCH_PR5.json
-//                 --bench BENCH_PR6.json --out report.md
+//   $ gadt_report --trace t.jsonl --bench bench/trajectory.json
+//                 --out report.md
 //
 // Every input is optional; sections for absent inputs are omitted. The
 // span table gives each span's exact self time (Report.h). Exits 1 when a
-// named input cannot be read or a --bench file is not a perf_micro capture.
+// named input cannot be read or the --bench file is not a trajectory.
 //
 //===----------------------------------------------------------------------===//
 
