@@ -150,18 +150,17 @@ int main(int argc, char **argv) {
   double Cold1 = 0, Cold4 = 0;
   std::vector<Row> Rows;
   for (unsigned Threads : {1u, 2u, 4u, 8u}) {
-    auto Ctx = std::make_shared<RuntimeContext>();
-    BatchRunner Runner(Ctx, {Threads});
+    RuntimeContext Ctx;
 
     auto T0 = std::chrono::steady_clock::now();
-    std::vector<SessionResult> Cold = Runner.run(Reqs);
+    std::vector<SessionResult> Cold = runBatch(Ctx, Reqs, Threads);
     auto T1 = std::chrono::steady_clock::now();
-    RuntimeStats AfterCold = Ctx->stats();
+    RuntimeStats AfterCold = Ctx.stats();
 
     auto T2 = std::chrono::steady_clock::now();
-    std::vector<SessionResult> Warm = Runner.run(Reqs);
+    std::vector<SessionResult> Warm = runBatch(Ctx, Reqs, Threads);
     auto T3 = std::chrono::steady_clock::now();
-    RuntimeStats AfterWarm = Ctx->stats();
+    RuntimeStats AfterWarm = Ctx.stats();
 
     double ColdRate = NumSessions / secondsOf(T0, T1);
     double WarmRate = NumSessions / secondsOf(T2, T3);

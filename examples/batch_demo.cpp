@@ -1,8 +1,8 @@
 //===- batch_demo.cpp - Debug a fleet of buggy programs in parallel -------===//
 //
 // Demonstrates the batch-debugging runtime: many (buggy program, intended
-// program) pairs are queued as session requests and executed across a
-// thread pool. Sessions over the same subject share its transformed
+// program) pairs are session requests, and runBatch runs them across
+// four threads. Sessions over the same subject share its transformed
 // program, system dependence graph and static slices through a
 // RuntimeContext, so the second batch over the same fleet is served
 // entirely from the warm caches.
@@ -12,8 +12,9 @@
 // Set GADT_TRACE to watch the run in a trace viewer (README,
 // "Observability"): every parse, transform, SDG build, cache lookup,
 // oracle judgement and session is recorded as a span and flushed as JSONL
-// at exit, with flow arrows stitching each session across worker threads;
-// tools/gadt_report folds the trace into a self-time table:
+// at exit, each session's phases nested under its `session` span on the
+// thread that ran it; tools/gadt_report folds the trace into a self-time
+// table:
 //
 //   $ GADT_TRACE=batch.trace.jsonl ./batch_demo
 //   $ gadt_report --trace batch.trace.jsonl
@@ -49,12 +50,12 @@ int main() {
       Requests.push_back(std::move(R));
     }
 
-  auto Ctx = std::make_shared<RuntimeContext>();
-  BatchRunner Runner(Ctx, {/*Threads=*/4});
+  constexpr unsigned Threads = 4;
+  RuntimeContext Ctx;
   std::printf("debugging %zu sessions on %u threads...\n\n", Requests.size(),
-              Runner.threadCount());
+              Threads);
 
-  std::vector<SessionResult> Results = Runner.run(Requests);
+  std::vector<SessionResult> Results = runBatch(Ctx, Requests, Threads);
   for (size_t I = 0; I < Results.size(); ++I) {
     const SessionResult &R = Results[I];
     if (R.Found)
@@ -74,12 +75,12 @@ int main() {
               Judgements, UserQueries);
 
   std::printf("cache accounting after the cold batch:\n  %s\n",
-              Ctx->stats().str().c_str());
+              Ctx.stats().str().c_str());
 
   // Run the same fleet again: every artifact is already cached.
-  Runner.run(Requests);
+  runBatch(Ctx, Requests, Threads);
   std::printf("after a warm batch over the same fleet:\n  %s\n",
-              Ctx->stats().str().c_str());
+              Ctx.stats().str().c_str());
 
   if (const char *TracePath = std::getenv("GADT_TRACE"))
     std::printf("\ntracing: %llu events will be flushed to %s "

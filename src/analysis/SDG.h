@@ -300,9 +300,6 @@ public:
   SDGNodeId formalIn(const pascal::RoutineDecl *R,
                      const std::string &Name) const;
 
-  const CallGraph &callGraph() const { return *CG; }
-  const SideEffectAnalysis &sideEffects() const { return *SEA; }
-
   unsigned numEdges() const { return NumEdges; }
   unsigned numSummaryEdges() const { return NumSummary; }
 

@@ -13,17 +13,65 @@ using namespace gadt::trace;
 
 namespace {
 
-/// A value's type as an assertion's literals and operators determine it.
-/// A name's type is known only from the bindings at judge time.
+/// A value's type as an assertion's literals, operators and declared names
+/// determine it; Unknown where only the bindings at judge time tell.
 enum class Ty : uint8_t { Unknown, Int, Bool, Str };
 
 bool fits(Ty T, Ty Want) { return T == Ty::Unknown || T == Want; }
 
+/// The routine named \p Name in \p P, or null when none or several are.
+const RoutineDecl *findUnit(const Program *P, const std::string &Name) {
+  if (!P)
+    return nullptr;
+  const RoutineDecl *Found = nullptr;
+  unsigned Matches = 0;
+  forEachRoutine(P->getMain(), [&](RoutineDecl *R) {
+    if (R->getName() == Name) {
+      Found = R;
+      ++Matches;
+    }
+  });
+  return Matches == 1 ? Found : nullptr;
+}
+
+/// The declared type of \p E when it is a name as \p Unit's body resolves
+/// it (its parameters, result and locals, then the enclosing scopes;
+/// `in_<name>` is the input value of `<name>`) or an element of one; null
+/// otherwise.
+const Type *declaredType(const Expr *E, const RoutineDecl *Unit) {
+  if (const auto *IE = dyn_cast<IndexExpr>(E)) {
+    const Type *Base = declaredType(IE->getBase(), Unit);
+    return Base && Base->isArray() ? Base->getElementType() : nullptr;
+  }
+  const auto *VR = dyn_cast<VarRefExpr>(E);
+  if (!VR || !Unit)
+    return nullptr;
+  auto Lookup = [Unit](const std::string &N) -> const VarDecl * {
+    for (const RoutineDecl *S = Unit; S; S = S->getParent())
+      if (const VarDecl *D = S->findLocal(N))
+        return D;
+    return nullptr;
+  };
+  const VarDecl *D = Lookup(VR->getName());
+  if (!D && VR->getName().rfind("in_", 0) == 0)
+    D = Lookup(VR->getName().substr(3));
+  return D ? D->getType() : nullptr;
+}
+
+/// The type a value of declared type \p T has in an assertion.
+Ty tyOf(const Type *T) {
+  if (!T || T->isArray())
+    return Ty::Unknown;
+  return T->isInteger() ? Ty::Int : T->isBoolean() ? Ty::Bool : Ty::Str;
+}
+
 /// Types \p E bottom-up under the operator rules evalClosedExpr applies,
-/// with every name untyped. Reports the first operator whose operands
-/// cannot have the types it needs and returns nullopt: such an assertion
-/// is undefined on every call.
-std::optional<Ty> typeOf(const Expr *E, DiagnosticsEngine &Diags) {
+/// with names typed by \p Unit's declarations (untyped without one).
+/// Reports the first operator whose operands cannot have the types it
+/// needs and returns nullopt: such an assertion is undefined on every
+/// call.
+std::optional<Ty> typeOf(const Expr *E, const RoutineDecl *Unit,
+                         DiagnosticsEngine &Diags) {
   auto Reject = [&](const std::string &Message) -> std::optional<Ty> {
     Diags.error(E->getLoc(), Message);
     return std::nullopt;
@@ -36,20 +84,22 @@ std::optional<Ty> typeOf(const Expr *E, DiagnosticsEngine &Diags) {
   case Expr::Kind::StringLiteral:
     return Ty::Str;
   case Expr::Kind::VarRef:
+    return tyOf(declaredType(E, Unit));
   case Expr::Kind::Call:
   case Expr::Kind::ArrayLiteral:
     return Ty::Unknown;
   case Expr::Kind::Index: {
-    std::optional<Ty> I = typeOf(cast<IndexExpr>(E)->getIndex(), Diags);
+    std::optional<Ty> I =
+        typeOf(cast<IndexExpr>(E)->getIndex(), Unit, Diags);
     if (!I)
       return std::nullopt;
     if (!fits(*I, Ty::Int))
       return Reject("array index must be an integer");
-    return Ty::Int;
+    return tyOf(declaredType(E, Unit));
   }
   case Expr::Kind::Unary: {
     const auto *UE = cast<UnaryExpr>(E);
-    std::optional<Ty> T = typeOf(UE->getOperand(), Diags);
+    std::optional<Ty> T = typeOf(UE->getOperand(), Unit, Diags);
     if (!T)
       return std::nullopt;
     Ty Want = UE->getOp() == UnaryOp::Neg ? Ty::Int : Ty::Bool;
@@ -60,10 +110,10 @@ std::optional<Ty> typeOf(const Expr *E, DiagnosticsEngine &Diags) {
   }
   case Expr::Kind::Binary: {
     const auto *BE = cast<BinaryExpr>(E);
-    std::optional<Ty> L = typeOf(BE->getLHS(), Diags);
+    std::optional<Ty> L = typeOf(BE->getLHS(), Unit, Diags);
     if (!L)
       return std::nullopt;
-    std::optional<Ty> R = typeOf(BE->getRHS(), Diags);
+    std::optional<Ty> R = typeOf(BE->getRHS(), Unit, Diags);
     if (!R)
       return std::nullopt;
     std::string Op = std::string("operator '") +
@@ -110,7 +160,7 @@ bool AssertionOracle::addAssertion(const std::string &UnitName,
   pascal::ExprPtr E = tgen::parseClassifierExpr(ExprText, Diags);
   if (!E)
     return false;
-  std::optional<Ty> T = typeOf(E.get(), Diags);
+  std::optional<Ty> T = typeOf(E.get(), findUnit(Names, UnitName), Diags);
   if (!T)
     return false;
   if (!fits(*T, Ty::Bool)) {

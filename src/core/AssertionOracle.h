@@ -25,6 +25,7 @@
 #define GADT_CORE_ASSERTIONORACLE_H
 
 #include "core/Oracle.h"
+#include "pascal/AST.h"
 #include "support/Diagnostics.h"
 
 #include <map>
@@ -39,12 +40,24 @@ class AssertionOracle : public Oracle {
 public:
   enum class Strength : uint8_t { Specification, Necessary };
 
+  /// The program whose declarations type the names of assertions added
+  /// from now on. GADTSession passes the program it debugs.
+  void setProgram(const pascal::Program *P) { Names = P; }
+
   /// Parses \p ExprText with the classifier-expression grammar, checks
-  /// the types its literals and operators imply (names stay untyped) and
-  /// attaches it to \p UnitName. Returns false, with a diagnostic, on a
-  /// parse error, an operator whose operands cannot have the types it
-  /// needs (`x > 0 and y > 0` ranks as `x > (0 and y) > 0`), or a
-  /// non-boolean expression: each is undefined on every call.
+  /// the types its literals, operators and names imply and attaches it to
+  /// \p UnitName. Returns false, with a diagnostic, on a parse error, an
+  /// operator whose operands cannot have the types it needs (`x > 0 and
+  /// y > 0` ranks as `x > (0 and y) > 0`, `not x` with an integer `x`), or
+  /// a non-boolean expression: each is undefined on every call.
+  ///
+  /// A name is typed as the body of the one routine named \p UnitName in
+  /// the setProgram() program would resolve it: its parameters, result
+  /// and locals, then the enclosing scopes, with `in_<name>` resolving as
+  /// `<name>`; an integer, boolean or string declaration gives its type,
+  /// and an element of an array name takes the element type. Other names,
+  /// every name of a unit that is no such routine (a loop unit), and
+  /// every name without a program stay untyped.
   bool addAssertion(const std::string &UnitName, const std::string &ExprText,
                     Strength S, DiagnosticsEngine &Diags);
 
@@ -54,6 +67,7 @@ public:
 
 private:
   struct Entry;
+  const pascal::Program *Names = nullptr;
   std::map<std::string, std::vector<std::shared_ptr<Entry>>> ByUnit;
   unsigned Count = 0;
 };

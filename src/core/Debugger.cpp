@@ -327,16 +327,8 @@ BugReport AlgorithmicDebugger::run() {
     R.Message = "empty execution tree";
     return R;
   }
-  if (!Opts.AssumeRootIncorrect) {
-    Judgement J = ask(*Root);
-    if (J.A != Answer::Incorrect) {
-      BugReport R;
-      R.Message = "no incorrect behaviour observed at the root";
-      return R;
-    }
-    if (!J.WrongOutput.empty())
-      applySliceIfPossible(*Root, J.WrongOutput);
-  }
+  // The user invoked the debugger after observing a symptom, so the root
+  // is known to misbehave and is never queried (paper Section 3).
   switch (Opts.Strategy) {
   case SearchStrategy::TopDown:
     return runTopDown(Root, /*HeaviestFirst=*/false);

@@ -65,9 +65,6 @@ enum class SliceMode : uint8_t { None, Static, Dynamic };
 struct DebuggerOptions {
   SearchStrategy Strategy = SearchStrategy::TopDown;
   SliceMode Slicing = SliceMode::Static;
-  /// The user invoked the debugger after observing a symptom, so the root
-  /// is known to misbehave and is not queried (paper Section 3).
-  bool AssumeRootIncorrect = true;
   /// Remember answers: two executions of the same unit with the same
   /// inputs and outputs behave identically, so they are asked only once
   /// (Shapiro: the debugger "acquires knowledge about the expected
@@ -148,9 +145,6 @@ public:
   BugReport run();
 
   const SessionStats &stats() const { return Stats; }
-
-  /// The ids still searchable after all slicing prunes (for inspection).
-  const support::NodeSet &activeIds() const { return Active; }
 
 private:
   Judgement ask(const trace::ExecNode &N);

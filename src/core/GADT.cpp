@@ -23,6 +23,7 @@ GADTSession::GADTSession(const Program &Subject, GADTOptions Opts,
   } else {
     Prepared = &Subject;
   }
+  Assertions.setProgram(Prepared);
   if (Opts.Debugger.Slicing == SliceMode::Static)
     Sdg = std::make_unique<analysis::SDG>(*Prepared);
 }
@@ -36,6 +37,7 @@ GADTSession::GADTSession(std::shared_ptr<const SessionArtifacts> A,
     return;
   }
   Prepared = Artifacts->Prepared.get();
+  Assertions.setProgram(Prepared);
   TransformInfo = Artifacts->TransformInfo;
   // Fall back to building the graph locally when static slicing is
   // requested but the artifacts were prepared without it.

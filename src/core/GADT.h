@@ -110,6 +110,7 @@ public:
   void addTestDatabase(std::shared_ptr<const tgen::TestSpec> Spec,
                        std::shared_ptr<const tgen::TestReportDB> DB);
   /// The assertion store consulted before the test database and the user.
+  /// It types assertion names by their declarations in subject().
   AssertionOracle &assertions() { return Assertions; }
 
   /// Runs the full pipeline: trace the subject on \p Input, then search for

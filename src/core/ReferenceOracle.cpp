@@ -62,7 +62,6 @@ Judgement IntendedProgramOracle::judge(const ExecNode &N) {
       Replayer.callRoutine(N.getName(), std::move(Args), Presets);
   if (!Out.Ok)
     return Judgement::dontKnow();
-  ++Queries;
 
   // Compare the traced outputs against the intended ones; the first
   // mismatching binding is reported as the wrong output variable — the

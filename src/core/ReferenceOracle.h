@@ -44,15 +44,10 @@ public:
 
   Judgement judge(const trace::ExecNode &N) override;
 
-  /// Number of reference executions performed (the simulated user's
-  /// "mental evaluations" — the interaction count of the paper).
-  unsigned queriesAnswered() const { return Queries; }
-
 private:
   const pascal::Program &Intended;
   interp::Interpreter Replayer;
   std::string Source;
-  unsigned Queries = 0;
 };
 
 } // namespace core

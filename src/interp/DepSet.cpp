@@ -12,7 +12,7 @@ namespace {
 using Run = DepSet::Run;
 
 /// Merge output for sets too large for the merge's stack buffer. One per
-/// thread, so BatchRunner threads never share it.
+/// thread, so batch threads never share it.
 thread_local std::vector<Run> Scratch;
 
 /// Merges the sorted, coalesced run lists \p A and \p B into \p Out

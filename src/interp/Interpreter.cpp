@@ -123,8 +123,8 @@ Interpreter::Interpreter(const Program &Prog, InterpOptions Opts)
   // Every production path reaches the interpreter through pascal::analyze(),
   // which assigns frame slots; hand-built programs in tests may not have
   // them yet. The lazy assignment is idempotent and happens before any
-  // BatchRunner thread could share the program (subjects are analyzed
-  // before the pool starts), so it is not a data race in practice.
+  // batch thread could share the program (the runtime's programs are
+  // analyzed when they are cached), so it is not a data race in practice.
   if (!Prog.areSlotsAssigned())
     assignStorageSlots(const_cast<Program &>(Prog));
 }

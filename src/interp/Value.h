@@ -99,7 +99,7 @@ struct ArrayVal {
 /// change while shared, so the execution tree's snapshots (first reads,
 /// bindings) stay valid however the program later writes the variable.
 /// Their refcount is atomic: compiled constants and report databases share
-/// payloads across BatchRunner threads.
+/// payloads across batch threads.
 class Value {
 public:
   enum class Kind : uint8_t { Unset, Int, Bool, Array, Str };

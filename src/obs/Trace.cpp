@@ -18,9 +18,7 @@ namespace {
 
 std::atomic<uint64_t> NextTracerId{1};
 std::atomic<uint64_t> NextSpanId{1};
-std::atomic<uint64_t> NextFlowId{1};
 
-thread_local uint64_t CurrentFlowId = 0;
 /// Id of the calling thread's innermost recorded open span, 0 when none.
 /// Span::begin installs its own id and Span::end restores its parent's.
 thread_local uint64_t CurrentSpanId = 0;
@@ -53,13 +51,6 @@ std::string renderEvent(const TraceEvent &E) {
   }
   if (E.Phase == 'i')
     Line += ",\"s\":\"t\""; // thread-scoped instant
-  if (E.Phase == 's' || E.Phase == 't' || E.Phase == 'f') {
-    std::snprintf(Buf, sizeof(Buf), ",\"id\":%llu",
-                  static_cast<unsigned long long>(E.FlowId));
-    Line += Buf;
-    if (E.Phase == 'f')
-      Line += ",\"bp\":\"e\""; // bind to the enclosing slice
-  }
   // Span hierarchy: custom fields, ignored by viewers, consumed by
   // gadt_report and tests.
   if (E.SpanId) {
@@ -97,22 +88,6 @@ std::string renderEvent(const TraceEvent &E) {
 }
 
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// Flow context
-//===----------------------------------------------------------------------===//
-
-uint64_t FlowContext::current() { return CurrentFlowId; }
-
-uint64_t FlowContext::nextId() {
-  return NextFlowId.fetch_add(1, std::memory_order_relaxed);
-}
-
-FlowContext::Scope::Scope(uint64_t Id) : Prev(CurrentFlowId) {
-  CurrentFlowId = Id;
-}
-
-FlowContext::Scope::~Scope() { CurrentFlowId = Prev; }
 
 //===----------------------------------------------------------------------===//
 // Tracer
@@ -195,19 +170,6 @@ void Tracer::record(TraceEvent E) {
   B.Events.push_back(std::move(E));
 }
 
-void Tracer::completeEvent(const char *Name, const char *Cat,
-                           uint64_t TsNanos, uint64_t DurNanos,
-                           std::vector<TraceArg> Args) {
-  TraceEvent E;
-  E.Name = Name;
-  E.Cat = Cat;
-  E.Phase = 'X';
-  E.TsNanos = TsNanos;
-  E.DurNanos = DurNanos;
-  E.Args = std::move(Args);
-  record(std::move(E));
-}
-
 void Tracer::instant(const char *Name, const char *Cat,
                      std::vector<TraceArg> Args) {
   TraceEvent E;
@@ -217,28 +179,6 @@ void Tracer::instant(const char *Name, const char *Cat,
   E.TsNanos = nowNanos();
   E.ParentId = CurrentSpanId;
   E.Args = std::move(Args);
-  record(std::move(E));
-}
-
-void Tracer::flowEvent(char Phase, const char *Name, const char *Cat,
-                       uint64_t FlowId) {
-  TraceEvent E;
-  E.Name = Name;
-  E.Cat = Cat;
-  E.Phase = Phase;
-  E.TsNanos = nowNanos();
-  E.FlowId = FlowId;
-  E.ParentId = CurrentSpanId;
-  record(std::move(E));
-}
-
-void Tracer::setThreadName(const char *Name) {
-  TraceEvent E;
-  E.Name = "thread_name";
-  E.Cat = "__metadata";
-  E.Phase = 'M';
-  E.TsNanos = 0;
-  E.Args.push_back({"name", Name, /*Quote=*/true});
   record(std::move(E));
 }
 

@@ -16,13 +16,10 @@
 ///
 /// Spans form a hierarchy: each thread keeps the id of its innermost open
 /// span, so every exported event carries a span id (`sid`) and its
-/// parent's id (`psid`), and instants (judgement events) and flow events
-/// attach to the span they occurred under. gadt_report folds these links
-/// into exact self time per span. A FlowContext carries a logical-flow id
-/// across threads (e.g. one batch session from the enqueuing thread to the
-/// worker that runs it); flows render as Chrome-Trace flow events
-/// ('s'/'t'/'f'), which Perfetto draws as arrows connecting the slices of
-/// one session across worker threads.
+/// parent's id (`psid`), and instants (judgement events) attach to the
+/// span they occurred under. gadt_report folds these links into exact self
+/// time per span. A batch session is one `session` span on the thread
+/// that ran it; its pipeline phases nest under it on that thread.
 ///
 /// Tracing is off by default and costs a single relaxed atomic load plus a
 /// branch per span when disabled — no allocation, no clock read, no lock.
@@ -90,37 +87,13 @@ struct TraceArg {
 struct TraceEvent {
   const char *Name = ""; ///< static string: span names are literals
   const char *Cat = "";
-  char Phase = 'X';      ///< 'X' complete, 'i' instant, 's'/'t'/'f' flow
+  char Phase = 'X';      ///< 'X' complete, 'i' instant
   uint64_t TsNanos = 0;  ///< since tracer epoch
   uint64_t DurNanos = 0; ///< complete events only
   uint32_t Tid = 0;
   uint64_t SpanId = 0;   ///< rendered as "sid" (complete events)
   uint64_t ParentId = 0; ///< rendered as "psid" (enclosing span)
-  uint64_t FlowId = 0;   ///< rendered as "id" (flow events only)
   std::vector<TraceArg> Args;
-};
-
-/// A logical-flow id carried across threads, connecting the spans of one
-/// unit of work (a batch session) from the thread that enqueued it to the
-/// worker that executes it. Thread-local; see BatchRunner.
-class FlowContext {
-public:
-  /// This thread's active flow id, 0 when none.
-  static uint64_t current();
-  /// A fresh process-unique flow id (never 0).
-  static uint64_t nextId();
-
-  /// RAII: installs \p Id as the thread's flow for the scope's lifetime.
-  class Scope {
-  public:
-    explicit Scope(uint64_t Id);
-    ~Scope();
-    Scope(const Scope &) = delete;
-    Scope &operator=(const Scope &) = delete;
-
-  private:
-    uint64_t Prev;
-  };
 };
 
 class Span;
@@ -176,24 +149,10 @@ public:
   /// Appends \p E (stamped by the caller) to the calling thread's buffer.
   void record(TraceEvent E);
 
-  /// Records a complete event over an interval measured by the caller.
-  void completeEvent(const char *Name, const char *Cat, uint64_t TsNanos,
-                     uint64_t DurNanos, std::vector<TraceArg> Args = {});
-
   /// Records an instant event at now, attached to the calling thread's
   /// innermost open span.
   void instant(const char *Name, const char *Cat,
                std::vector<TraceArg> Args = {});
-
-  /// Records a flow event: \p Phase is 's' (start), 't' (step) or 'f'
-  /// (finish, rendered with binding point "e" so it attaches to the
-  /// enclosing slice). Events of one flow share \p FlowId.
-  void flowEvent(char Phase, const char *Name, const char *Cat,
-                 uint64_t FlowId);
-
-  /// Records a thread-name metadata event ('M') so trace viewers label the
-  /// calling thread's track.
-  void setThreadName(const char *Name);
 
 private:
   friend class Span;

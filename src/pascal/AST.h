@@ -596,10 +596,8 @@ public:
   const std::string &getName() const { return Name; }
   const Type *getType() const { return Ty; }
   VarKind getVarKind() const { return VK; }
-  bool isParam() const { return VK == VarKind::Param; }
   bool isResult() const { return VK == VarKind::Result; }
   ParamMode getMode() const { return Mode; }
-  void setMode(ParamMode M) { Mode = M; }
   /// True for var/out parameters (callee writes flow back to the caller).
   bool isReference() const {
     return VK == VarKind::Param &&
@@ -768,7 +766,6 @@ class Program {
 public:
   Program() : Types(std::make_unique<TypeContext>()) {}
 
-  TypeContext &getTypeContext() { return *Types; }
   const std::vector<TypeDef> &getTypeDefs() const { return TypeDefs; }
   std::vector<TypeDef> &getTypeDefs() { return TypeDefs; }
 

@@ -103,11 +103,6 @@ struct Token {
 
   bool is(TokenKind K) const { return Kind == K; }
   bool isNot(TokenKind K) const { return Kind != K; }
-  bool isOneOf(TokenKind K1, TokenKind K2) const { return is(K1) || is(K2); }
-  template <typename... Ts>
-  bool isOneOf(TokenKind K1, TokenKind K2, Ts... Ks) const {
-    return is(K1) || isOneOf(K2, Ks...);
-  }
 };
 
 } // namespace pascal

@@ -5,9 +5,7 @@
 #include "core/ReferenceOracle.h"
 #include "obs/Trace.h"
 #include "support/Hashing.h"
-
-#include <atomic>
-#include <cstdio>
+#include "support/Parallel.h"
 
 using namespace gadt;
 using namespace gadt::core;
@@ -38,13 +36,6 @@ std::string SessionResult::summary() const {
 SessionResult gadt::runtime::runSession(RuntimeContext &Ctx,
                                         const SessionRequest &Req) {
   obs::Span Span("session", "runtime");
-  // Close the flow opened at enqueue time: the finish event binds to this
-  // session slice ("bp":"e"), so Perfetto draws the arrow from the
-  // enqueuing thread's slice into this one.
-  if (uint64_t Flow = obs::FlowContext::current(); Flow && obs::enabled()) {
-    obs::Tracer::global().flowEvent('f', "session.flow", "runtime", Flow);
-    Span.arg("flow", Flow);
-  }
   SessionResult Res;
   DiagnosticsEngine Diags;
 
@@ -99,101 +90,13 @@ SessionResult gadt::runtime::runSession(RuntimeContext &Ctx,
   return Finish(std::move(Res));
 }
 
-struct BatchRunner::Batch {
-  std::mutex M;
-  std::condition_variable Done;
-  size_t Remaining = 0;
-};
-
-BatchRunner::BatchRunner(std::shared_ptr<RuntimeContext> Ctx,
-                         BatchOptions Opts)
-    : Ctx(std::move(Ctx)) {
-  if (!this->Ctx)
-    this->Ctx = std::make_shared<RuntimeContext>();
-  Threads = Opts.Threads ? Opts.Threads
-                         : std::max(1u, std::thread::hardware_concurrency());
-  Workers.reserve(Threads);
-  for (unsigned I = 0; I < Threads; ++I)
-    Workers.emplace_back([this, I] { workerLoop(I); });
-}
-
-BatchRunner::~BatchRunner() {
-  {
-    std::lock_guard<std::mutex> Lock(M);
-    Stopping = true;
-  }
-  WorkReady.notify_all();
-  for (std::thread &W : Workers)
-    W.join();
-}
-
-void BatchRunner::workerLoop(unsigned Index) {
-  if (obs::enabled()) {
-    char Name[32];
-    std::snprintf(Name, sizeof(Name), "gadt-worker-%u", Index);
-    obs::Tracer::global().setThreadName(Name);
-  }
-  for (;;) {
-    std::function<void()> Job;
-    {
-      std::unique_lock<std::mutex> Lock(M);
-      WorkReady.wait(Lock, [this] { return Stopping || !Queue.empty(); });
-      if (Queue.empty())
-        return; // stopping and drained
-      Job = std::move(Queue.front());
-      Queue.pop_front();
-    }
-    Job();
-  }
-}
-
 std::vector<SessionResult>
-BatchRunner::run(const std::vector<SessionRequest> &Requests) {
+gadt::runtime::runBatch(RuntimeContext &Ctx,
+                        const std::vector<SessionRequest> &Requests,
+                        unsigned Threads) {
   std::vector<SessionResult> Results(Requests.size());
-  if (Requests.empty())
-    return Results;
-
-  auto State = std::make_shared<Batch>();
-  State->Remaining = Requests.size();
-  {
-    std::lock_guard<std::mutex> Lock(M);
-    for (size_t I = 0; I < Requests.size(); ++I) {
-      // Each request gets a flow id linking its spans across threads: the
-      // enqueue slice here starts the flow, the worker steps it at pickup
-      // and the session span finishes it.
-      uint64_t EnqueuedNs = 0, FlowId = 0;
-      if (obs::enabled()) {
-        EnqueuedNs = obs::Tracer::global().nowNanos();
-        FlowId = obs::FlowContext::nextId();
-        obs::Span Enq("enqueue", "runtime");
-        Enq.arg("flow", FlowId);
-        Enq.arg("request", static_cast<uint64_t>(I));
-        obs::Tracer::global().flowEvent('s', "session.flow", "runtime",
-                                        FlowId);
-      }
-      Queue.push_back([this, State, &Requests, &Results, I, EnqueuedNs,
-                       FlowId] {
-        obs::FlowContext::Scope FlowScope(FlowId);
-        // Time between enqueue and a worker picking the job up: the
-        // batch's queueing delay, one event per job traced at enqueue.
-        if (FlowId && obs::enabled()) {
-          uint64_t WaitNs = obs::Tracer::global().nowNanos() - EnqueuedNs;
-          obs::Tracer::global().completeEvent(
-              "queue.wait", "runtime", EnqueuedNs, WaitNs,
-              {{"flow", std::to_string(FlowId), /*Quote=*/false}});
-          obs::Tracer::global().flowEvent('t', "session.flow", "runtime",
-                                          FlowId);
-        }
-        Results[I] = runSession(*Ctx, Requests[I]);
-        std::lock_guard<std::mutex> BatchLock(State->M);
-        if (--State->Remaining == 0)
-          State->Done.notify_all();
-      });
-    }
-  }
-  WorkReady.notify_all();
-
-  std::unique_lock<std::mutex> Lock(State->M);
-  State->Done.wait(Lock, [&] { return State->Remaining == 0; });
+  support::parallelFor(Threads, Requests.size(), [&](size_t I) {
+    Results[I] = runSession(Ctx, Requests[I]);
+  });
   return Results;
 }

@@ -6,23 +6,18 @@
 ///
 /// \file
 /// Executes many independent debugging sessions — each a (program, input,
-/// oracle, options) tuple — across a fixed-size thread pool with a shared
-/// work queue. Sessions draw their transformed program, dependence graph
-/// and static slices from a shared RuntimeContext, so repeated sessions
-/// over the same subject skip all recomputation; everything per-session
-/// (the traced execution tree, the oracle dialogue, the judgement memo)
-/// stays thread-local.
+/// oracle, options) tuple — as one support::parallelFor over runSession.
+/// Sessions draw their transformed program, dependence graph and static
+/// slices from a shared RuntimeContext, so repeated sessions over the same
+/// subject skip all recomputation; everything per-session (the traced
+/// execution tree, the oracle dialogue, the judgement memo) stays on the
+/// thread that runs it.
 ///
 /// Results are deterministic: result[i] always belongs to request[i], and
 /// a request's outcome is a pure function of the request, so any thread
-/// count (including 1) produces byte-identical results.
-///
-/// Under tracing, every request carries an obs::FlowContext id from the
-/// enqueuing thread to the worker that executes it: the enqueue slice
-/// emits a flow-start, the worker a flow-step at pickup, and the session
-/// span a flow-finish — Perfetto renders the three as arrows stitching one
-/// session's slices across threads. Workers name their trace tracks
-/// "gadt-worker-<n>".
+/// count (including 1) produces byte-identical results. A fan-out inside a
+/// session (the SDG's per-routine build) runs inline on the session's
+/// thread while the batch is spread over several threads.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,13 +26,9 @@
 
 #include "runtime/RuntimeContext.h"
 
-#include <condition_variable>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace gadt {
@@ -75,47 +66,18 @@ struct SessionResult {
   std::string summary() const;
 };
 
-struct BatchOptions {
-  /// Worker threads; 0 means std::thread::hardware_concurrency().
-  unsigned Threads = 0;
-};
-
 /// Runs a session against the shared context, serially on the calling
-/// thread. BatchRunner workers execute exactly this, so a serial loop over
+/// thread. runBatch runs exactly this per request, so a serial loop over
 /// runSession is the reference the parallel results are compared against.
 SessionResult runSession(RuntimeContext &Ctx, const SessionRequest &Req);
 
-/// The pool. Workers start on construction and join on destruction; run()
-/// may be called repeatedly (later batches reuse the warmed context).
-class BatchRunner {
-public:
-  explicit BatchRunner(std::shared_ptr<RuntimeContext> Ctx,
-                       BatchOptions Opts = {});
-  ~BatchRunner();
-
-  BatchRunner(const BatchRunner &) = delete;
-  BatchRunner &operator=(const BatchRunner &) = delete;
-
-  /// Executes all requests and returns results in request order. Blocks
-  /// until the batch completes. Not reentrant.
-  std::vector<SessionResult> run(const std::vector<SessionRequest> &Requests);
-
-  RuntimeContext &context() { return *Ctx; }
-  unsigned threadCount() const { return Threads; }
-
-private:
-  struct Batch;
-  void workerLoop(unsigned Index);
-
-  std::shared_ptr<RuntimeContext> Ctx;
-  unsigned Threads;
-  std::vector<std::thread> Workers;
-
-  std::mutex M;
-  std::condition_variable WorkReady;
-  std::deque<std::function<void()>> Queue;
-  bool Stopping = false;
-};
+/// Runs every request on up to \p Threads threads (0: one per hardware
+/// thread) and returns the results in request order. Later batches on the
+/// same context reuse its warm caches. An exception a session throws
+/// reaches the caller once the batch's threads have joined.
+std::vector<SessionResult> runBatch(RuntimeContext &Ctx,
+                                    const std::vector<SessionRequest> &Requests,
+                                    unsigned Threads = 0);
 
 } // namespace runtime
 } // namespace gadt

@@ -148,7 +148,8 @@ RuntimeContext::prepare(const std::string &Source,
         SdgKey,
         [&]() -> std::shared_ptr<const analysis::SDG> {
           // Ids are identical for any thread count, so the parallel
-          // per-routine build is safe to use under the shared cache.
+          // per-routine build is safe to use under the shared cache. In a
+          // multi-threaded runBatch it runs inline (support/Parallel.h).
           return std::make_shared<const analysis::SDG>(
               Prepared, analysis::SDGBuildOptions{0});
         },

@@ -33,8 +33,12 @@
 /// content hashes, so a changed program is a different key. The program
 /// and transform caches pin every program the other caches describe (and
 /// the TypeContext a transformed clone shares) for the context's
-/// lifetime. A context can outlive any number of sessions and
-/// BatchRunners.
+/// lifetime. A context can outlive any number of sessions and batches.
+///
+/// An SDG built on a miss fans out its per-routine phase
+/// (support::parallelFor) when prepare() runs outside a fan-out, as for a
+/// single session; inside a multi-threaded runBatch it runs inline on the
+/// session's thread, so a batch never nests one fan-out in another.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -21,8 +21,6 @@ const StaticSlice::Views &StaticSlice::materializeViews() const {
         V.Stmts.insert(N.getStmt());
       if (N.getRoutine())
         V.Routines.insert(N.getRoutine());
-      if (N.getVar())
-        V.Vars.insert(N.getVar());
       if (N.getCall() && N.getCall()->Site.CallExpr)
         V.CallExprs.insert(N.getCall()->Site.CallExpr);
     }

@@ -44,7 +44,6 @@ public:
   /// An empty slice attached to no graph.
   StaticSlice() = default;
 
-  bool containsNode(analysis::SDGNodeId Id) const { return Ids.contains(Id); }
   /// True when any vertex of \p S (statement, predicate or one of its
   /// actuals) is in the slice.
   bool containsStmt(const pascal::Stmt *S) const {
@@ -53,11 +52,6 @@ public:
   /// True when any vertex of routine \p R is in the slice.
   bool containsRoutine(const pascal::RoutineDecl *R) const {
     return views().Routines.count(R) != 0;
-  }
-  /// True when variable \p V appears as a formal/actual vertex of some
-  /// sliced node (used to retain declarations when projecting).
-  bool mentionsVar(const pascal::VarDecl *V) const {
-    return views().Vars.count(V) != 0;
   }
   /// True when the specific expression-position call \p E has a vertex in
   /// the slice (finer-grained than containsStmt for statements that make
@@ -88,7 +82,6 @@ private:
   struct Views {
     std::unordered_set<const pascal::Stmt *> Stmts;
     std::unordered_set<const pascal::RoutineDecl *> Routines;
-    std::unordered_set<const pascal::VarDecl *> Vars;
     std::unordered_set<const pascal::Expr *> CallExprs;
   };
   /// Heap cell behind a shared_ptr so slices stay copyable/movable and

@@ -254,6 +254,58 @@ TEST(OracleTest, AssertionOracleRejectsIllTypedOperators) {
   }
 }
 
+TEST(OracleTest, AssertionNamesTakeTheirDeclaredTypes) {
+  // With the program, a name is typed as its unit's body resolves it:
+  // parameters, result and locals, then enclosing scopes; in_<name> is
+  // <name>. A loop unit's names stay untyped.
+  auto Prog = compile("program p; var n: integer; b: boolean;"
+                      " flags: array[1..2] of boolean;"
+                      " function g(x, y, z: boolean): boolean;"
+                      " begin g := x or y = z end;"
+                      " function increment(y: integer): integer;"
+                      " begin increment := y + 1 end;"
+                      " function decrement(y: integer): integer;"
+                      " begin decrement := y - 1 end;"
+                      " function dbl(x: integer): integer;"
+                      " begin dbl := 2 * x end;"
+                      " begin for n := 1 to 2 do b := n > 1;"
+                      " writeln(g(true, false, false), dbl(increment(n)),"
+                      " decrement(n)) end.");
+  ASSERT_TRUE(Prog);
+  struct Case {
+    const char *Unit, *Text;
+    const char *Error; ///< nullptr: accepted
+  } Cases[] = {
+      {"dbl", "not x", "'not' requires a boolean operand"},
+      {"dbl", "in_x or true", "operator 'or' requires boolean operands"},
+      {"dbl", "dbl = in_x + in_x", nullptr},
+      {"g", "g = (x or y = z)", nullptr},
+      {"g", "x > 0", "operator '>' requires integer operands"},
+      {"increment", "increment = y + 1", nullptr},
+      {"decrement", "decrement > 0", nullptr},
+      {"decrement", "n = decrement + 1", nullptr},
+      {"g", "b = 1", "operator '=' requires operands of one type"},
+      {"p", "not n", "'not' requires a boolean operand"},
+      {"g", "undeclared and x", nullptr},
+      {"g", "flags[1] = not x", nullptr},
+      {"g", "flags[1] > 0", "operator '>' requires integer operands"},
+      {"p.for#1", "not n", nullptr},
+  };
+  for (const Case &C : Cases) {
+    DiagnosticsEngine Diags;
+    AssertionOracle O;
+    O.setProgram(Prog.get());
+    bool Added = O.addAssertion(
+        C.Unit, C.Text, AssertionOracle::Strength::Specification, Diags);
+    EXPECT_EQ(Added, C.Error == nullptr)
+        << C.Unit << ": " << C.Text << "\n" << Diags.str();
+    if (C.Error) {
+      EXPECT_NE(Diags.str().find(C.Error), std::string::npos)
+          << C.Unit << ": " << C.Text << "\n" << Diags.str();
+    }
+  }
+}
+
 TEST(OracleTest, TestDatabaseOracleAnswersCoveredCalls) {
   auto Fixed = compile(workload::Figure4Fixed);
   auto Buggy = compile(workload::Figure4Buggy);
@@ -417,18 +469,6 @@ TEST(DebuggerTest, BottomUpFindsTheBug) {
   // here) — it can be lucky on deep-left bugs but is exhaustive in the
   // worst case; the scaling bench quantifies this.
   EXPECT_GE(Stats.userQueries(), 4u);
-}
-
-TEST(DebuggerTest, CorrectProgramReportsNoBugWhenRootQueried) {
-  auto Fixed = compile(workload::Figure4Fixed);
-  DiagnosticsEngine Diags;
-  GADTOptions Opts;
-  Opts.Debugger.AssumeRootIncorrect = false;
-  GADTSession Session(*Fixed, Opts, Diags);
-  ASSERT_TRUE(Session.valid());
-  IntendedProgramOracle User(*Fixed);
-  BugReport R = Session.debug(User);
-  EXPECT_FALSE(R.Found);
 }
 
 TEST(DebuggerTest, ScriptedSessionReproducesPaperDialogue) {

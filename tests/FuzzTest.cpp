@@ -7,9 +7,10 @@
 // The pipeline driver mutates the sample programs and the paper's Figure 4
 // and drives every mutant through the pipeline: parse and check; for a
 // program that checks, the transformation phase, the bytecode compiler and
-// a bounded run of the original and the transformed program. The pass
-// condition is that the process survives: a mutant may be rejected
-// anywhere, but never crash.
+// a bounded run of the original and the transformed program. A mutant may
+// be rejected anywhere, but never crash. For both the original and the
+// transformed program, print -> parse and check -> print must be a fixed
+// point, and when both runs finish they must print the same output.
 //
 // The JSON driver mutates the committed bench trajectory and a span trace
 // byte by byte and feeds the mutants to json::parse and to gadt_report's
@@ -24,6 +25,7 @@
 #include "bytecode/Bytecode.h"
 #include "interp/Interpreter.h"
 #include "pascal/Frontend.h"
+#include "pascal/PrettyPrinter.h"
 #include "support/JSON.h"
 #include "transform/Transform.h"
 #include "workload/PaperPrograms.h"
@@ -111,58 +113,81 @@ void mutate(std::string &S, std::mt19937_64 &Rng) {
   }
 }
 
-void runBounded(const pascal::Program &P,
-                std::shared_ptr<const bytecode::CompiledProgram> Code) {
+interp::ExecResult
+runBounded(const pascal::Program &P,
+           std::shared_ptr<const bytecode::CompiledProgram> Code) {
   interp::InterpOptions Opts;
   Opts.MaxSteps = 20000;
   Opts.Code = std::move(Code);
   interp::Interpreter I(P, Opts);
   I.setInput({3, 1, 4, 1, 5, 9, 2, 6});
-  I.run();
+  return I.run();
 }
 
-/// Sends \p Src as far down the pipeline as it gets; counts full runs.
-void drive(const std::string &Src, unsigned &Ran) {
+/// Whether printing \p P, checking the text and printing that again gives
+/// the same text.
+bool printsToAFixedPoint(const pascal::Program &P) {
+  std::string Printed = pascal::printProgram(P);
+  DiagnosticsEngine Diags;
+  std::unique_ptr<pascal::Program> Again =
+      pascal::parseAndCheck(Printed, Diags);
+  return Again && pascal::printProgram(*Again) == Printed;
+}
+
+/// Sends \p Src as far down the pipeline as it gets; counts full runs and
+/// the full runs whose two programs both finished.
+void drive(const std::string &Src, unsigned &Ran, unsigned &BothOk) {
   DiagnosticsEngine Diags;
   std::unique_ptr<pascal::Program> P = pascal::parseAndCheck(Src, Diags);
   if (!P)
     return;
+  EXPECT_TRUE(printsToAFixedPoint(*P)) << Src;
   transform::TransformResult X = transform::transformProgram(*P, Diags);
   if (!X.Transformed)
     return;
+  EXPECT_TRUE(printsToAFixedPoint(*X.Transformed))
+      << Src << "\ntransformed:\n" << pascal::printProgram(*X.Transformed);
   auto Code = bytecode::compile(*P, /*Checked=*/false);
   auto XCode = bytecode::compile(*X.Transformed, /*Checked=*/false);
   if (!Code || !XCode)
     return;
-  runBounded(*P, std::move(Code));
-  runBounded(*X.Transformed, std::move(XCode));
+  interp::ExecResult Original = runBounded(*P, std::move(Code));
+  interp::ExecResult Transformed =
+      runBounded(*X.Transformed, std::move(XCode));
   ++Ran;
+  if (Original.Ok && Transformed.Ok) {
+    ++BothOk;
+    EXPECT_EQ(Original.Output, Transformed.Output) << Src;
+  }
 }
 
-TEST(PipelineFuzz, SeededMutantsNeverCrash) {
+TEST(PipelineFuzz, SeededMutantsRoundTripAndKeepTheirOutput) {
   std::vector<std::string> Seeds = corpus();
   ASSERT_GE(Seeds.size(), 3u) << "no samples under " << GADT_SAMPLES_DIR;
-  unsigned Ran = 0;
+  unsigned Ran = 0, BothOk = 0;
   for (const std::string &S : Seeds)
-    drive(S, Ran); // the unmutated inputs, the two-goto loop among them
+    drive(S, Ran, BothOk); // the unmutated inputs, the two-goto loop too
   constexpr unsigned Mutants = 12000;
   for (unsigned Seed = 1; Seed <= Mutants; ++Seed) {
     std::mt19937_64 Rng(Seed);
     std::string Src = Seeds[Rng() % Seeds.size()];
     mutate(Src, Rng);
-    drive(Src, Ran);
+    drive(Src, Ran, BothOk);
   }
   // Every stage must see real traffic, or the test proves nothing: about
-  // one mutant in fourteen checks, and each of those runs.
+  // one mutant in fourteen checks, each of those runs, and almost every
+  // run finishes on both sides.
   EXPECT_GT(Ran, Mutants / 20);
+  EXPECT_GT(BothOk, Ran * 9 / 10);
 }
 
 //===----------------------------------------------------------------------===//
 // JSON as gadt_report reads it
 //===----------------------------------------------------------------------===//
 
-/// Span-trace lines as the tracer writes them: metadata, complete events
-/// with and without a parent, an instant, a flow and the drop marker.
+/// Span-trace lines: complete events with and without a parent, an instant
+/// and the drop marker as the tracer writes them, plus the thread-name,
+/// flow and sid-less events that older traces carry.
 const char *const TraceLines = R"({"name":"thread_name","cat":"__metadata","ph":"M","pid":1,"tid":2,"ts":0.000,"args":{"name":"gadt-worker-0"}}
 {"name":"session.flow","cat":"runtime","ph":"s","pid":1,"tid":1,"ts":0.500,"id":7}
 {"name":"session","cat":"runtime","ph":"X","pid":1,"tid":2,"ts":1.000,"dur":100.125,"sid":1,"args":{"fp":"9e3779b97f4a7c15"}}

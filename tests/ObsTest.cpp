@@ -6,12 +6,10 @@
 //    depth limit instead of overflowing the stack;
 //  - spans nest, order and annotate correctly in the exported JSONL;
 //  - disabled tracing emits nothing and allocates nothing on the hot path;
-//  - a traced BatchRunner run covers every pipeline phase, with one
-//    queue-wait event per request, and every line of its export is
-//    independently parseable;
-//  - events carry the span hierarchy (sid/psid) at any nesting depth, and
-//    batch sessions carry flow ids from the enqueuing thread to the worker
-//    that ran them;
+//  - a traced runBatch covers every pipeline phase, with one session span
+//    per request whose phases nest under it on its thread, and every line
+//    of its export is independently parseable;
+//  - events carry the span hierarchy (sid/psid) at any nesting depth;
 //  - per-thread trace buffers are bounded and overflow is counted, not
 //    grown, and reported in the export.
 //
@@ -275,7 +273,11 @@ TEST(TracerTest, FlushWritesJsonlFile) {
   obs::Tracer T; // private instance; spans go to the global one, so record
                  // events directly
   T.enableToFile(Path);
-  T.completeEvent("phase", "test", 1000, 2000, {{"k", "v", true}});
+  T.record({.Name = "phase",
+            .Cat = "test",
+            .TsNanos = 1000,
+            .DurNanos = 2000,
+            .Args = {{"k", "v", /*Quote=*/true}}});
   T.instant("tick", "test");
   T.flush();
 
@@ -454,10 +456,9 @@ TEST(ObservabilityTest, BatchRunnerTraceCoversPipeline) {
   T.exportJsonl();
   T.enable();
 
-  auto Ctx = std::make_shared<RuntimeContext>();
-  BatchRunner Runner(Ctx, {4});
+  RuntimeContext Ctx;
   std::vector<SessionRequest> Reqs = smallWorkload(6);
-  std::vector<SessionResult> Rs = Runner.run(Reqs);
+  std::vector<SessionResult> Rs = runBatch(Ctx, Reqs, 4);
   T.disable();
 
   ASSERT_EQ(Rs.size(), Reqs.size());
@@ -471,29 +472,35 @@ TEST(ObservabilityTest, BatchRunnerTraceCoversPipeline) {
   for (const json::Value &E : Events)
     Names.insert(E.getString("name"));
   for (const char *Expected :
-       {"session", "queue.wait", "parse", "sema", "transform", "sdg",
+       {"session", "parse", "sema", "transform", "sdg",
         "exectree", "debug", "judgement", "cache.program",
         "cache.transform", "cache.sdg", "cache.slice"})
     EXPECT_TRUE(Names.count(Expected)) << "missing phase: " << Expected;
 
   // One session span per request, each annotated with its outcome.
-  unsigned SessionSpans = 0;
+  std::map<double, double> SessionTid; // sid -> tid
   for (const json::Value &E : Events) {
     if (E.getString("name") != "session")
       continue;
-    ++SessionSpans;
+    SessionTid[E.getNumber("sid")] = E.getNumber("tid");
+    EXPECT_EQ(E.find("psid"), nullptr) << "a session span is a root";
     const json::Value *Args = E.find("args");
     ASSERT_NE(Args, nullptr);
     EXPECT_TRUE(Args->getBool("prepared"));
     EXPECT_NE(Args->getString("fp"), "");
   }
-  EXPECT_EQ(SessionSpans, Reqs.size());
+  EXPECT_EQ(SessionTid.size(), Reqs.size());
 
-  // One queue-wait event per request: the batch's queueing delay per job.
-  unsigned QueueWaits = 0;
-  for (const json::Value &E : Events)
-    QueueWaits += E.getString("name") == "queue.wait";
-  EXPECT_EQ(QueueWaits, Reqs.size());
+  // A session's phases nest under its span, on the thread that ran it.
+  unsigned Children = 0;
+  for (const json::Value &E : Events) {
+    auto Session = SessionTid.find(E.getNumber("psid"));
+    if (Session == SessionTid.end())
+      continue;
+    ++Children;
+    EXPECT_EQ(E.getNumber("tid"), Session->second) << E.getString("name");
+  }
+  EXPECT_GE(Children, Reqs.size());
 
   // Judgement events carry the dialogue verdicts.
   for (const json::Value &E : Events) {
@@ -507,63 +514,6 @@ TEST(ObservabilityTest, BatchRunnerTraceCoversPipeline) {
         << Verdict;
     EXPECT_NE(Args->getString("unit"), "");
     EXPECT_NE(Args->getString("source"), "");
-  }
-}
-
-TEST(ObservabilityTest, FlowsLinkEnqueueToWorkerAcrossThreads) {
-  obs::Tracer &T = obs::Tracer::global();
-  T.exportJsonl();
-  T.enable();
-
-  auto Ctx = std::make_shared<RuntimeContext>();
-  BatchRunner Runner(Ctx, {3});
-  std::vector<SessionRequest> Reqs = smallWorkload(5);
-  std::vector<SessionResult> Rs = Runner.run(Reqs);
-  T.disable();
-  ASSERT_EQ(Rs.size(), Reqs.size());
-
-  // Collect flow events ('s' start at enqueue, 't' step at pickup, 'f'
-  // finish inside the session) keyed by flow id.
-  struct Flow {
-    double StartTid = -1, StepTid = -1, FinishTid = -1;
-  };
-  std::map<double, Flow> Flows;
-  std::vector<json::Value> Events = parseLines(T.exportJsonl());
-  for (const json::Value &E : Events) {
-    if (E.getString("name") != "session.flow")
-      continue;
-    Flow &F = Flows[E.getNumber("id")];
-    std::string Ph = E.getString("ph");
-    if (Ph == "s")
-      F.StartTid = E.getNumber("tid");
-    else if (Ph == "t")
-      F.StepTid = E.getNumber("tid");
-    else if (Ph == "f") {
-      F.FinishTid = E.getNumber("tid");
-      // Finish events bind to the enclosing session slice.
-      EXPECT_EQ(E.getString("bp"), "e");
-    }
-  }
-
-  // One complete flow per request, each crossing from the enqueuing
-  // thread to a worker (the enqueuing thread never runs sessions).
-  ASSERT_EQ(Flows.size(), Reqs.size());
-  for (const auto &[Id, F] : Flows) {
-    EXPECT_GT(Id, 0.0);
-    EXPECT_GE(F.StartTid, 0.0) << "flow " << Id << " missing 's'";
-    EXPECT_GE(F.StepTid, 0.0) << "flow " << Id << " missing 't'";
-    EXPECT_GE(F.FinishTid, 0.0) << "flow " << Id << " missing 'f'";
-    EXPECT_NE(F.StartTid, F.FinishTid) << "flow " << Id << " never crossed";
-    EXPECT_EQ(F.StepTid, F.FinishTid) << "pickup and run on one worker";
-  }
-
-  // Session spans carry their flow id as an arg, matching a seen flow.
-  for (const json::Value &E : Events) {
-    if (E.getString("name") != "session")
-      continue;
-    const json::Value *Args = E.find("args");
-    ASSERT_NE(Args, nullptr);
-    EXPECT_TRUE(Flows.count(Args->getNumber("flow")));
   }
 }
 

@@ -3,6 +3,7 @@
 // The hardening layer for the parallel batch-debugging runtime:
 //  - N sessions across 8 threads produce byte-identical results to serial
 //    execution (same context wiring, same dialogue, same bug);
+//  - an exception a session throws reaches runBatch's caller;
 //  - cache hit/miss counters are exact (build-once semantics);
 //  - results are deterministic across repeated runs with the same seed;
 //  - sessions built from shared artifacts behave identically to sessions
@@ -21,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <stdexcept>
 
 using namespace gadt;
 using namespace gadt::core;
@@ -95,9 +97,9 @@ TEST(BatchRunnerTest, EightThreadsByteIdenticalToSerial) {
   for (const SessionRequest &R : Reqs)
     Reference.push_back(runSession(Serial, R).summary());
 
-  // Parallel: fresh context, 8 workers.
-  BatchRunner Runner(std::make_shared<RuntimeContext>(), {8});
-  std::vector<SessionResult> Results = Runner.run(Reqs);
+  // Parallel: fresh context, 8 threads.
+  RuntimeContext Parallel;
+  std::vector<SessionResult> Results = runBatch(Parallel, Reqs, 8);
 
   ASSERT_EQ(Results.size(), Reqs.size());
   for (size_t I = 0; I < Results.size(); ++I) {
@@ -113,8 +115,8 @@ TEST(BatchRunnerTest, LocalizesThePlantedBugInParallel) {
     R.Source = Chain.Buggy;
     R.Intended = Chain.Fixed;
   }
-  BatchRunner Runner(std::make_shared<RuntimeContext>(), {8});
-  for (const SessionResult &R : Runner.run(Reqs)) {
+  RuntimeContext Ctx;
+  for (const SessionResult &R : runBatch(Ctx, Reqs, 8)) {
     ASSERT_TRUE(R.Found) << R.Message;
     EXPECT_EQ(R.UnitName, Chain.BuggyRoutine);
   }
@@ -131,10 +133,10 @@ TEST(BatchRunnerTest, CacheHitCountersAreExact) {
   Req.Intended = Pair.Fixed;
 
   // One serial session establishes the per-session cache-access profile.
-  auto Ctx = std::make_shared<RuntimeContext>();
-  SessionResult First = runSession(*Ctx, Req);
+  RuntimeContext Ctx;
+  SessionResult First = runSession(Ctx, Req);
   ASSERT_TRUE(First.Found);
-  RuntimeStats S1 = Ctx->stats();
+  RuntimeStats S1 = Ctx.stats();
   EXPECT_EQ(S1.ProgramMisses, 2u) << "subject + intended parsed once each";
   EXPECT_EQ(S1.TransformMisses, 1u);
   EXPECT_EQ(S1.TransformHits, 0u);
@@ -147,12 +149,11 @@ TEST(BatchRunnerTest, CacheHitCountersAreExact) {
   // Eleven more identical sessions across 8 threads: every build is a hit,
   // no cache builds anything again.
   std::vector<SessionRequest> Reqs(11, Req);
-  BatchRunner Runner(Ctx, {8});
-  std::vector<SessionResult> Results = Runner.run(Reqs);
+  std::vector<SessionResult> Results = runBatch(Ctx, Reqs, 8);
   for (const SessionResult &R : Results)
     EXPECT_EQ(R.summary(), First.summary());
 
-  RuntimeStats S12 = Ctx->stats();
+  RuntimeStats S12 = Ctx.stats();
   EXPECT_EQ(S12.ProgramMisses, 2u);
   EXPECT_EQ(S12.ProgramHits, S1.ProgramHits + 22u);
   EXPECT_EQ(S12.TransformMisses, 1u);
@@ -169,10 +170,9 @@ TEST(BatchRunnerTest, CacheHitCountersAreExact) {
 
 TEST(BatchRunnerTest, DistinctSubjectsGetDistinctEntries) {
   std::vector<SessionRequest> Reqs = makeWorkload(7); // 7 distinct pairs
-  auto Ctx = std::make_shared<RuntimeContext>();
-  BatchRunner Runner(Ctx, {4});
-  Runner.run(Reqs);
-  RuntimeStats S = Ctx->stats();
+  RuntimeContext Ctx;
+  runBatch(Ctx, Reqs, 4);
+  RuntimeStats S = Ctx.stats();
   EXPECT_EQ(S.Subjects, 7u);
   EXPECT_EQ(S.TransformMisses, 7u);
   EXPECT_EQ(S.TransformHits, 0u);
@@ -187,21 +187,19 @@ TEST(BatchRunnerTest, DistinctSubjectsGetDistinctEntries) {
 
 TEST(BatchRunnerTest, RepeatedRunsWithSameSeedAreIdentical) {
   std::vector<SessionRequest> Reqs = makeWorkload(21);
-  BatchRunner A(std::make_shared<RuntimeContext>(), {8});
-  BatchRunner B(std::make_shared<RuntimeContext>(), {8});
-  EXPECT_EQ(summaries(A.run(Reqs)), summaries(B.run(Reqs)));
+  RuntimeContext A, B;
+  EXPECT_EQ(summaries(runBatch(A, Reqs, 8)), summaries(runBatch(B, Reqs, 8)));
 }
 
 TEST(BatchRunnerTest, WarmCacheChangesNothingButTheCounters) {
   std::vector<SessionRequest> Reqs = makeWorkload(14);
-  auto Ctx = std::make_shared<RuntimeContext>();
-  BatchRunner Runner(Ctx, {8});
+  RuntimeContext Ctx;
 
-  std::vector<std::string> Cold = summaries(Runner.run(Reqs));
-  RuntimeStats AfterCold = Ctx->stats();
+  std::vector<std::string> Cold = summaries(runBatch(Ctx, Reqs, 8));
+  RuntimeStats AfterCold = Ctx.stats();
 
-  std::vector<std::string> Warm = summaries(Runner.run(Reqs));
-  RuntimeStats AfterWarm = Ctx->stats();
+  std::vector<std::string> Warm = summaries(runBatch(Ctx, Reqs, 8));
+  RuntimeStats AfterWarm = Ctx.stats();
 
   EXPECT_EQ(Cold, Warm) << "warm-cache sessions localize the same bugs";
   EXPECT_EQ(AfterWarm.ProgramMisses, AfterCold.ProgramMisses);
@@ -212,16 +210,32 @@ TEST(BatchRunnerTest, WarmCacheChangesNothingButTheCounters) {
 }
 
 //===----------------------------------------------------------------------===//
-// Pool mechanics
+// Batch mechanics
 //===----------------------------------------------------------------------===//
 
-TEST(BatchRunnerTest, EmptyBatchAndOverProvisionedPool) {
-  BatchRunner Runner(std::make_shared<RuntimeContext>(), {8});
-  EXPECT_TRUE(Runner.run({}).empty());
-  // 2 requests across 8 threads: the idle workers must not deadlock.
+TEST(BatchRunnerTest, EmptyBatchMoreThreadsThanRequests) {
+  RuntimeContext Ctx;
+  EXPECT_TRUE(runBatch(Ctx, {}, 8).empty());
+  // 2 requests on 8 threads: each request runs once, in request order.
   std::vector<SessionRequest> Reqs = makeWorkload(2);
-  EXPECT_EQ(Runner.run(Reqs).size(), 2u);
-  EXPECT_EQ(Runner.threadCount(), 8u);
+  std::vector<SessionResult> Results = runBatch(Ctx, Reqs, 8);
+  ASSERT_EQ(Results.size(), 2u);
+  for (size_t I = 0; I < Results.size(); ++I)
+    EXPECT_EQ(Results[I].summary(), runSession(Ctx, Reqs[I]).summary());
+}
+
+TEST(BatchRunnerTest, ThrowingSessionReachesTheCaller) {
+  std::vector<SessionRequest> Reqs = makeWorkload(6);
+  Reqs[3].MakeOracle = []() -> std::unique_ptr<Oracle> {
+    throw std::runtime_error("oracle factory failed");
+  };
+  RuntimeContext Ctx;
+  try {
+    runBatch(Ctx, Reqs, 4);
+    FAIL() << "runBatch returned although a session threw";
+  } catch (const std::runtime_error &E) {
+    EXPECT_STREQ(E.what(), "oracle factory failed");
+  }
 }
 
 TEST(BatchRunnerTest, BadSubjectReportsFailureWithoutPoisoningTheBatch) {
@@ -229,8 +243,8 @@ TEST(BatchRunnerTest, BadSubjectReportsFailureWithoutPoisoningTheBatch) {
   Reqs[1].Source = "program broken; begin x := ; end.";
   Reqs[2].MakeOracle = nullptr;
   Reqs[2].Intended.clear(); // no oracle at all
-  BatchRunner Runner(std::make_shared<RuntimeContext>(), {4});
-  std::vector<SessionResult> Results = Runner.run(Reqs);
+  RuntimeContext Ctx;
+  std::vector<SessionResult> Results = runBatch(Ctx, Reqs, 4);
   EXPECT_TRUE(Results[0].Prepared);
   EXPECT_FALSE(Results[1].Prepared);
   EXPECT_NE(Results[1].Message.find("parse failure"), std::string::npos)

@@ -7,6 +7,7 @@
 #include "support/Casting.h"
 #include "support/Diagnostics.h"
 #include "support/OnceCache.h"
+#include "support/Parallel.h"
 #include "support/SourceLoc.h"
 #include "support/StringUtils.h"
 #include "transform/Transform.h"
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <random>
 #include <set>
 #include <stdexcept>
@@ -530,7 +532,7 @@ TEST(ValueTest, CopiesShareArrayPayloadUntilOneIsWritten) {
 
 TEST(ValueTest, SharedPayloadsCopyAcrossThreads) {
   // Compiled constants and report databases share payloads between
-  // BatchRunner threads: copies and releases race on the refcount only.
+  // batch threads: copies and releases race on the refcount only.
   using interp::Value;
   const Value Str = Value::makeStr("shared");
   interp::ArrayVal A;
@@ -677,6 +679,45 @@ TEST(OnceCacheTest, ConcurrentWaitersSurviveAThrowingBuilder) {
   auto V = Cache.peek(5);
   ASSERT_TRUE(V);
   EXPECT_EQ(*V, 7);
+}
+
+//===----------------------------------------------------------------------===//
+// parallelFor
+//===----------------------------------------------------------------------===//
+
+TEST(ParallelForTest, NestedCallsRunInlineOnTheOuterItemsThread) {
+  constexpr size_t Outer = 8, Inner = 16;
+  std::vector<std::thread::id> OuterThread(Outer);
+  std::vector<std::thread::id> InnerThread(Outer * Inner);
+  support::parallelFor(4, Outer, [&](size_t I) {
+    OuterThread[I] = std::this_thread::get_id();
+    support::parallelFor(4, Inner, [&](size_t J) {
+      InnerThread[I * Inner + J] = std::this_thread::get_id();
+    });
+  });
+  for (size_t I = 0; I != Outer; ++I)
+    for (size_t J = 0; J != Inner; ++J)
+      EXPECT_EQ(InnerThread[I * Inner + J], OuterThread[I])
+          << "outer item " << I << ", inner item " << J;
+
+  // The outer fan-out is over, so a top-level call fans out again: each of
+  // four items waits until all four have started, which only four threads
+  // running at once can satisfy.
+  std::atomic<unsigned> Arrived{0};
+  std::atomic<bool> TimedOut{false};
+  support::parallelFor(4, 4, [&](size_t) {
+    Arrived.fetch_add(1);
+    auto Deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (Arrived.load() < 4) {
+      if (std::chrono::steady_clock::now() > Deadline) {
+        TimedOut = true;
+        return;
+      }
+      std::this_thread::yield();
+    }
+  });
+  EXPECT_FALSE(TimedOut.load()) << Arrived.load() << " of 4 items ran at once";
 }
 
 } // namespace

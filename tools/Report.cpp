@@ -3,9 +3,9 @@
 // Folds the span trace a traced run leaves behind (GADT_TRACE) plus the
 // committed benchmark trajectory (bench/trajectory.json) into a single
 // markdown ops report. The report answers the questions an operator asks
-// first: where did the time go (exact self time per span), did sessions
-// cross threads cleanly (flow accounting), did the tracer drop anything —
-// and how do the numbers compare with the committed benchmark trajectory.
+// first: where did the time go (exact self time per span), on how many
+// threads, did the tracer drop anything — and how do the numbers compare
+// with the committed benchmark trajectory.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 
 using namespace gadt;
@@ -97,18 +98,7 @@ bool traceSection(const std::string &Path, std::string &Md) {
         std::to_string(F.Instants) + " instants";
   if (F.Unparsed)
     Md += ", " + std::to_string(F.Unparsed) + " unparsed lines";
-  Md += ")\n- threads: " + std::to_string(F.Threads.size());
-  std::string Names;
-  for (const auto &[Tid, N] : F.Threads)
-    if (!N.empty())
-      Names += (Names.empty() ? "" : ", ") + N;
-  if (!Names.empty())
-    Md += " (" + Names + ")";
-  Md += "\n";
-  if (F.FlowsStarted)
-    Md += "- session flows: " + std::to_string(F.FlowsStarted) +
-          " started, " + std::to_string(F.FlowsCompleted) + " completed, " +
-          std::to_string(F.FlowsCrossed) + " crossed threads\n";
+  Md += ")\n- threads: " + std::to_string(F.Threads.size()) + "\n";
   Md += "- root spans: " + fmtMicros(F.RootNs / 1000.0) +
         " in total; the self column sums to it\n";
   if (F.Dropped)
@@ -151,12 +141,8 @@ TraceFold gadt::report::foldTrace(const std::string &Jsonl) {
     uint64_t Sid = 0, Psid = 0;
     int64_t DurNs = 0;
   };
-  struct Flow {
-    int StartTid = -1, FinishTid = -1;
-  };
   TraceFold F;
   std::vector<Complete> Spans;
-  std::map<uint64_t, Flow> Flows;
   for (const std::string &Line : splitLines(Jsonl)) {
     std::optional<json::Value> V = json::parse(Line);
     if (!V || !V->isObject()) {
@@ -171,8 +157,7 @@ TraceFold gadt::report::foldTrace(const std::string &Jsonl) {
       continue;
     }
     ++F.Events;
-    int Tid = intField<int>(*V, "tid");
-    std::string &ThreadName = F.Threads[Tid];
+    F.Threads.insert(intField<int>(*V, "tid"));
     if (Ph == "X") {
       Spans.push_back({std::move(Name),
                        intField<uint64_t>(*V, "sid"),
@@ -180,24 +165,6 @@ TraceFold gadt::report::foldTrace(const std::string &Jsonl) {
                        nanos(V->getNumber("dur"))});
     } else if (Ph == "i") {
       ++F.Instants;
-    } else if (Ph == "s" || Ph == "t" || Ph == "f") {
-      Flow &Fl = Flows[intField<uint64_t>(*V, "id")];
-      if (Ph == "s")
-        Fl.StartTid = Tid;
-      else if (Ph == "f")
-        Fl.FinishTid = Tid;
-    } else if (Ph == "M" && Name == "thread_name") {
-      if (const json::Value *Args = V->find("args"))
-        ThreadName = Args->getString("name");
-    }
-  }
-
-  for (const auto &[Id, Fl] : Flows) {
-    ++F.FlowsStarted;
-    if (Fl.StartTid >= 0 && Fl.FinishTid >= 0) {
-      ++F.FlowsCompleted;
-      if (Fl.StartTid != Fl.FinishTid)
-        ++F.FlowsCrossed;
     }
   }
 

@@ -12,12 +12,13 @@
 ///
 /// Self time: a complete event's duration minus the durations of the
 /// complete events whose `psid` is its `sid`. Roots are complete events
-/// without a `sid` (intervals measured by the caller, like BatchRunner's
-/// `queue.wait`) and events whose parent is absent from the trace. Every
-/// non-root event is subtracted from exactly one parent, so the self times
-/// sum to the roots' total. Instants and flow events carry a `psid` but no
-/// duration, so they subtract nothing. Durations are folded in integer
-/// nanoseconds, so that sum is exact.
+/// without a `sid` (older traces carry caller-measured intervals) and
+/// events whose parent is absent from the trace. Every non-root event is
+/// subtracted from exactly one parent, so the self times sum to the roots'
+/// total. Instants carry a `psid` but no duration, so they subtract
+/// nothing; events of any other phase (older traces' flow and metadata
+/// events) count as events and fold into nothing else. Durations are
+/// folded in integer nanoseconds, so that sum is exact.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +26,7 @@
 #define GADT_TOOLS_REPORT_H
 
 #include <cstdint>
-#include <map>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -48,8 +49,7 @@ struct TraceFold {
   uint64_t Instants = 0;
   uint64_t Unparsed = 0;
   uint64_t Dropped = 0;  ///< events the tracer dropped at its cap
-  std::map<int, std::string> Threads; ///< tid -> name ("" when unnamed)
-  uint64_t FlowsStarted = 0, FlowsCompleted = 0, FlowsCrossed = 0;
+  std::set<int> Threads; ///< the tids of the parsed events
   std::vector<SpanRow> Spans; ///< by self time, largest first
   int64_t RootNs = 0;         ///< summed durations of the root events
 };
