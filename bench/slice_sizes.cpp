@@ -24,11 +24,15 @@ using namespace gadt::slicing;
 
 namespace {
 
-unsigned countStatements(const pascal::Program &P) {
+/// The statements of \p P, or only those in \p Slice when it is given.
+unsigned countStatements(const pascal::Program &P,
+                         const StaticSlice *Slice = nullptr) {
   unsigned Count = 0;
   pascal::forEachRoutine(P.getMain(), [&](pascal::RoutineDecl *R) {
     if (R->getBody())
-      pascal::forEachStmt(R->getBody(), [&](pascal::Stmt *) { ++Count; });
+      pascal::forEachStmt(R->getBody(), [&](pascal::Stmt *S) {
+        Count += !Slice || Slice->containsStmt(S);
+      });
   });
   return Count;
 }
@@ -73,7 +77,7 @@ int main() {
       StaticSlice Slice = sliceOnProgramVar(G, *Prog, Criterion);
       if (Slice.size() == 0)
         continue;
-      unsigned Sliced = static_cast<unsigned>(Slice.stmts().size());
+      unsigned Sliced = countStatements(*Prog, &Slice);
       double Ratio = static_cast<double>(Sliced) / Total;
       SumRatio += Ratio;
       ++Measurements;

@@ -162,13 +162,17 @@ int main(int argc, char **argv) {
     obs::logError("gadt_session", Diags.str());
     return 1;
   }
-  for (const auto &[Unit, Expr] : AssertionArgs)
+  for (const auto &[Unit, Expr] : AssertionArgs) {
+    // Diagnostics locate inside the assertion's text: name its flag.
+    DiagnosticsEngine AssertDiags;
     if (!Session.assertions().addAssertion(
             Unit, Expr, core::AssertionOracle::Strength::Specification,
-            Diags)) {
-      obs::logError("gadt_session", Diags.str());
+            AssertDiags)) {
+      obs::logError("gadt_session", "--assert " + Unit + " \"" + Expr +
+                                        "\": " + AssertDiags.str());
       return 1;
     }
+  }
 
   // Build the test database from a self-contained specification.
   std::unique_ptr<pascal::Program> TestedBy;

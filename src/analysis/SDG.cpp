@@ -65,7 +65,10 @@ namespace detail {
 
 struct SDGBuilder {
   SDG &G;
-  explicit SDGBuilder(SDG &G) : G(G) {}
+  const CallGraph &CG;
+  const SideEffectAnalysis &SEA;
+  SDGBuilder(SDG &G, const CallGraph &CG, const SideEffectAnalysis &SEA)
+      : G(G), CG(CG), SEA(SEA) {}
 
   /// Intra-routine edge dedup: (from, to) -> kind bitmask.
   std::unordered_map<uint64_t, uint8_t> LocalSeen;
@@ -214,9 +217,9 @@ static int paramIndexIn(const RoutineDecl *R, const VarDecl *V) {
 
 void SDGBuilder::buildRoutine(const RoutineDecl *R, RoutinePdg &P) {
   P.R = R;
-  CFG Cfg(R, *G.SEA);
+  CFG Cfg(R, SEA);
   ControlDependence CD(Cfg);
-  ReachingDefs RD(Cfg, *G.SEA);
+  ReachingDefs RD(Cfg, SEA);
 
   auto newNode = [&](SDGNode::Kind K) -> uint32_t {
     uint32_t Id = static_cast<uint32_t>(P.Nodes.size());
@@ -276,7 +279,7 @@ void SDGBuilder::buildRoutine(const RoutineDecl *R, RoutinePdg &P) {
   // --- Actual vertices per call site, grouped by site statement for the
   // def-lookup and result-flow passes below.
   std::map<const Stmt *, std::vector<uint32_t>> CallsByStmt;
-  for (const CallSite &CS : G.CG->callSitesIn(R)) {
+  for (const CallSite &CS : CG.callSitesIn(R)) {
     if (!CS.Callee)
       continue;
     uint32_t RecIdx = static_cast<uint32_t>(P.Calls.size());
@@ -285,7 +288,7 @@ void SDGBuilder::buildRoutine(const RoutineDecl *R, RoutinePdg &P) {
     Rec.Site = CS;
     Rec.CallVertex = stmtLocal(CS.AtStmt);
     assert(Rec.CallVertex != SDGNoNode && "call site statement has no vertex");
-    const RoutineEffects &E = G.SEA->effects(CS.Callee);
+    const RoutineEffects &E = SEA.effects(CS.Callee);
     const auto &Params = CS.Callee->getParams();
     const auto &Args = CS.args();
     size_t NumArgs = std::min(Params.size(), Args.size());
@@ -440,7 +443,7 @@ void SDGBuilder::buildRoutine(const RoutineDecl *R, RoutinePdg &P) {
 
 void SDGBuilder::merge(const std::vector<RoutinePdg> &Locals) {
   // Prefix-sum the per-routine node counts into deterministic id bases —
-  // the order is CG->routines() (call-graph preorder), exactly the order
+  // the order is CG.routines() (call-graph preorder), exactly the order
   // the old serial build allocated ids in.
   size_t TotalNodes = 0, TotalCalls = 0, TotalEdges = 0, TotalStmts = 0;
   G.Ranges.resize(Locals.size());
@@ -470,6 +473,9 @@ void SDGBuilder::merge(const std::vector<RoutinePdg> &Locals) {
     for (const auto &[S, Local] : P.StmtNodes)
       G.StmtMap.emplace(S, Base + Local);
     for (const SDGCallRecord &Src : P.Calls) {
+      if (Src.Site.CallExpr)
+        G.CallExprMap.emplace(Src.Site.CallExpr,
+                              static_cast<uint32_t>(G.CallsV.size()));
       G.CallsV.push_back(Src);
       SDGCallRecord &Rec = G.CallsV.back();
       Rec.CallVertex += Base;
@@ -769,12 +775,16 @@ void SDGBuilder::finalizeCSR(const std::vector<PendingEdge> &Edges,
 
 SDG::~SDG() = default;
 
-SDG::SDG(const Program &P, SDGBuildOptions Opts)
-    : CG(Opts.SharedCG ? Opts.SharedCG : std::make_shared<CallGraph>(P)),
-      SEA(Opts.SharedSEA ? Opts.SharedSEA
-                         : std::make_shared<SideEffectAnalysis>(P, *CG)) {
+SDG::SDG(const Program &P, SDGBuildOptions Opts) {
+  // Only the build reads the call graph and effect sets; the graph keeps
+  // neither.
+  std::shared_ptr<const CallGraph> CG =
+      Opts.SharedCG ? Opts.SharedCG : std::make_shared<CallGraph>(P);
+  std::shared_ptr<const SideEffectAnalysis> SEA =
+      Opts.SharedSEA ? Opts.SharedSEA
+                     : std::make_shared<SideEffectAnalysis>(P, *CG);
   obs::Span Span("sdg", "analysis");
-  detail::SDGBuilder B(*this);
+  detail::SDGBuilder B(*this, *CG, *SEA);
 
   const std::vector<const RoutineDecl *> &Routines = CG->routines();
   std::vector<detail::RoutinePdg> Locals(Routines.size());
@@ -811,7 +821,7 @@ SDG::SDG(const Program &P, SDGBuildOptions Opts)
         ReplayFellBack.store(true, std::memory_order_relaxed);
         Locals[I] = detail::RoutinePdg();
       }
-      detail::SDGBuilder Local(*this);
+      detail::SDGBuilder Local(*this, *CG, *SEA);
       Local.buildRoutine(Routines[I], Locals[I]);
     });
   }
@@ -905,16 +915,23 @@ SDGNodeId SDG::entryOf(const RoutineDecl *R) const {
   return It == Entries.end() ? SDGNoNode : It->second;
 }
 
+SDG::RoutineRange SDG::routineRange(const RoutineDecl *R) const {
+  auto It = RoutineIdx.find(R);
+  return It == RoutineIdx.end() ? RoutineRange() : Ranges[It->second];
+}
+
 SDGNodeId SDG::stmtNode(const Stmt *S) const {
   auto It = StmtMap.find(S);
   return It == StmtMap.end() ? SDGNoNode : It->second;
 }
 
+const SDGCallRecord *SDG::callOf(const Expr *E) const {
+  auto It = CallExprMap.find(E);
+  return It == CallExprMap.end() ? nullptr : &CallsV[It->second];
+}
+
 SDGNodeId SDG::formalOut(const RoutineDecl *R, const std::string &Name) const {
-  auto It = RoutineIdx.find(R);
-  if (It == RoutineIdx.end())
-    return SDGNoNode;
-  const RoutineRange &Range = Ranges[It->second];
+  RoutineRange Range = routineRange(R);
   for (SDGNodeId Id = Range.Begin; Id != Range.End; ++Id)
     if (NodesV[Id].getKind() == SDGNode::Kind::FormalOut &&
         NodesV[Id].getVar() && NodesV[Id].getVar()->getName() == Name)
@@ -923,10 +940,7 @@ SDGNodeId SDG::formalOut(const RoutineDecl *R, const std::string &Name) const {
 }
 
 SDGNodeId SDG::formalOutResult(const RoutineDecl *R) const {
-  auto It = RoutineIdx.find(R);
-  if (It == RoutineIdx.end())
-    return SDGNoNode;
-  const RoutineRange &Range = Ranges[It->second];
+  RoutineRange Range = routineRange(R);
   for (SDGNodeId Id = Range.Begin; Id != Range.End; ++Id)
     if (NodesV[Id].getKind() == SDGNode::Kind::FormalOut &&
         NodesV[Id].isResult())
@@ -935,10 +949,7 @@ SDGNodeId SDG::formalOutResult(const RoutineDecl *R) const {
 }
 
 SDGNodeId SDG::formalIn(const RoutineDecl *R, const std::string &Name) const {
-  auto It = RoutineIdx.find(R);
-  if (It == RoutineIdx.end())
-    return SDGNoNode;
-  const RoutineRange &Range = Ranges[It->second];
+  RoutineRange Range = routineRange(R);
   for (SDGNodeId Id = Range.Begin; Id != Range.End; ++Id)
     if (NodesV[Id].getKind() == SDGNode::Kind::FormalIn &&
         NodesV[Id].getVar() && NodesV[Id].getVar()->getName() == Name)
@@ -992,11 +1003,11 @@ std::string SDG::dot() const {
   std::string Out = "digraph sdg {\n  node [shape=box, "
                     "fontname=\"monospace\", fontsize=10];\n";
   // Cluster vertices per routine: each routine's ids are one contiguous
-  // range, emitted in call-graph preorder.
-  const std::vector<const RoutineDecl *> &Routines = CG->routines();
+  // range (never empty: it holds the entry), emitted in call-graph preorder.
   for (size_t R = 0; R != Ranges.size(); ++R) {
+    const RoutineDecl *Routine = NodesV[Ranges[R].Begin].getRoutine();
     Out += "  subgraph cluster_" + std::to_string(R) + " {\n";
-    Out += "    label=\"" + escapeDotLabel(Routines[R]->qualifiedName()) +
+    Out += "    label=\"" + escapeDotLabel(Routine->qualifiedName()) +
            "\";\n";
     for (SDGNodeId Id = Ranges[R].Begin; Id != Ranges[R].End; ++Id)
       Out += "    v" + std::to_string(Id) + " [label=\"" +

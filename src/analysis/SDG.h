@@ -28,6 +28,10 @@
 /// summary-edge fixpoint then run serially over the merged arena, so a
 /// parallel build is bit-for-bit identical to a serial one.
 ///
+/// A built graph keeps only itself and its program indexes (routine ->
+/// id range, statement -> vertex, expression call -> call record), not
+/// the call graph and effect sets its build reads.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GADT_ANALYSIS_SDG_H
@@ -260,7 +264,8 @@ struct SDGBuildOptions {
   /// Pre-built whole-program analyses over the same program, adopted
   /// instead of recomputing them (the transaction layer already needs
   /// both for its dirty rules, so rebuilding here would double the cost
-  /// of every commit). Null: the constructor builds its own.
+  /// of every commit). Null: the constructor builds its own. Either way
+  /// only the constructor reads them; the graph keeps neither.
   std::shared_ptr<const CallGraph> SharedCG = nullptr;
   std::shared_ptr<const SideEffectAnalysis> SharedSEA = nullptr;
 };
@@ -288,9 +293,20 @@ public:
   /// Membership test over the CSR out-slice of \p From.
   bool hasEdge(SDGNodeId From, SDGNodeId To, SDGEdgeKind K) const;
 
+  /// The contiguous id range a routine's vertices occupy.
+  struct RoutineRange {
+    SDGNodeId Begin = 0, End = 0;
+  };
+  /// The id range of \p R's vertices; empty for a routine not in the graph.
+  RoutineRange routineRange(const pascal::RoutineDecl *R) const;
+
   SDGNodeId entryOf(const pascal::RoutineDecl *R) const;
-  /// The vertex of the atomic part of \p S; SDGNoNode for compound/labeled.
+  /// The vertex of \p S (a labeled statement has its own join vertex);
+  /// SDGNoNode for a compound statement.
   SDGNodeId stmtNode(const pascal::Stmt *S) const;
+  /// The record of the expression-position call \p E; null when \p E is
+  /// no call of a routine in the graph.
+  const SDGCallRecord *callOf(const pascal::Expr *E) const;
   /// Formal-out vertex of variable \p Name (parameter or global) of \p R.
   SDGNodeId formalOut(const pascal::RoutineDecl *R,
                       const std::string &Name) const;
@@ -317,20 +333,16 @@ public:
 private:
   friend struct detail::SDGBuilder;
 
-  /// The contiguous id range a routine's vertices occupy.
-  struct RoutineRange {
-    SDGNodeId Begin = 0, End = 0;
-  };
-
-  std::shared_ptr<const CallGraph> CG;
-  std::shared_ptr<const SideEffectAnalysis> SEA;
   std::vector<SDGNode> NodesV;
   std::vector<SDGCallRecord> CallsV;
-  /// Ranges parallel to CG->routines(), plus the routine -> index map.
+  /// Per-routine id ranges in call-graph preorder, plus the routine ->
+  /// index map.
   std::vector<RoutineRange> Ranges;
   std::unordered_map<const pascal::RoutineDecl *, uint32_t> RoutineIdx;
   std::unordered_map<const pascal::RoutineDecl *, SDGNodeId> Entries;
   std::unordered_map<const pascal::Stmt *, SDGNodeId> StmtMap;
+  /// Expression-position call -> index into CallsV.
+  std::unordered_map<const pascal::Expr *, uint32_t> CallExprMap;
   /// CSR adjacency: per-vertex offset arrays (size nodes+1) into the flat
   /// edge arrays, built by a stable counting-sort finalize pass.
   std::vector<uint32_t> OutOff, InOff;

@@ -19,19 +19,25 @@ enum class Ty : uint8_t { Unknown, Int, Bool, Str };
 
 bool fits(Ty T, Ty Want) { return T == Ty::Unknown || T == Want; }
 
-/// The routine named \p Name in \p P, or null when none or several are.
-const RoutineDecl *findUnit(const Program *P, const std::string &Name) {
-  if (!P)
-    return nullptr;
-  const RoutineDecl *Found = nullptr;
-  unsigned Matches = 0;
-  forEachRoutine(P->getMain(), [&](RoutineDecl *R) {
-    if (R->getName() == Name) {
-      Found = R;
-      ++Matches;
-    }
+/// True when \p Name is a unit name an execution of \p P can show: a
+/// routine's name, or a loop unit's name as Sema assigns it
+/// (`<routine>.while#<n>`, `.repeat#<n>`, `.for#<n>`).
+bool hasUnit(const Program &P, const std::string &Name) {
+  bool Found = false;
+  forEachRoutine(P.getMain(), [&](RoutineDecl *R) {
+    Found = Found || R->getName() == Name;
+    if (Found || !R->getBody())
+      return;
+    forEachStmt(R->getBody(), [&](Stmt *S) {
+      if (const auto *W = dyn_cast<WhileStmt>(S))
+        Found = Found || W->getUnitName() == Name;
+      else if (const auto *Rp = dyn_cast<RepeatStmt>(S))
+        Found = Found || Rp->getUnitName() == Name;
+      else if (const auto *F = dyn_cast<ForStmt>(S))
+        Found = Found || F->getUnitName() == Name;
+    });
   });
-  return Matches == 1 ? Found : nullptr;
+  return Found;
 }
 
 /// The declared type of \p E when it is a name as \p Unit's body resolves
@@ -157,10 +163,16 @@ struct AssertionOracle::Entry {
 bool AssertionOracle::addAssertion(const std::string &UnitName,
                                    const std::string &ExprText, Strength S,
                                    DiagnosticsEngine &Diags) {
+  if (Names && !hasUnit(*Names, UnitName)) {
+    Diags.error(SourceLoc(),
+                "no routine or loop unit named '" + UnitName + "'");
+    return false;
+  }
   pascal::ExprPtr E = tgen::parseClassifierExpr(ExprText, Diags);
   if (!E)
     return false;
-  std::optional<Ty> T = typeOf(E.get(), findUnit(Names, UnitName), Diags);
+  std::optional<Ty> T = typeOf(
+      E.get(), Names ? findRoutine(*Names, UnitName) : nullptr, Diags);
   if (!T)
     return false;
   if (!fits(*T, Ty::Bool)) {

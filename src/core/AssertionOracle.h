@@ -49,15 +49,19 @@ public:
   /// \p UnitName. Returns false, with a diagnostic, on a parse error, an
   /// operator whose operands cannot have the types it needs (`x > 0 and
   /// y > 0` ranks as `x > (0 and y) > 0`, `not x` with an integer `x`), or
-  /// a non-boolean expression: each is undefined on every call.
+  /// a non-boolean expression: each is undefined on every call. With a
+  /// setProgram() program, a \p UnitName that is neither a routine's name
+  /// nor a loop unit's (`<routine>.for#<n>` and the like) is rejected too:
+  /// no execution of the program shows such a unit.
   ///
   /// A name is typed as the body of the one routine named \p UnitName in
   /// the setProgram() program would resolve it: its parameters, result
   /// and locals, then the enclosing scopes, with `in_<name>` resolving as
   /// `<name>`; an integer, boolean or string declaration gives its type,
   /// and an element of an array name takes the element type. Other names,
-  /// every name of a unit that is no such routine (a loop unit), and
-  /// every name without a program stay untyped.
+  /// every name of a unit that is no such routine (a loop unit, or a name
+  /// several routines share), and every name without a program stay
+  /// untyped.
   bool addAssertion(const std::string &UnitName, const std::string &ExprText,
                     Strength S, DiagnosticsEngine &Diags);
 

@@ -297,23 +297,24 @@ BugReport AlgorithmicDebugger::bugAt(const ExecNode *N) const {
   // the wrong output (or any output when none was singled out).
   if (Sdg && N->getRoutine()) {
     const pascal::RoutineDecl *Routine = N->getRoutine();
-    std::set<const pascal::Stmt *> InSlice;
+    std::vector<std::shared_ptr<const slicing::StaticSlice>> OutputSlices;
     auto Collect = [&](const std::string &Output) {
-      std::shared_ptr<const slicing::StaticSlice> Slice =
-          staticSliceFor(Routine, Output);
-      if (Slice)
-        InSlice.insert(Slice->stmts().begin(), Slice->stmts().end());
+      if (auto Slice = staticSliceFor(Routine, Output))
+        OutputSlices.push_back(std::move(Slice));
     };
     if (!R.WrongOutput.empty())
       Collect(R.WrongOutput);
     else
       for (const interp::Binding &Out : N->getOutputs())
         Collect(Out.Name);
-    if (!InSlice.empty() && Routine->getBody())
+    if (!OutputSlices.empty() && Routine->getBody())
       pascal::forEachStmt(
           const_cast<pascal::CompoundStmt *>(Routine->getBody()),
           [&](pascal::Stmt *S) {
-            if (InSlice.count(S))
+            if (std::any_of(OutputSlices.begin(), OutputSlices.end(),
+                            [S](const auto &Slice) {
+                              return Slice->containsStmt(S);
+                            }))
               R.CandidateStmts.push_back(S);
           });
   }

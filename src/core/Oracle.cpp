@@ -29,17 +29,8 @@ Judgement ScriptedOracle::judge(const ExecNode &N) {
 Judgement OracleChain::judge(const ExecNode &N) {
   for (Oracle *O : Oracles) {
     Judgement J = O->judge(N);
-    if (J.A != Answer::DontKnow) {
-      ++Counts[J.Source.empty() ? "unknown" : J.Source];
+    if (J.A != Answer::DontKnow)
       return J;
-    }
   }
   return Judgement::dontKnow();
-}
-
-unsigned OracleChain::totalAnswers() const {
-  unsigned Total = 0;
-  for (const auto &[Source, Count] : Counts)
-    Total += Count;
-  return Total;
 }

@@ -93,8 +93,8 @@ private:
 };
 
 /// Asks a list of oracles in order; the first non-DontKnow answer wins.
-/// Counts answers per source for the interaction statistics the paper's
-/// evaluation is about.
+/// The answer's Source names the oracle that gave it, which the debugger
+/// counts per session (SessionStats::AnswersBySource).
 class OracleChain : public Oracle {
 public:
   /// Oracles are not owned; order is consultation order.
@@ -102,14 +102,8 @@ public:
 
   Judgement judge(const trace::ExecNode &N) override;
 
-  const std::map<std::string, unsigned> &answersBySource() const {
-    return Counts;
-  }
-  unsigned totalAnswers() const;
-
 private:
   std::vector<Oracle *> Oracles;
-  std::map<std::string, unsigned> Counts;
 };
 
 } // namespace core

@@ -12,16 +12,6 @@ using namespace gadt::trace;
 
 namespace {
 
-const RoutineDecl *findByName(const RoutineDecl *Root,
-                              const std::string &Name) {
-  if (Root->getName() == Name)
-    return Root;
-  for (const auto &N : Root->getNested())
-    if (const RoutineDecl *Found = findByName(N.get(), Name))
-      return Found;
-  return nullptr;
-}
-
 interp::InterpOptions withCode(
     std::shared_ptr<const bytecode::CompiledProgram> Code) {
   interp::InterpOptions Opts;
@@ -40,7 +30,13 @@ IntendedProgramOracle::IntendedProgramOracle(
 Judgement IntendedProgramOracle::judge(const ExecNode &N) {
   if (N.getKind() != UnitKind::Call || !N.getRoutine())
     return Judgement::dontKnow();
-  const RoutineDecl *Ref = findByName(Intended.getMain(), N.getName());
+  // The traced routine's own path first, so that of two routines sharing a
+  // simple name the right one replays; the plain name covers an intended
+  // program whose nesting differs.
+  const RoutineDecl *Ref =
+      findRoutine(Intended, N.getRoutine()->qualifiedName());
+  if (!Ref)
+    Ref = findRoutine(Intended, N.getName());
   if (!Ref)
     return Judgement::dontKnow();
 
@@ -59,7 +55,7 @@ Judgement IntendedProgramOracle::judge(const ExecNode &N) {
       Presets.push_back(In);
 
   CallOutcome Out =
-      Replayer.callRoutine(N.getName(), std::move(Args), Presets);
+      Replayer.callRoutine(Ref->qualifiedName(), std::move(Args), Presets);
   if (!Out.Ok)
     return Judgement::dontKnow();
 

@@ -14,18 +14,16 @@ void TestDatabaseOracle::addDatabase(std::shared_ptr<const TestSpec> Spec,
 }
 
 Judgement TestDatabaseOracle::judge(const ExecNode &N) {
-  if (!TrustTests || N.getKind() != interp::UnitKind::Call)
+  if (N.getKind() != interp::UnitKind::Call)
     return Judgement::dontKnow();
   auto It = ByRoutine.find(N.getName());
   if (It == ByRoutine.end())
     return Judgement::dontKnow();
-  ++Lookups;
 
   std::optional<TestFrame> Frame =
       classifyInputs(*It->second.Spec, N.getInputs());
   if (!Frame)
     return Judgement::dontKnow(); // no automatic selector function applies
-  ++Matched;
 
   switch (It->second.DB->verdict(Frame->encode())) {
   case Verdict::Pass:

@@ -12,9 +12,8 @@
 /// query unanswered and debugging goes on inside the procedure.
 ///
 /// Trusting a passing frame is exactly as reliable as the test suite
-/// ("the reliability of testing is largely dependent on the tester");
-/// setTrustTests(false) disables lookups so a session can be replayed
-/// without them, as the paper prescribes when the combined method fails.
+/// ("the reliability of testing is largely dependent on the tester"); a
+/// session that should not trust it simply registers no database.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,12 +40,7 @@ public:
   void addDatabase(std::shared_ptr<const tgen::TestSpec> Spec,
                    std::shared_ptr<const tgen::TestReportDB> DB);
 
-  void setTrustTests(bool Trust) { TrustTests = Trust; }
-
   Judgement judge(const trace::ExecNode &N) override;
-
-  unsigned lookupsAttempted() const { return Lookups; }
-  unsigned framesMatched() const { return Matched; }
 
 private:
   struct Registered {
@@ -54,9 +48,6 @@ private:
     std::shared_ptr<const tgen::TestReportDB> DB;
   };
   std::map<std::string, Registered> ByRoutine;
-  bool TrustTests = true;
-  unsigned Lookups = 0;
-  unsigned Matched = 0;
 };
 
 } // namespace core

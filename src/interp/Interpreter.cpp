@@ -85,22 +85,16 @@ struct Interpreter::Impl : ExecState {
     return bytecode::run(*this, *CP, vm());
   }
 
-  const RoutineDecl *findRoutineByName(const RoutineDecl *Root,
-                                       const std::string &Name) {
-    if (Root->getName() == Name)
-      return Root;
-    for (const auto &N : Root->getNested())
-      if (const RoutineDecl *Found = findRoutineByName(N.get(), Name))
-        return Found;
-    return nullptr;
-  }
-
   CallOutcome callRoutine(const std::string &Name, std::vector<Value> Args,
                           const std::vector<Binding> &GlobalPresets) {
     CallOutcome Out;
-    const RoutineDecl *Callee = findRoutineByName(Prog.getMain(), Name);
+    bool Ambiguous = false;
+    const RoutineDecl *Callee = findRoutine(Prog, Name, &Ambiguous);
     if (!Callee) {
-      Out.Error = {SourceLoc(), "no routine named '" + Name + "'"};
+      Out.Error = {SourceLoc(),
+                   Ambiguous ? "routine name '" + Name +
+                                   "' is ambiguous; qualify it"
+                             : "no routine named '" + Name + "'"};
       return Out;
     }
     if (Args.size() != Callee->getParams().size()) {

@@ -175,8 +175,10 @@ public:
   /// Executes the whole program.
   ExecResult run();
 
-  /// Executes a single routine. \p Name is the simple (lowercase) routine
-  /// name, looked up depth-first in the routine tree. \p Args supplies one
+  /// Executes a single routine. \p Name is resolved by pascal::findRoutine:
+  /// a qualified path from the program (`p.b.helper`) or a plain
+  /// (lowercase) name that exactly one routine has; a plain name several
+  /// routines share fails with an error naming it. \p Args supplies one
   /// value per parameter (values for var/out parameters initialize the
   /// callee-visible cell; pass Value() for out parameters). Globals are
   /// default-initialized, then overridden by \p GlobalPresets (matched by

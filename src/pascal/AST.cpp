@@ -479,6 +479,33 @@ void gadt::pascal::forEachRoutine(
     forEachRoutine(N.get(), Fn);
 }
 
+RoutineDecl *gadt::pascal::findRoutine(const Program &P,
+                                       const std::string &Name,
+                                       bool *Ambiguous) {
+  RoutineDecl *Found = nullptr;
+  unsigned Matches = 0;
+  size_t Dot = Name.find('.');
+  if (Dot == std::string::npos) {
+    forEachRoutine(P.getMain(), [&](RoutineDecl *R) {
+      if (R->getName() == Name) {
+        Found = R;
+        ++Matches;
+      }
+    });
+  } else if (Name.compare(0, Dot, P.getMain()->getName()) == 0) {
+    // A path: one nested routine per segment after the program's name.
+    for (Found = P.getMain(); Found && Dot != std::string::npos;) {
+      size_t Next = Name.find('.', Dot + 1);
+      Found = Found->findNested(Name.substr(Dot + 1, Next - Dot - 1));
+      Dot = Next;
+    }
+    Matches = Found != nullptr;
+  }
+  if (Ambiguous)
+    *Ambiguous = Matches > 1;
+  return Matches == 1 ? Found : nullptr;
+}
+
 void gadt::pascal::forEachStmt(Stmt *S,
                                const std::function<void(Stmt *)> &Fn) {
   if (!S)

@@ -826,6 +826,14 @@ uint32_t assignStorageSlots(Program &P);
 void forEachRoutine(RoutineDecl *Root,
                     const std::function<void(RoutineDecl *)> &Fn);
 
+/// The routine of \p P that \p Name names. A dotted name is a path from
+/// the program, as RoutineDecl::qualifiedName() prints it (`p.b.helper`);
+/// a plain name resolves only when exactly one routine has it. Null when
+/// nothing matches, or when a plain name is shared — then \p Ambiguous,
+/// if given, is set.
+RoutineDecl *findRoutine(const Program &P, const std::string &Name,
+                         bool *Ambiguous = nullptr);
+
 /// Calls \p Fn on every statement in \p S (preorder, including \p S),
 /// without descending into nested routines (statements own no routines, so
 /// that cannot happen anyway).

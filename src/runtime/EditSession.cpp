@@ -336,17 +336,13 @@ EditSession::sliceOnOutput(const std::string &Routine,
                            const std::string &Var) {
   if (!St.Prog || !St.Graph)
     return nullptr;
-  auto Key = std::make_pair(Routine, Var);
+  const RoutineDecl *Target = findRoutine(*St.Prog, Routine);
+  if (!Target)
+    return nullptr;
+  auto Key = std::make_pair(Target, Var);
   auto It = St.Slices.find(Key);
   if (It != St.Slices.end())
     return It->second;
-  const RoutineDecl *Target = nullptr;
-  forEachRoutine(St.Prog->getMain(), [&](RoutineDecl *R) {
-    if (!Target && (R->qualifiedName() == Routine || R->getName() == Routine))
-      Target = R;
-  });
-  if (!Target)
-    return nullptr;
   auto Slice = std::make_shared<const slicing::StaticSlice>(
       slicing::sliceOnRoutineOutput(*St.Graph, Target, Var));
   St.Slices.emplace(std::move(Key), Slice);

@@ -123,9 +123,10 @@ public:
     return St.Code;
   }
 
-  /// Memoized static slice on (routine, output variable). \p Routine
-  /// matches a routine's qualified name (or plain name). The slice is valid
-  /// until the next commit, which starts an empty memo.
+  /// Memoized static slice on (routine, output variable). \p Routine is
+  /// resolved by pascal::findRoutine: a qualified name, or a plain name
+  /// exactly one routine has (null when several share it). The slice is
+  /// valid until the next commit, which starts an empty memo.
   std::shared_ptr<const slicing::StaticSlice>
   sliceOnOutput(const std::string &Routine, const std::string &Var);
 
@@ -148,7 +149,7 @@ private:
     std::shared_ptr<const analysis::SideEffectAnalysis> SEA;
     std::unique_ptr<analysis::SDG> Graph; ///< built with KeepReplayData
     std::shared_ptr<const bytecode::CompiledProgram> Code;
-    std::map<std::pair<std::string, std::string>,
+    std::map<std::pair<const pascal::RoutineDecl *, std::string>,
              std::shared_ptr<const slicing::StaticSlice>>
         Slices;
   };

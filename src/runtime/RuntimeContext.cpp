@@ -159,15 +159,12 @@ RuntimeContext::prepare(const std::string &Source,
     // criterion routine belongs to the cached prepared program, so slices
     // are shared by every session over this subject.
     std::shared_ptr<const analysis::SDG> Sdg = Artifacts->Sdg;
-    bool Transformed = Opts.Transform;
     Artifacts->Slices =
-        [this, Sdg, Fingerprint,
-         Transformed](const pascal::RoutineDecl *R, support::Symbol Out)
+        [this, Sdg](const pascal::RoutineDecl *R, support::Symbol Out)
         -> std::shared_ptr<const slicing::StaticSlice> {
       if (!R)
         return nullptr;
-      SliceKey Key{Fingerprint, Transformed,
-                   support::Symbol(R->getName()).id(), Out.id()};
+      SliceKey Key{R, Out.id()};
       obs::Span Span("cache.slice", "cache");
       bool WasMiss = false;
       std::shared_ptr<const slicing::StaticSlice> S = Slices.getOrBuild(

@@ -17,15 +17,18 @@
 ///    (source text, transformed?) program — sessions trace their subject
 ///    and replay their intended program on the cached code instead of
 ///    recompiling; a rejected program caches a null entry;
-///  - a *static-slice memo*: one two-phase slice per (source text,
-///    transformed?, routine, output-variable) criterion, filled lazily as
-///    debugging sessions request slices.
+///  - a *static-slice memo*: one two-phase slice per (routine,
+///    output-variable) criterion, filled lazily as debugging sessions
+///    request slices.
 ///
-/// Every cache is keyed by the subject's fingerprint: the FNV-1a hash of
-/// its source text (support/Hashing.h hashBytes), computed once per
-/// lookup. Each entry therefore belongs to exactly one interned program;
-/// two texts of one program (differing only in whitespace, comments or
-/// case) are separate subjects with separate entries.
+/// The first four caches are keyed by the subject's fingerprint: the
+/// FNV-1a hash of its source text (support/Hashing.h hashBytes), computed
+/// once per lookup. Each entry therefore belongs to exactly one interned
+/// program; two texts of one program (differing only in whitespace,
+/// comments or case) are separate subjects with separate entries. The
+/// slice memo is keyed by the criterion routine's address, which the
+/// pinned programs make unique to one (source text, transformed?,
+/// routine) triple.
 ///
 /// All cached values are immutable after construction and shared by
 /// std::shared_ptr; each is built exactly once (support/OnceCache.h), so
@@ -51,7 +54,7 @@
 #include <atomic>
 #include <memory>
 #include <string>
-#include <tuple>
+#include <utility>
 
 namespace gadt {
 namespace runtime {
@@ -133,14 +136,15 @@ private:
   compiled(uint64_t Fingerprint, bool Transformed,
            std::shared_ptr<const pascal::Program> Prepared);
 
-  /// Key of the slice memo: (fingerprint, transformed?, routine-name
-  /// symbol, output-variable symbol). Symbol ids are process-stable for
-  /// equal strings, so the key carries no string payload.
-  using SliceKey = std::tuple<uint64_t, bool, uint32_t, uint32_t>;
+  /// Key of the slice memo: (routine, output-variable symbol). The
+  /// context pins every program it caches, so a routine's address names
+  /// the subject, its transform variant and the routine itself — two
+  /// routines with one simple name are two keys.
+  using SliceKey = std::pair<const pascal::RoutineDecl *, uint32_t>;
 
-  // Every key starts with the source-text hash. The program and transform
-  // caches are declared first, so the graphs, code and slices that point
-  // into their programs are destroyed before them.
+  // The program and transform caches are declared first, so the graphs,
+  // code and slices that point into their programs are destroyed before
+  // them.
   OnceCache<uint64_t, ProgramEntry> Programs;
   OnceCache<uint64_t, TransformEntry> Transforms;
   OnceCache<std::pair<uint64_t, bool>, analysis::SDG> Sdgs;

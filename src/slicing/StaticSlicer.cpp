@@ -9,33 +9,31 @@ using namespace gadt::slicing;
 using namespace gadt::analysis;
 using namespace gadt::pascal;
 
-const StaticSlice::Views &StaticSlice::materializeViews() const {
-  static const Views Empty;
-  if (!Cache)
-    return Empty;
-  std::call_once(Cache->Once, [this] {
-    Views &V = Cache->V;
-    for (uint32_t Id : Ids.ids()) {
-      const SDGNode &N = G->node(Id);
-      if (N.getStmt())
-        V.Stmts.insert(N.getStmt());
-      if (N.getRoutine())
-        V.Routines.insert(N.getRoutine());
-      if (N.getCall() && N.getCall()->Site.CallExpr)
-        V.CallExprs.insert(N.getCall()->Site.CallExpr);
-    }
-    Cache->Ready.store(true, std::memory_order_release);
-  });
-  return Cache->V;
+bool StaticSlice::containsRoutine(const RoutineDecl *R) const {
+  if (!G)
+    return false;
+  SDG::RoutineRange Range = G->routineRange(R);
+  return Ids.countRange(Range.Begin, Range.End) != 0;
 }
 
-StaticSlice
-gadt::slicing::backwardSlice(const SDG &G,
-                             const std::vector<SDGNodeId> &Criteria) {
-  StaticSlice Result;
-  if (Criteria.empty())
-    return Result;
+bool StaticSlice::containsCallExpr(const Expr *E) const {
+  const SDGCallRecord *Call = G ? G->callOf(E) : nullptr;
+  if (!Call)
+    return false;
+  for (SDGNodeId Id : Call->ActualIns)
+    if (Ids.contains(Id))
+      return true;
+  for (SDGNodeId Id : Call->ActualOuts)
+    if (Ids.contains(Id))
+      return true;
+  return false;
+}
 
+namespace {
+
+/// Computes the backward slice of \p G from \p Criteria.
+StaticSlice backwardSlice(const SDG &G,
+                          const std::vector<SDGNodeId> &Criteria) {
   // One visited bitset serves both phases (the final slice is the union);
   // Order doubles as the BFS queue and records discovery order, so the
   // phase-2 sweep re-scans the phase-1 frontier without a set copy.
@@ -68,12 +66,10 @@ gadt::slicing::backwardSlice(const SDG &G,
       Order.push_back(E.N);
     }
 
-  Result.G = &G;
-  Result.Ids = std::move(Mark);
-  Result.Count = Order.size();
-  Result.Cache = std::make_shared<StaticSlice::Lazy>();
-  return Result;
+  return StaticSlice(G, std::move(Mark));
 }
+
+} // namespace
 
 StaticSlice gadt::slicing::sliceOnRoutineOutput(const SDG &G,
                                                 const RoutineDecl *R,

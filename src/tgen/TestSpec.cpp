@@ -28,13 +28,6 @@ bool Selector::eval(const std::set<std::string> &Properties) const {
   return !E || holds(E.get(), Properties);
 }
 
-const Category *TestSpec::findCategory(const std::string &Name) const {
-  for (const Category &C : Categories)
-    if (C.Name == Name)
-      return &C;
-  return nullptr;
-}
-
 bool TestSpec::hasGenerators() const {
   if (Params.empty())
     return false;

@@ -120,7 +120,6 @@ struct TestSpec {
   std::vector<Bucket> Scripts;
   std::vector<Bucket> Results;
 
-  const Category *findCategory(const std::string &Name) const;
   /// True when the spec can instantiate frames by itself (params declared
   /// and generator bindings present).
   bool hasGenerators() const;

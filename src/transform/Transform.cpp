@@ -2,10 +2,7 @@
 
 #include "transform/Transform.h"
 
-#include "analysis/CallGraph.h"
-#include "analysis/SideEffects.h"
 #include "obs/Trace.h"
-#include "pascal/Sema.h"
 
 using namespace gadt;
 using namespace gadt::transform;

@@ -72,7 +72,7 @@ TEST(OracleTest, ScriptedOracleRepliesInOrder) {
   EXPECT_EQ(O.judge(*Root).A, Answer::DontKnow);
 }
 
-TEST(OracleTest, ChainStopsAtFirstAnswerAndCounts) {
+TEST(OracleTest, ChainStopsAtFirstAnswer) {
   auto Prog = compile(workload::Figure4Buggy);
   auto Tree = buildExecTree(*Prog, {}, {});
   ExecNode *Root = Tree->getRoot();
@@ -88,9 +88,9 @@ TEST(OracleTest, ChainStopsAtFirstAnswerAndCounts) {
   Chain.append(&Silent);
   Chain.append(&Yes);
   Chain.append(&Never);
-  EXPECT_EQ(Chain.judge(*Root).A, Answer::Correct);
-  EXPECT_EQ(Chain.answersBySource().at("tester"), 1u);
-  EXPECT_EQ(Chain.totalAnswers(), 1u);
+  Judgement J = Chain.judge(*Root);
+  EXPECT_EQ(J.A, Answer::Correct);
+  EXPECT_EQ(J.Source, "tester");
 }
 
 TEST(OracleTest, IntendedProgramOracleJudgesUnits) {
@@ -117,6 +117,53 @@ TEST(OracleTest, IntendedProgramOracleJudgesUnits) {
   EXPECT_EQ(JComputs.A, Answer::Incorrect);
   EXPECT_EQ(JComputs.WrongOutput, "r1")
       << "first wrong output variable, as in the paper's dialogue";
+}
+
+TEST(OracleTest, IntendedOracleReplaysTheTracedRoutineOfASharedName) {
+  // Both helpers are correct; b's own `x := x + 10` is the bug. Replaying
+  // a's helper for b's call would answer "no" and localize b's helper.
+  const std::string Subject = R"(
+program p;
+var g: integer;
+
+procedure a(var x: integer);
+  procedure helper(var x: integer);
+  begin
+    x := x + 1;
+  end;
+begin
+  helper(x);
+end;
+
+procedure b(var x: integer);
+  procedure helper(var x: integer);
+  begin
+    x := x * 2;
+  end;
+begin
+  x := x + 10;
+  helper(x);
+end;
+
+begin
+  read(g);
+  a(g);
+  b(g);
+  writeln(g);
+end.
+)";
+  std::string Intended = Subject;
+  Intended.replace(Intended.find("x + 10"), 6, "x + 1");
+  auto Buggy = compile(Subject);
+  auto Fixed = compile(Intended);
+  ASSERT_TRUE(Buggy && Fixed);
+  DiagnosticsEngine Diags;
+  GADTSession Session(*Buggy, GADTOptions(), Diags);
+  ASSERT_TRUE(Session.valid()) << Diags.str();
+  IntendedProgramOracle User(*Fixed);
+  BugReport R = Session.debug(User, /*Input=*/{1});
+  ASSERT_TRUE(R.Found);
+  EXPECT_EQ(R.UnitName, "b") << Session.stats().transcript();
 }
 
 TEST(OracleTest, IntendedOracleHandlesGlobalsViaPresets) {
@@ -257,7 +304,8 @@ TEST(OracleTest, AssertionOracleRejectsIllTypedOperators) {
 TEST(OracleTest, AssertionNamesTakeTheirDeclaredTypes) {
   // With the program, a name is typed as its unit's body resolves it:
   // parameters, result and locals, then enclosing scopes; in_<name> is
-  // <name>. A loop unit's names stay untyped.
+  // <name>. A loop unit's names stay untyped, and a unit the program does
+  // not have is rejected.
   auto Prog = compile("program p; var n: integer; b: boolean;"
                       " flags: array[1..2] of boolean;"
                       " function g(x, y, z: boolean): boolean;"
@@ -290,6 +338,10 @@ TEST(OracleTest, AssertionNamesTakeTheirDeclaredTypes) {
       {"g", "flags[1] = not x", nullptr},
       {"g", "flags[1] > 0", "operator '>' requires integer operands"},
       {"p.for#1", "not n", nullptr},
+      // A unit no execution shows: neither a routine's nor a loop's name.
+      {"gg", "true", "no routine or loop unit named 'gg'"},
+      {"p.g", "true", "no routine or loop unit named 'p.g'"},
+      {"p.for#2", "true", "no routine or loop unit named 'p.for#2'"},
   };
   for (const Case &C : Cases) {
     DiagnosticsEngine Diags;
@@ -322,13 +374,8 @@ TEST(OracleTest, TestDatabaseOracleAnswersCoveredCalls) {
   Judgement J = O.judge(*Arrsum);
   EXPECT_EQ(J.A, Answer::Correct);
   EXPECT_EQ(J.Source, "test-db");
-  EXPECT_EQ(O.lookupsAttempted(), 1u);
-  EXPECT_EQ(O.framesMatched(), 1u);
   // Other routines are not covered.
   EXPECT_EQ(O.judge(*Tree->getRoot()).A, Answer::DontKnow);
-  // Distrusting tests disables lookups.
-  O.setTrustTests(false);
-  EXPECT_EQ(O.judge(*Arrsum).A, Answer::DontKnow);
 }
 
 TEST(OracleTest, InteractiveOracleParsesAnswers) {

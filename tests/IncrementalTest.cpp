@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TwoHelpers.h"
 #include "interp/Interpreter.h"
 #include "runtime/EditSession.h"
 #include "slicing/DynamicSlicer.h"
@@ -366,6 +367,23 @@ TEST(IncrementalTest, WideOperandsAndLabelsReplay) {
   EXPECT_EQ(St.CodeReplayed, 10u);
   auto Cold = coldSession(deepProgram(4));
   expectSameCommitted(S, *Cold);
+}
+
+TEST(IncrementalTest, SliceOnOutputNeedsAName) {
+  // `helper` is both p.a.helper and p.b.helper: the plain name is no
+  // criterion, the qualified one slices its own routine.
+  EditSession S;
+  ASSERT_TRUE(commitSource(S, test::TwoHelpers).Committed);
+  EXPECT_EQ(S.sliceOnOutput("helper", "x"), nullptr);
+  const pascal::RoutineDecl *B =
+      S.program()->getMain()->findNested("b")->findNested("helper");
+  analysis::SDG Cold(*S.program());
+  EXPECT_EQ(sliceIds(S, "p.b.helper", "x"),
+            slicing::sliceOnRoutineOutput(Cold, B, "x").nodes().ids());
+  EXPECT_NE(sliceIds(S, "p.a.helper", "x"), sliceIds(S, "p.b.helper", "x"));
+  EXPECT_EQ(S.sliceOnOutput("p.b.helper", "x"),
+            S.sliceOnOutput("p.b.helper", "x"))
+      << "memoized";
 }
 
 } // namespace

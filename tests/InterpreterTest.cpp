@@ -2,6 +2,8 @@
 
 #include "interp/Interpreter.h"
 
+#include "TwoHelpers.h"
+
 #include "pascal/Frontend.h"
 #include "tgen/ConstEval.h"
 #include "tgen/SpecParser.h"
@@ -338,6 +340,30 @@ TEST(InterpreterTest, CallUnknownRoutineFails) {
   Interpreter I(*Prog);
   auto Out = I.callRoutine("nosuch", {});
   EXPECT_FALSE(Out.Ok);
+}
+
+TEST(InterpreterTest, CallRoutineByQualifiedName) {
+  // p.a.helper adds 1; p.b.helper calls inc2, which adds 3.
+  auto Prog = compile(test::TwoHelpers);
+  Interpreter I(*Prog);
+  auto A = I.callRoutine("p.a.helper", {Value::makeInt(10)});
+  ASSERT_TRUE(A.Ok) << A.Error.Message;
+  ASSERT_EQ(A.Outputs.size(), 1u);
+  EXPECT_EQ(A.Outputs[0].V.asInt(), 11);
+  auto B = I.callRoutine("p.b.helper", {Value::makeInt(10)});
+  ASSERT_TRUE(B.Ok) << B.Error.Message;
+  ASSERT_EQ(B.Outputs.size(), 1u);
+  EXPECT_EQ(B.Outputs[0].V.asInt(), 13);
+  // A plain name two routines share names neither.
+  auto Plain = I.callRoutine("helper", {Value::makeInt(10)});
+  EXPECT_FALSE(Plain.Ok);
+  EXPECT_NE(Plain.Error.Message.find("'helper' is ambiguous"),
+            std::string::npos)
+      << Plain.Error.Message;
+  // A unique plain name and a path through no routine.
+  EXPECT_TRUE(I.callRoutine("inc2", {Value::makeInt(1)}).Ok);
+  EXPECT_FALSE(I.callRoutine("p.c.helper", {Value::makeInt(1)}).Ok);
+  EXPECT_FALSE(I.callRoutine("q.a.helper", {Value::makeInt(1)}).Ok);
 }
 
 } // namespace

@@ -13,8 +13,11 @@
 
 #include "runtime/BatchRunner.h"
 
+#include "TwoHelpers.h"
+
 #include "core/ReferenceOracle.h"
 #include "pascal/Frontend.h"
+#include "slicing/StaticSlicer.h"
 #include "support/Hashing.h"
 #include "workload/PaperPrograms.h"
 #include "workload/Synthetic.h"
@@ -340,6 +343,50 @@ TEST(RuntimeContextTest, TextualVariantsAreSeparateSubjects) {
   }
   EXPECT_FALSE(Transcripts[0].empty());
   EXPECT_EQ(Transcripts[0], Transcripts[1]);
+}
+
+TEST(RuntimeContextTest, SliceMemoKeepsRoutinesOfOneNameApart) {
+  RuntimeContext Ctx;
+  DiagnosticsEngine Diags;
+  auto Artifacts = Ctx.prepare(test::TwoHelpers, GADTOptions(), Diags);
+  ASSERT_TRUE(Artifacts && Artifacts->Sdg) << Diags.str();
+  const RoutineDecl *Main = Artifacts->Prepared->getMain();
+  const RoutineDecl *A = Main->findNested("a")->findNested("helper");
+  const RoutineDecl *B = Main->findNested("b")->findNested("helper");
+  auto SA = Artifacts->Slices(A, "x");
+  auto SB = Artifacts->Slices(B, "x");
+  ASSERT_TRUE(SA && SB);
+  EXPECT_NE(SA->nodes(), SB->nodes());
+  EXPECT_EQ(SA->nodes(),
+            slicing::sliceOnRoutineOutput(*Artifacts->Sdg, A, "x").nodes());
+  EXPECT_EQ(SB->nodes(),
+            slicing::sliceOnRoutineOutput(*Artifacts->Sdg, B, "x").nodes());
+  EXPECT_EQ(Ctx.stats().SliceMisses, 2u);
+  EXPECT_EQ(Artifacts->Slices(B, "x"), SB);
+  EXPECT_EQ(Ctx.stats().SliceHits, 1u);
+}
+
+TEST(RuntimeContextTest, SharedNameSessionsLocalizeAsInAFreshContext) {
+  // Session 1's intended a.helper adds 2, so it slices p.a.helper on x.
+  // Session 2's intended inc2 adds 2, so it must slice p.b.helper on x,
+  // keep the inc2 call and localize inc2 — in a warm context as in a
+  // fresh one.
+  SessionRequest First, Second;
+  First.Source = Second.Source = test::TwoHelpers;
+  First.Intended = test::twoHelpersWith("x + 1", "x + 2");
+  Second.Intended = test::twoHelpersWith("x + 3", "x + 2");
+  First.Input = Second.Input = {1};
+  RuntimeContext Warm;
+  SessionResult R1 = runSession(Warm, First);
+  ASSERT_TRUE(R1.Found) << R1.Message;
+  EXPECT_EQ(R1.UnitName, "helper");
+  SessionResult R2 = runSession(Warm, Second);
+  RuntimeContext Fresh;
+  SessionResult Cold = runSession(Fresh, Second);
+  ASSERT_TRUE(Cold.Found) << Cold.Message;
+  EXPECT_EQ(Cold.UnitName, "inc2");
+  EXPECT_EQ(R2.UnitName, "inc2") << R2.summary();
+  EXPECT_EQ(R2.Stats.transcript(), Cold.Stats.transcript());
 }
 
 TEST(RuntimeContextTest, CachedParseFailureIsReported) {

@@ -5,14 +5,19 @@
 #include "slicing/StaticSlicer.h"
 #include "slicing/TreePruner.h"
 
+#include "TwoHelpers.h"
 #include "pascal/Frontend.h"
 #include "pascal/PrettyPrinter.h"
 #include "trace/ExecTreeBuilder.h"
+#include "transform/Transform.h"
 #include "workload/PaperPrograms.h"
+#include "workload/Payroll.h"
+#include "workload/Synthetic.h"
 
 #include <gtest/gtest.h>
 
 #include <random>
+#include <unordered_set>
 
 using namespace gadt;
 using namespace gadt::analysis;
@@ -172,6 +177,160 @@ TEST(StaticSliceTest, SliceOnFunctionResult) {
   StaticSlice Slice = sliceOnRoutineOutput(G, Dec, "decrement");
   EXPECT_GT(Slice.size(), 0u);
   EXPECT_TRUE(Slice.containsStmt(Dec->getBody()->getBody()[0].get()));
+}
+
+//===----------------------------------------------------------------------===//
+// Membership queries against the sliced ids
+//===----------------------------------------------------------------------===//
+
+/// Every statement, routine and expression call some sliced vertex names:
+/// the views a slice once materialized from its ids, kept as the reference
+/// the SDG-index queries must agree with.
+struct IdWalk {
+  std::unordered_set<const Stmt *> Stmts;
+  std::unordered_set<const RoutineDecl *> Routines;
+  std::unordered_set<const Expr *> CallExprs;
+
+  IdWalk(const SDG &G, const StaticSlice &S) {
+    for (uint32_t Id : S.nodes().ids()) {
+      const SDGNode &N = G.node(Id);
+      if (N.getStmt())
+        Stmts.insert(N.getStmt());
+      if (N.getRoutine())
+        Routines.insert(N.getRoutine());
+      if (N.getCall() && N.getCall()->Site.CallExpr)
+        CallExprs.insert(N.getCall()->Site.CallExpr);
+    }
+  }
+};
+
+/// Checks every membership query of every (routine, formal-out) slice and
+/// every program-variable slice of \p P against the id walk; returns the
+/// number of slices checked.
+unsigned checkMembership(const Program &P, const std::string &Label) {
+  SDG G(P);
+  std::vector<const RoutineDecl *> Routines;
+  std::vector<const Stmt *> Stmts;
+  std::vector<const Expr *> Calls;
+  forEachRoutine(P.getMain(), [&](RoutineDecl *R) {
+    Routines.push_back(R);
+    if (!R->getBody())
+      return;
+    forEachStmt(R->getBody(), [&](Stmt *S) { Stmts.push_back(S); });
+    forEachExpr(R->getBody(), [&](Expr *E) {
+      if (isa<CallExpr>(E))
+        Calls.push_back(E);
+    });
+  });
+
+  unsigned Checked = 0;
+  auto Check = [&](const StaticSlice &S, const std::string &Criterion) {
+    IdWalk Ref(G, S);
+    unsigned Walked = 0;
+    for (const Stmt *St : Stmts) {
+      bool In = Ref.Stmts.count(St) != 0;
+      Walked += In;
+      ASSERT_EQ(S.containsStmt(St), In)
+          << Label << " " << Criterion << " stmt@" << St->getLoc().str();
+    }
+    // The statement walk reaches every sliced statement, so counting by
+    // it (bugAt, bench/slice_sizes) equals the old view's size.
+    ASSERT_EQ(Walked, Ref.Stmts.size()) << Label << " " << Criterion;
+    for (const RoutineDecl *R : Routines)
+      ASSERT_EQ(S.containsRoutine(R), Ref.Routines.count(R) != 0)
+          << Label << " " << Criterion << " routine " << R->qualifiedName();
+    for (const Expr *E : Calls)
+      ASSERT_EQ(S.containsCallExpr(E), Ref.CallExprs.count(E) != 0)
+          << Label << " " << Criterion << " call@" << E->getLoc().str();
+    ++Checked;
+  };
+  for (const SDGNode &N : G.nodes()) {
+    if (N.getKind() != SDGNode::Kind::FormalOut)
+      continue;
+    const RoutineDecl *R = N.getRoutine();
+    std::string Var = N.getVar() ? N.getVar()->getName() : R->getName();
+    Check(sliceOnRoutineOutput(G, R, Var), R->qualifiedName() + "." + Var);
+    if (R == P.getMain() && N.getVar())
+      Check(sliceOnProgramVar(G, P, Var), "program " + Var);
+  }
+  return Checked;
+}
+
+TEST(StaticSliceTest, MembershipMatchesTheIdWalk) {
+  std::vector<std::pair<std::string, std::string>> Subjects = {
+      {"figure2", workload::Figure2},
+      {"figure4", workload::Figure4Buggy},
+      {"section6-globals", workload::Section6Globals},
+      {"section6-global-goto", workload::Section6GlobalGoto},
+      {"section6-loop-goto", workload::Section6LoopGoto},
+      {"arrsum", workload::ArrsumProgram},
+      {"payroll", workload::PayrollCorrect},
+      {"payroll-tax", workload::PayrollTaxBug},
+      {"payroll-overtime", workload::PayrollOvertimeBug},
+      {"chain", workload::chainProgram(6, 3).Buggy},
+      {"tree", workload::treeProgram(3).Buggy},
+      {"mesh", workload::summaryMeshProgram(3, 3).Buggy},
+      {"wide", workload::wideIrrelevantProgram(6).Buggy},
+      {"hub", workload::incrementalEditProgram(12)},
+      {"two-helpers", test::TwoHelpers},
+      // A call nested in another call's argument, and a recursive call.
+      {"nested-calls", R"(
+program nest;
+var r: integer;
+
+function sq(n: integer): integer;
+begin
+  sq := n * n;
+end;
+
+function fact(n: integer): integer;
+begin
+  if n <= 1 then
+    fact := 1
+  else
+    fact := n * fact(n - 1);
+end;
+
+function add(u, v: integer): integer;
+begin
+  add := u + v;
+end;
+
+begin
+  read(r);
+  r := add(sq(r), fact(sq(2)));
+  writeln(r);
+end.
+)"},
+  };
+  for (uint32_t Seed = 1; Seed <= 120; ++Seed) {
+    workload::SyntheticOptions Opts;
+    Opts.Seed = Seed;
+    Opts.NumRoutines = 3 + Seed % 5;
+    Opts.UseGotos = Seed % 2 == 0;
+    Subjects.push_back(
+        {"random-" + std::to_string(Seed), workload::randomProgram(Opts).Buggy});
+  }
+
+  unsigned Slices = 0;
+  for (const auto &[Label, Source] : Subjects) {
+    auto Prog = compile(Source);
+    ASSERT_TRUE(Prog) << Label;
+    Slices += checkMembership(*Prog, Label);
+    DiagnosticsEngine Diags;
+    transform::TransformResult X = transform::transformProgram(*Prog, Diags);
+    ASSERT_TRUE(X.Transformed) << Label << "\n" << Diags.str();
+    Slices += checkMembership(*X.Transformed, Label + " (transformed)");
+  }
+  EXPECT_GT(Slices, 5000u);
+
+  // A slice attached to no graph contains nothing.
+  StaticSlice Empty;
+  auto Prog = compile(workload::Figure4Buggy);
+  EXPECT_FALSE(
+      Empty.containsStmt(Prog->getMain()->getBody()->getBody()[0].get()));
+  EXPECT_FALSE(Empty.containsRoutine(Prog->getMain()));
+  EXPECT_FALSE(Empty.containsCallExpr(nullptr));
 }
 
 //===----------------------------------------------------------------------===//
